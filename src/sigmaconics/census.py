@@ -1,6 +1,23 @@
-"""Vectorised census kernels: exhaustive and sampled sweeps over 3x3
+"""Vectorised census sweeps: exhaustive and sampled runs over 2x2 and 3x3
 matrices that verify the classification and cardinality statements at
 scale.
+
+Every sweep is a source of entry batches, (K, 9) for the plane or (K, 4)
+for the line, feeding shared batch verifiers:
+
+- sources: the scalar-class enumerator `_enumerate_scalar_classes`, the
+  counter-based rejection sampler `_sample_entries`, the outer products of
+  `rank1_census`, the radical-normal layouts of `rank2_normal_census` and
+  the diagonal matrices;
+- verifiers: the menu check `_check_menu` on absolute counts, the rank-1
+  line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
+  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check), and the
+  PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and the
+  cone bases.
+
+The exhaustive GL sweep walks (first row, second row) pairs instead of
+entry batches and counts every admissible third row at once from the row
+tables, but it feeds the same menu check.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A, and splits over the rows of A as
@@ -20,24 +37,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
-                       KIND_KESTENBAND, KIND_TWO_LINES, allowed_cardinalities,
-                       classify_plane_form, is_diagonal, kestenband_profile,
+                       KIND_TWO_LINES, allowed_cardinalities,
+                       classify_plane_form, kestenband_profile,
                        line_spectrum, lines_points_array)
 from .fields import FieldTower
-from .forms import SesquiForm, absolute_mask
+from .forms import SesquiForm
 from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
+_MENU_REASON = "cardinality outside the admissible menu"
 
 
 class CapExceeded(RuntimeError):
     """The requested exhaustive sweep is beyond the configured budget."""
 
 
+def _check_exhaustive_cap(Q: int, what: str):
+    if (Q ** 9 - 1) // (Q - 1) > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"{what} beyond the matrix budget; use random sampling")
+
+
 # -- deterministic counter-based randomness ----------------------------------
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SAMPLE_BATCH = 1 << 15
 
 
 def splitmix64(seed: int, counter: int) -> int:
@@ -60,6 +84,23 @@ def sample_matrix_entries(order: int, seed: int, start: int, count: int) -> np.n
     """(count, 9) matrix entries; sample i consumes counters 9i..9i+8."""
     vals = rand_stream(seed, start, 9 * count)
     return (vals % np.uint64(order)).astype(np.uint32).reshape(count, 9)
+
+
+def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> np.ndarray:
+    """The first `count` sampled (K, 9) entry arrays that pass `keep`, a
+    function from a batch to its keep mask.  Sample i consumes counters
+    9i..9i+8 whether or not it is kept, so the result does not depend on
+    the batch size.  A batch draws a quarter more than is still needed, so
+    one usually suffices when most samples are kept."""
+    out, got, start = [np.empty((0, 9), dtype=np.uint32)], 0, 0
+    while got < count:
+        batch = max(_SAMPLE_BATCH, (count - got) * 5 // 4)
+        e = sample_matrix_entries(tower.order, seed, 9 * start, batch)
+        start += batch
+        e = e[keep(e)][:count - got]
+        out.append(e)
+        got += len(e)
+    return np.concatenate(out)
 
 
 # -- the batched absolute-count kernel ----------------------------------------
@@ -144,17 +185,20 @@ def _vdet3(t: FieldTower, e: np.ndarray) -> np.ndarray:
                   t.vmul(e[:, 2], m2))
 
 
-def _vrank_le1(t: FieldTower, e: np.ndarray) -> np.ndarray:
-    """Mask of matrices with all 2x2 minors zero (rank <= 1)."""
-    ok = np.ones(len(e), dtype=bool)
+def matrix_ranks(tower: FieldTower, entries: np.ndarray) -> np.ndarray:
+    """Vectorised 3x3 ranks (0..3) for (K, 9) entry arrays.  The 2x2 minors
+    are only evaluated on the singular rows."""
+    t = tower
+    ranks = np.where(_vdet3(t, entries) != 0, 3, 2)
+    singular = np.nonzero(ranks == 2)[0]
+    e = entries[singular]
+    le1 = np.ones(len(e), dtype=bool)
     for r1, r2 in ((0, 1), (0, 2), (1, 2)):
         for c1, c2 in ((0, 1), (0, 2), (1, 2)):
-            a = 3 * r1 + c1
-            b = 3 * r1 + c2
-            c = 3 * r2 + c1
-            d = 3 * r2 + c2
-            ok &= t.vsub(t.vmul(e[:, a], e[:, d]), t.vmul(e[:, b], e[:, c])) == 0
-    return ok
+            le1 &= t.vsub(t.vmul(e[:, 3 * r1 + c1], e[:, 3 * r2 + c2]),
+                          t.vmul(e[:, 3 * r1 + c2], e[:, 3 * r2 + c1])) == 0
+    ranks[singular[le1]] = np.where(e[le1].any(axis=1), 1, 0)
+    return ranks
 
 
 def _vcross(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -210,11 +254,60 @@ class CensusSummary:
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
 
 
+def _summary(t: FieldTower, mode: str) -> CensusSummary:
+    return CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode=mode)
+
+
 def _violation(matrix_entries, reason: str) -> dict:
     return {"matrix": [int(x) for x in matrix_entries], "reason": reason}
 
 
-# -- exhaustive invertible census ----------------------------------------------
+def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
+    """The admissible cardinalities of invertible (or invertible diagonal)
+    forms as an array; None in degree 1, which has no menu."""
+    if tower.n == 1:
+        return None
+    return np.array(sorted(allowed_cardinalities(tower, diagonal)[0]),
+                    dtype=np.int64)
+
+
+def _check_menu(summary, counts, menu, reason, entries):
+    """Histogram `counts` and flag each count outside `menu` (None: no
+    check); `entries(bad)` gives the matrices of the rows in mask `bad`."""
+    summary.add_counts(counts)
+    if menu is None:
+        return
+    bad = ~np.isin(counts, menu)
+    if bad.any():
+        for row in entries(bad):
+            summary.violations.append(_violation(row, reason))
+
+
+def _verify_menu_batch(kern, e, summary, menu, reason=_MENU_REASON):
+    _check_menu(summary, kern.counts(*kern.row_encode(e)), menu, reason,
+                lambda bad: e[bad])
+
+
+# -- sources -----------------------------------------------------------------------
+
+def _enumerate_scalar_classes(Q: int, size: int, chunk: int):
+    """Yield (K, size) entry arrays covering every nonzero 2x2 (size 4) or
+    3x3 (size 9) matrix up to scalars: entries before the leading one are
+    zero, the leading entry is 1."""
+    for lead in range(size):
+        total = Q ** (size - 1 - lead)
+        for start in range(0, total, chunk):
+            stop = min(start + chunk, total)
+            e = np.zeros((stop - start, size), dtype=np.uint32)
+            e[:, lead] = 1
+            rest = np.arange(start, stop, dtype=np.int64)
+            for pos in range(size - 1, lead, -1):
+                e[:, pos] = (rest % Q).astype(np.uint32)
+                rest //= Q
+            yield e
+
+
+# -- invertible censuses -------------------------------------------------------
 
 def exhaustive_invertible_census(tower: FieldTower,
                                  check_allowed: bool = True) -> CensusSummary:
@@ -225,44 +318,24 @@ def exhaustive_invertible_census(tower: FieldTower,
     """
     space = projective_space(tower, 2)
     Q = tower.order
-    if (Q ** 9 - 1) // (Q - 1) > EXHAUSTIVE_CAP:
-        raise CapExceeded("exhaustive census beyond the matrix budget; "
-                          "use random sampling")
+    _check_exhaustive_cap(Q, "exhaustive census")
     kern = plane_kernel(space)
-    t = tower
-    allowed = None
-    if check_allowed and tower.n > 1:
-        allowed = np.array(sorted(allowed_cardinalities(tower, False)[0]
-                                  | allowed_cardinalities(tower, True)[0]),
-                           dtype=np.int64)
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode="exhaustive-gl")
-    proj_rows = (space.points[:, 0].astype(np.int64) * Q * Q
-                 + space.points[:, 1].astype(np.int64) * Q
-                 + space.points[:, 2].astype(np.int64))
+    menu = _admissible(tower, False) if check_allowed else None
+    summary = _summary(tower, "exhaustive-gl")
+    proj_rows = space.points.astype(np.int64) @ np.array([Q * Q, Q, 1])
     all_rows = np.arange(Q ** 3, dtype=np.int64)
     for r1 in proj_rows:
-        span1 = kern.smul[:, r1]
         ok2 = np.ones(Q ** 3, dtype=bool)
-        ok2[span1] = False
-        r2s = all_rows[ok2]
-        h1r1 = kern.h[0][r1]
-        for r2 in r2s:
+        ok2[kern.smul[:, r1]] = False
+        for r2 in all_rows[ok2]:
             span = kern.renc_add(kern.smul[:, r1][:, None],
                                  kern.smul[:, r2][None, :]).ravel()
             ok3 = np.ones(Q ** 3, dtype=bool)
             ok3[span] = False
             r3s = all_rows[ok3]
-            base = t.vadd(h1r1, kern.h[1][r2])
-            y = t.vadd(base[None, :], kern.h[2][r3s])
-            counts = (y == 0).sum(axis=1)
-            summary.add_counts(counts)
-            if allowed is not None:
-                bad = ~np.isin(counts, allowed)
-                if bad.any():
-                    for r3 in r3s[bad]:
-                        summary.violations.append(_violation(
-                            _rows_to_entries(Q, r1, r2, int(r3)),
-                            "cardinality outside the admissible menu"))
+            _check_menu(summary, kern.counts(r1, r2, r3s), menu, _MENU_REASON,
+                        lambda bad: [_rows_to_entries(Q, r1, r2, r3)
+                                     for r3 in r3s[bad]])
     return summary
 
 
@@ -275,48 +348,20 @@ def _rows_to_entries(Q: int, r1: int, r2: int, r3: int) -> list:
 
 def diagonal_census(tower: FieldTower) -> CensusSummary:
     """Absolute counts over invertible diagonal matrices up to scalars."""
-    space = projective_space(tower, 2)
-    kern = plane_kernel(space)
-    t = tower
-    Q = t.order
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode="diagonal")
-    allowed = np.array(sorted(allowed_cardinalities(tower, True)[0]), dtype=np.int64) \
-        if tower.n > 1 else None
-    bs, cs = np.meshgrid(np.arange(1, Q, dtype=np.int64),
-                         np.arange(1, Q, dtype=np.int64), indexing="ij")
-    r1 = np.full(bs.size, Q * Q, dtype=np.int64)          # row (1, 0, 0)
-    r2 = (bs.ravel() * Q)                                  # row (0, b, 0)
-    r3 = cs.ravel()                                        # row (0, 0, c)
-    counts = kern.counts(r1, r2, r3)
-    summary.add_counts(counts)
-    if allowed is not None:
-        bad = ~np.isin(counts, allowed)
-        for b, c in zip(bs.ravel()[bad], cs.ravel()[bad]):
-            summary.violations.append(_violation(
-                [1, 0, 0, 0, int(b), 0, 0, 0, int(c)],
-                "diagonal cardinality outside the admissible menu"))
+    Q = tower.order
+    summary = _summary(tower, "diagonal")
+    units = np.arange(1, Q, dtype=np.uint32)
+    e = np.zeros(((Q - 1) ** 2, 9), dtype=np.uint32)
+    e[:, 0] = 1
+    e[:, 4] = np.repeat(units, Q - 1)
+    e[:, 8] = np.tile(units, Q - 1)
+    _verify_menu_batch(plane_kernel(projective_space(tower, 2)), e, summary,
+                       _admissible(tower, True),
+                       "diagonal cardinality outside the admissible menu")
     return summary
 
 
-# -- rank <= 2 exhaustive census -------------------------------------------------
-
-def _enumerate_scalar_classes(Q: int, chunk: int):
-    """Yield (K, 9) entry arrays covering every nonzero matrix up to scalars:
-    entries before the leading one are zero, the leading entry is 1."""
-    for lead in range(9):
-        free = 8 - lead
-        total = Q ** free
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            e = np.zeros((stop - start, 9), dtype=np.uint32)
-            e[:, lead] = 1
-            rest = idx
-            for pos in range(8, lead, -1):
-                e[:, pos] = (rest % Q).astype(np.uint32)
-                rest //= Q
-            yield e
-
+# -- rank <= 2 censuses ------------------------------------------------------------
 
 def rank_le2_census(tower: FieldTower, steiner: bool = True,
                     chunk: int = 1 << 16) -> CensusSummary:
@@ -328,19 +373,12 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True,
     of the attached pencil collineation reproduces the absolute set.
     """
     space = projective_space(tower, 2)
-    Q = tower.order
-    if (Q ** 9 - 1) // (Q - 1) > EXHAUSTIVE_CAP:
-        raise CapExceeded("rank<=2 sweep beyond the matrix budget")
-    summary = CensusSummary(field_params=(tower.p, tower.e, tower.n, tower.m),
-                            mode="exhaustive-rank-le2")
-    for e in _enumerate_scalar_classes(Q, chunk):
-        singular = _vdet3(tower, e) == 0
-        e = e[singular]
-        if not len(e):
-            continue
-        rank1 = _vrank_le1(tower, e)
-        _verify_rank1_batch(tower, space, e[rank1], summary)
-        _verify_rank2_batch(tower, space, e[~rank1], summary, steiner)
+    _check_exhaustive_cap(tower.order, "rank<=2 sweep")
+    summary = _summary(tower, "exhaustive-rank-le2")
+    for e in _enumerate_scalar_classes(tower.order, 9, chunk):
+        ranks = matrix_ranks(tower, e)
+        _verify_rank1_batch(tower, space, e[ranks == 1], summary)
+        _verify_rank2_batch(tower, space, e[ranks == 2], summary, steiner)
     return summary
 
 
@@ -392,19 +430,36 @@ def _verify_rank2_batch(tower, space, e, summary, steiner):
          _vcross(t, cols[1], cols[2])]))
     same = (v_r == v_l).all(axis=1)
 
-    _verify_cone_batch(tower, space, e[same], v_r[same], mask[same],
-                       counts[same], summary)
+    _verify_cone_batch(tower, e[same], v_r[same], counts[same], summary)
     sel = ~same
     _verify_cf_batch(tower, space, e[sel], v_r[sel], v_l[sel], mask[sel],
                      counts[sel], summary, steiner)
 
 
-def _verify_cone_batch(tower, space, e, vert, mask, counts, summary):
+def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
+    """Absolute counts on PG(1,q^n) of the 2x2 forms with (K, 4) entries
+    (a, b, c, d), and the mask of those whose absolute set is an F_q-subline
+    (which needs exactly q+1 points)."""
+    t = tower
+    line = projective_space(t, 1)
+    pts = line.points
+    w = t.vsigma(pts)
+    phi = None
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        term = t.vmul(blocks[:, k][:, None], t.vmul(pts[:, i], w[:, j])[None, :])
+        phi = term if phi is None else t.vadd(phi, term)
+    zero = phi == 0
+    counts = zero.sum(axis=1)
+    subline = np.zeros(len(blocks), dtype=bool)
+    for k in np.nonzero(counts == t.q + 1)[0]:
+        subline[k] = line.is_fq_subline(np.nonzero(zero[k])[0])
+    return counts, subline
+
+
+def _verify_cone_batch(tower, e, vert, counts, summary):
     if not len(e):
         return
-    t = tower
-    Q = t.order
-    q = t.q
+    Q, q = tower.order, tower.q
     summary.bump(KIND_CONE, len(e))
     # complement the vertex with two standard basis vectors; the block of
     # the congruent matrix is then just a 2x2 submatrix of A
@@ -412,33 +467,20 @@ def _verify_cone_batch(tower, space, e, vert, mask, counts, summary):
                         np.where(vert[:, 1] != 0, 1, 2))
     pairs = np.array([[0, 1], [0, 2], [1, 2]])[pair_idx]
     i, j = pairs[:, 0], pairs[:, 1]
-    a = e[np.arange(len(e)), 3 * i + i]
-    b = e[np.arange(len(e)), 3 * i + j]
-    c = e[np.arange(len(e)), 3 * j + i]
-    d = e[np.arange(len(e)), 3 * j + j]
-    line = projective_space(t, 1)
-    lam, mu = line.points[:, 0], line.points[:, 1]
-    lam_s, mu_s = t.vsigma(lam), t.vsigma(mu)
-    phi = t.vadd(
-        t.vmul(lam[None, :], t.vadd(t.vmul(a[:, None], lam_s[None, :]),
-                                    t.vmul(b[:, None], mu_s[None, :]))),
-        t.vmul(mu[None, :], t.vadd(t.vmul(c[:, None], lam_s[None, :]),
-                                   t.vmul(d[:, None], mu_s[None, :]))))
-    base_counts = (phi == 0).sum(axis=1)
+    blocks = e[np.arange(len(e))[:, None],
+               np.stack([4 * i, 3 * i + j, 3 * j + i, 4 * j], axis=1)]
+    base_counts, subline = _line_form_counts(tower, blocks)
     ok_size = counts == 1 + base_counts.astype(np.int64) * Q
     ok_base = np.isin(base_counts, [0, 1, 2, q + 1])
     for bad in np.nonzero(~(ok_size & ok_base))[0]:
         summary.violations.append(_violation(e[bad],
                                              "cone cardinality does not match "
                                              "its base shape"))
-    # bases with q+1 points must be sublines; confirm via the line machinery
-    for k in np.nonzero(base_counts == q + 1)[0]:
-        block = ((int(a[k]), int(b[k])), (int(c[k]), int(d[k])))
-        ids = np.nonzero(phi[k] == 0)[0]
-        if not line.is_fq_subline(ids):
-            summary.violations.append(_violation(e[k], "cone base of size q+1 "
-                                                       "is not a subline"))
-    summary.bump("cone_base_subline", int((base_counts == q + 1).sum()))
+    full_base = base_counts == q + 1
+    for bad in np.nonzero(full_base & ~subline)[0]:
+        summary.violations.append(_violation(e[bad], "cone base of size q+1 "
+                                                     "is not a subline"))
+    summary.bump("cone_base_subline", int(full_base.sum()))
 
 
 def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
@@ -446,7 +488,6 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
         return
     t = tower
     Q = t.order
-    kern = plane_kernel(space)
     bval = _pair_eval(t, e, v_r, v_l)
     deg = bval == 0
     summary.bump(KIND_DEGENERATE_CF, int(deg.sum()))
@@ -517,55 +558,24 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
                                              "absolute set"))
 
 
-def matrix_ranks(tower: FieldTower, entries: np.ndarray) -> np.ndarray:
-    """Vectorised 3x3 ranks (0..3) for (K, 9) entry arrays."""
-    det = _vdet3(tower, entries)
-    le1 = _vrank_le1(tower, entries)
-    nonzero = entries.any(axis=1)
-    return np.where(det != 0, 3,
-                    np.where(~nonzero, 0, np.where(le1, 1, 2))).astype(np.int64)
-
-
 def line_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over all nonzero 2x2 matrices up to scalars: the
     absolute set on PG(1,q^n) must be empty, a point, two points, or an
     F_q-subline (verified point set by point set via reparameterisation)."""
-    from .classify import LINE_SUBLINE, classify_line_form
     t = tower
-    line = projective_space(t, 1)
-    Q = t.order
-    pts = line.points
-    w = t.vsigma(pts)
-    coef = np.stack([t.vmul(pts[:, i], w[:, j]) for i in (0, 1) for j in (0, 1)],
-                    axis=1)
-    e = _gl2_scalar_classes(Q)
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode="line-2x2")
-    allowed = np.array([0, 1, 2, t.q + 1], dtype=np.int64)
-    for start in range(0, len(e), 1 << 16):
-        blk = e[start:start + (1 << 16)]
-        phi = np.zeros((len(blk), Q + 1), dtype=np.uint32)
-        for k in range(4):
-            phi = t.vadd(phi, t.vmul(blk[:, k][:, None], coef[None, :, k]))
-        counts = (phi == 0).sum(axis=1)
-        summary.add_counts(counts)
-        for bad in np.nonzero(~np.isin(counts, allowed))[0]:
+    summary = _summary(t, "line-2x2")
+    menu = np.array([0, 1, 2, t.q + 1], dtype=np.int64)
+    for blk in _enumerate_scalar_classes(t.order, 4, 1 << 16):
+        counts, subline = _line_form_counts(t, blk)
+        _check_menu(summary, counts, menu,
+                    "line absolute count outside {0, 1, 2, q+1}",
+                    lambda bad: blk[bad])
+        if subline.any():
+            summary.bump("subline_verified", int(subline.sum()))
+        for bad in np.nonzero((counts == t.q + 1) & ~subline)[0]:
             summary.violations.append(_violation(blk[bad],
-                                                 "line absolute count outside "
-                                                 "{0, 1, 2, q+1}"))
-        for k in np.nonzero(counts == t.q + 1)[0]:
-            rows = ((int(blk[k, 0]), int(blk[k, 1])),
-                    (int(blk[k, 2]), int(blk[k, 3])))
-            try:
-                cls = classify_line_form(SesquiForm(t, rows), line)
-                ok = cls.kind == LINE_SUBLINE
-            except AssertionError:
-                ok = False
-            if ok:
-                summary.bump("subline_verified")
-            else:
-                summary.violations.append(_violation(blk[k],
-                                                     "q+1 absolute points do "
-                                                     "not form a subline"))
+                                                 "q+1 absolute points do "
+                                                 "not form a subline"))
     return summary
 
 
@@ -579,49 +589,18 @@ def rank1_census(tower: FieldTower) -> CensusSummary:
     enumeration does not.
     """
     space = projective_space(tower, 2)
-    kern = plane_kernel(space)
     t = tower
-    Q = t.order
-    inc = space.incidence()
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode="rank1")
-    proj_rows = (space.points[:, 0].astype(np.int64) * Q * Q
-                 + space.points[:, 1].astype(np.int64) * Q
-                 + space.points[:, 2].astype(np.int64))
-    twisted = space.index_rows(t.vfrobq(space.points, (t.n - t.m) % t.n))
-    right_masks = inc[twisted]
-    for u_idx in range(space.n_points):
-        u = space.points[u_idx]
-        rows = [kern.smul[int(u[i]), proj_rows] for i in range(3)]
-        mask = kern.masks(rows[0], rows[1], rows[2])
-        expect = inc[u_idx][None, :] | right_masks
-        ok = (mask == expect).all(axis=1)
-        summary.add_counts(mask.sum(axis=1))
-        summary.bump(KIND_TWO_LINES, space.n_points)
-        summary.bump("two_lines_coincident", int((twisted == u_idx).sum()))
-        for w_idx in np.nonzero(~ok)[0]:
-            entries = _rows_to_entries(Q, int(rows[0][w_idx]),
-                                       int(rows[1][w_idx]), int(rows[2][w_idx]))
-            summary.violations.append(_violation(entries,
-                                                 "rank-1 set is not the union "
-                                                 "of its radical lines"))
+    pts = space.points
+    summary = _summary(t, "rank1")
+    for u in pts:
+        outer = t.vmul(u[None, :, None], pts[:, None, :]).reshape(-1, 9)
+        _verify_rank1_batch(t, space, outer, summary)
     return summary
 
 
-def _gl2_scalar_classes(Q: int) -> np.ndarray:
-    """(K, 4) entries (a, b, c, d) of invertible 2x2 matrices up to scalars."""
-    blocks = []
-    for lead in range(4):
-        free = 3 - lead
-        idx = np.arange(Q ** free, dtype=np.int64)
-        e = np.zeros((Q ** free, 4), dtype=np.uint32)
-        e[:, lead] = 1
-        rest = idx
-        for pos in range(3, lead, -1):
-            e[:, pos] = (rest % Q).astype(np.uint32)
-            rest //= Q
-        blocks.append(e)
-    e = np.concatenate(blocks)
-    return e
+# entry positions of an invertible 2x2 block in the two radical-normal
+# layouts: radicals (1,0,0) and (0,0,1), and the cone with vertex (1,0,0)
+_NORMAL_LAYOUTS = ([1, 2, 4, 5], [4, 5, 7, 8])
 
 
 def rank2_normal_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
@@ -629,22 +608,12 @@ def rank2_normal_census(tower: FieldTower, steiner: bool = True) -> CensusSummar
     layouts: distinct radicals at (1,0,0)/(0,0,1) and the coincident-radical
     cone layout, each over all invertible blocks up to scalars."""
     space = projective_space(tower, 2)
-    t = tower
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m),
-                            mode="rank2-normal")
-    blk = _gl2_scalar_classes(t.order)
-    det = t.vsub(t.vmul(blk[:, 0], blk[:, 3]), t.vmul(blk[:, 1], blk[:, 2]))
-    blk = blk[det != 0]
-    zero = np.zeros(len(blk), dtype=np.uint32)
-    distinct = np.stack([zero, blk[:, 0], blk[:, 1],
-                         zero, blk[:, 2], blk[:, 3],
-                         zero, zero, zero], axis=1)
-    cone = np.stack([zero, zero, zero,
-                     zero, blk[:, 0], blk[:, 1],
-                     zero, blk[:, 2], blk[:, 3]], axis=1)
-    for e in (distinct, cone):
-        for start in range(0, len(e), 1 << 15):
-            _verify_rank2_batch(tower, space, e[start:start + (1 << 15)],
+    summary = _summary(tower, "rank2-normal")
+    for layout in _NORMAL_LAYOUTS:
+        for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
+            e = np.zeros((len(blk), 9), dtype=np.uint32)
+            e[:, layout] = blk
+            _verify_rank2_batch(tower, space, e[matrix_ranks(tower, e) == 2],
                                 summary, steiner)
     return summary
 
@@ -655,41 +624,15 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int,
     position (deterministic rejection sampling)."""
     space = projective_space(tower, 2)
     t = tower
-    summary = CensusSummary(field_params=(t.p, t.e, t.n, t.m),
-                            mode=f"rank2-random(seed={seed}, count={count})")
-    got = 0
-    counter = 0
-    while got < count:
-        batch = 1 << 15
-        e = sample_matrix_entries(t.order, seed, counter, batch)
-        counter += 9 * batch
-        keep = (_vdet3(t, e) == 0) & ~_vrank_le1(t, e) & e.any(axis=1)
-        kept = e[keep][:count - got]
-        if len(kept):
-            _verify_rank2_batch(tower, space, kept, summary, steiner)
-            got += len(kept)
+    summary = _summary(t, f"rank2-random(seed={seed}, count={count})")
+    entries = _sample_entries(t, count, seed, lambda e: matrix_ranks(t, e) == 2)
+    for start in range(0, len(entries), 1 << 15):
+        _verify_rank2_batch(t, space, entries[start:start + (1 << 15)],
+                            summary, steiner)
     return summary
 
 
 # -- random censuses --------------------------------------------------------------
-
-def random_invertible_entries(tower: FieldTower, count: int, seed: int):
-    """Deterministic rejection sampling of invertible matrices; the counter
-    advances by nine per draw whether or not the draw is kept."""
-    out = []
-    got = 0
-    counter = 0
-    while got < count:
-        batch = max(1024, count - got + (count - got) // 4)
-        e = sample_matrix_entries(tower.order, seed, counter, batch)
-        counter += 9 * batch
-        keep = _vdet3(tower, e) != 0
-        kept = e[keep]
-        take = min(len(kept), count - got)
-        out.append(kept[:take])
-        got += take
-    return np.concatenate(out, axis=0)
-
 
 def random_census(tower: FieldTower, count: int, seed: int,
                   invertible_only: bool = True,
@@ -700,26 +643,16 @@ def random_census(tower: FieldTower, count: int, seed: int,
     `collect_records` every sampled matrix is fully classified and profiled."""
     space = projective_space(tower, 2)
     kern = plane_kernel(space)
-    summary = CensusSummary(field_params=(tower.p, tower.e, tower.n, tower.m),
-                            mode=f"random(seed={seed}, count={count})")
+    summary = _summary(tower, f"random(seed={seed}, count={count})")
     if invertible_only:
-        entries = random_invertible_entries(tower, count, seed)
+        entries = _sample_entries(tower, count, seed,
+                                  lambda e: _vdet3(tower, e) != 0)
+        menu = _admissible(tower, False)
     else:
-        entries = sample_matrix_entries(tower.order, seed, 0, count)
-        entries = entries[entries.any(axis=1)]
-    allowed = None
-    if invertible_only and tower.n > 1:
-        allowed = np.array(sorted(allowed_cardinalities(tower, False)[0]
-                                  | allowed_cardinalities(tower, True)[0]),
-                           dtype=np.int64)
+        entries = _sample_entries(tower, count, seed, lambda e: e.any(axis=1))
+        menu = None
     for start in range(0, len(entries), 4096):
-        e = entries[start:start + 4096]
-        counts = kern.counts(*kern.row_encode(e))
-        summary.add_counts(counts)
-        if allowed is not None:
-            for bad in np.nonzero(~np.isin(counts, allowed))[0]:
-                summary.violations.append(_violation(
-                    e[bad], "cardinality outside the admissible menu"))
+        _verify_menu_batch(kern, entries[start:start + 4096], summary, menu)
     if collect_records:
         limit = len(entries) if record_limit is None else min(record_limit,
                                                               len(entries))

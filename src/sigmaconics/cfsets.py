@@ -96,7 +96,9 @@ def pencil_collineation_from_form(form: SesquiForm) -> PencilCollineation:
     mid = tuple(1 if i == k else 0 for i in range(3))
     basis = tuple(zip(v_r, mid, v_l))
     b = mat_mul(t, mat_mul(t, mat_transpose(basis), form.matrix), mat_sigma(t, basis))
-    assert all(b[i][0] == 0 for i in range(3)) and all(b[2][j] == 0 for j in range(3))
+    if any(b[i][0] != 0 for i in range(3)) or any(b[2][j] != 0 for j in range(3)):
+        raise RuntimeError("the radical basis does not put the form in "
+                           "pencil normal form")
     block = ((b[0][1], b[0][2]), (b[1][1], b[1][2]))
     return PencilCollineation(tower=t, basis=basis, block=block, qexp=t.m)
 
@@ -190,7 +192,8 @@ def cf_canonical(tower: FieldTower, space: ProjectiveSpace | None = None) -> CfS
     cf = CfSet(tower=t, m=t.m, degenerate=False,
                vertices=((1, 0, 0), (0, 0, 1)), point_ids=frozenset(ids),
                components={a: frozenset(v) for a, v in comps.items()})
-    assert absolute_mask(_canonical_form(t, False), space).sum() == len(cf.point_ids)
+    if absolute_mask(_canonical_form(t, False), space).sum() != len(cf.point_ids):
+        raise RuntimeError("the canonical parametrisation misses absolute points")
     return cf
 
 

@@ -156,8 +156,10 @@ def lines_points_array(space: ProjectiveSpace) -> np.ndarray:
         inc = space.incidence()
         rows, cols = np.nonzero(inc)
         per = space.tower.order + 1
+        if not (np.bincount(rows, minlength=space.n_points) == per).all():
+            raise RuntimeError(f"a line of the incidence matrix does not "
+                               f"have {per} points")
         cached = cols.reshape(space.n_points, per).astype(np.int64)
-        assert (np.bincount(rows, minlength=space.n_points) == per).all()
         space._lines_points = cached
     return cached
 
@@ -301,7 +303,14 @@ def _odd_degree_case_checks(form, space, mask, fixed, epsilon,
             out.append(f"fixed_in={fixed_in} not in {{0, 1, 2, q+1}}")
     if fixed_in == q + 1:
         ids = [i for i in np.nonzero(fixed & mask)[0]]
-        if not _all_collinear(space, ids):
+        # for odd q in the pointwise-subplane profile these points are the
+        # zero set of the form restricted to the fixed PG(2,q): a conic,
+        # which is a line or an arc
+        conic = q % 2 == 1 and fixed_out == q * q
+        if conic and not (_all_collinear(space, ids) or is_arc(ids, space)):
+            out.append("the q+1 fixed points on the set are neither "
+                       "collinear nor an arc")
+        elif not conic and not _all_collinear(space, ids):
             out.append("the q+1 fixed points on the set are not collinear")
     return out
 

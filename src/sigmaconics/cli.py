@@ -95,6 +95,16 @@ def _tower_from_args(args):
     return build_field(args.p, args.e, args.n, args.m)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"       # argparse names the type in its errors
+    return parse
+
+
 def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--e", type=int, default=1, help="degree of F_q over F_p")
@@ -263,14 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     c.add_argument("--scope", choices=("gl", "rank-le2", "diagonal", "all"),
                    default="gl", help="exhaustive sweep scope")
-    c.add_argument("--count", type=int, default=10000, help="random sample size")
+    c.add_argument("--count", type=_int_at_least(1), default=10000,
+                   help="random sample size")
     c.add_argument("--seed", type=int, help="random mode requires a seed")
-    c.add_argument("--records", type=int, default=0,
+    c.add_argument("--records", type=_int_at_least(0), default=0,
                    help="emit fully classified records for this many samples")
     c.add_argument("--any-rank", action="store_true",
                    help="random mode: sample all nonzero matrices, not only "
                         "invertible ones")
-    c.add_argument("--max-violations", type=int, default=100)
+    c.add_argument("--max-violations", type=_int_at_least(0), default=100)
     _add_out_args(c)
     c.set_defaults(func=cmd_census)
 
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(c)
     c.add_argument("--matrix", type=int, nargs="+",
                    help="9 encoded entries; omit to sample")
-    c.add_argument("--count", type=int, default=1000)
+    c.add_argument("--count", type=_int_at_least(1), default=1000)
     c.add_argument("--seed", type=int)
     _add_out_args(c)
     c.set_defaults(func=cmd_steiner_check)

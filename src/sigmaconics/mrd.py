@@ -202,7 +202,8 @@ def build_code(exterior: ExteriorSet, subplane: Subplane,
 def _vector_ranks_mod_p(diff: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of 3 x n matrices over the prime field F_p."""
     k, rows, cols = diff.shape
-    assert rows == 3
+    if rows != 3:
+        raise ValueError(f"expected 3 x n matrices, got {rows} rows")
     d = diff.astype(np.int64) % p
     nonzero = d.any(axis=(1, 2))
     rank2 = np.zeros(k, dtype=bool)

@@ -8,7 +8,8 @@ from sigmaconics.classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
                                   LINE_TWO_POINTS, TrinomialSpec,
                                   allowed_cardinalities, classify_line_form,
                                   classify_plane_form, count_trinomial_roots,
-                                  is_arc, kestenband_profile, line_spectrum)
+                                  _odd_degree_case_checks, is_arc,
+                                  kestenband_profile, line_spectrum)
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
 from sigmaconics.projective import projective_space
@@ -220,3 +221,41 @@ def test_is_arc():
     assert is_arc(triangle, sp)
     line_pts = sp.line_points(sp.line_through((1, 0, 0), (0, 1, 0)))
     assert not is_arc(line_pts, sp)
+
+
+def test_odd_q_subplane_profile_accepts_conic_arc():
+    # 13 fixed points, 4 of them absolute and forming an arc of PG(2,3)
+    form = make_form(T27, [13, 11, 24, 17, 3, 1, 1, 12, 23])
+    sp = projective_space(T27, 2)
+    prof = kestenband_profile(form, sp)
+    assert (prof.fixed_in, prof.fixed_out, prof.epsilon) == (4, 9, 0)
+    absolute = absolute_mask(form, sp)
+    on_set = [i for i in prof.fixed_ids if absolute[i]]
+    assert is_arc(on_set, sp)
+    assert prof.violations == ()
+
+
+def _subplane_case_violations(tower, form, vecs, fixed_out):
+    sp = projective_space(tower, 2)
+    mask = np.zeros(sp.n_points, dtype=bool)
+    mask[[sp.point_index(v) for v in vecs]] = True
+    q = tower.q
+    return _odd_degree_case_checks(form, sp, mask, mask, 0, q + 1, fixed_out)
+
+
+def test_fixed_points_on_set_shape_checks():
+    form = make_form(T27, [13, 11, 24, 17, 3, 1, 1, 12, 23])
+    line = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
+    arc = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    neither = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    assert _subplane_case_violations(T27, form, line, 9) == []
+    assert _subplane_case_violations(T27, form, arc, 9) == []
+    assert _subplane_case_violations(T27, form, neither, 9) == [
+        "the q+1 fixed points on the set are neither collinear nor an arc"]
+    # off the pointwise-subplane profile the points must stay collinear
+    assert "the q+1 fixed points on the set are not collinear" in \
+        _subplane_case_violations(T27, form, arc, 1)
+    # and for even q an arc of q+1 = 3 points is always flagged
+    even = make_form(T8, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+    assert "the q+1 fixed points on the set are not collinear" in \
+        _subplane_case_violations(T8, even, arc[:3], 4)

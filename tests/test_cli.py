@@ -137,3 +137,30 @@ def test_classify_extension_tower(capsys):
     assert recs[0]["q"] == 4 and recs[0]["order"] == 16
     assert recs[1]["kind"] == "kestenband_nondegenerate"
     assert recs[1]["absolute"] == 65             # the Hermitian unital size
+
+
+@pytest.mark.parametrize("args,message", [
+    (["census", "--p", "2", "--n", "2", "--mode", "random", "--seed", "1",
+      "--count", "0"], "argument --count: must be at least 1, got 0"),
+    (["census", "--p", "2", "--n", "2", "--mode", "random", "--seed", "1",
+      "--count", "-5"], "argument --count: must be at least 1, got -5"),
+    (["census", "--p", "2", "--n", "2", "--mode", "random", "--seed", "1",
+      "--records", "-1"], "argument --records: must be at least 0, got -1"),
+    (["census", "--p", "2", "--n", "2", "--scope", "diagonal",
+      "--max-violations", "-1"],
+     "argument --max-violations: must be at least 0, got -1"),
+    (["steiner-check", "--p", "2", "--n", "3", "--seed", "1", "--count", "0"],
+     "argument --count: must be at least 1, got 0"),
+])
+def test_out_of_range_counts_rejected_at_parse_time(capsys, args, message):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_zero_records_and_violations_accepted(capsys):
+    code, recs = run_cli(["census", "--p", "2", "--n", "2", "--mode", "random",
+                          "--seed", "1", "--count", "5", "--records", "0",
+                          "--max-violations", "0"], capsys)
+    assert code == 0 and recs[-1]["total"] == 5
