@@ -11,9 +11,14 @@ for the line, feeding shared batch verifiers:
   the diagonal matrices;
 - verifiers: the menu check `_check_menu` on absolute counts, the rank-1
   line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
-  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check), and the
-  PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and the
-  cone bases.
+  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check through
+  `cfsets.steiner_locus`, the same construction as `steiner_generate`),
+  and the PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and
+  the cone bases.
+
+Form values outside the count kernel (the tangent test, the pencil blocks,
+the PG(1) forms) come from `forms.form_values`, the library's one
+vectorised x^T A y^sigma.
 
 The exhaustive GL sweep walks (first row, second row) pairs instead of
 entry batches and counts every admissible third row at once from the row
@@ -40,8 +45,10 @@ from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
                        KIND_TWO_LINES, allowed_cardinalities,
                        classify_plane_form, kestenband_profile,
                        line_spectrum, lines_points_array)
+from .cfsets import steiner_locus, steiner_matches_form
 from .fields import FieldTower
-from .forms import SesquiForm
+from .forms import SesquiForm, form_values
+from .linalg import vdot
 from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
@@ -118,22 +125,18 @@ class PlaneKernel:
         if n_rows * space.n_points > 200_000_000:
             raise CapExceeded("row-functional tables would be too large")
         renc = np.arange(n_rows, dtype=np.int64)
-        w = t.vsigma(space.points)
+        digits = np.stack([renc // (Q * Q), (renc // Q) % Q, renc % Q],
+                          axis=1).astype(np.uint32)
         dtype = np.uint8 if Q <= 256 else np.uint32
-        g = t.vadd(t.vadd(t.vmul((renc // (Q * Q)).astype(np.uint32)[:, None], w[None, :, 0]),
-                          t.vmul(((renc // Q) % Q).astype(np.uint32)[:, None], w[None, :, 1])),
-                   t.vmul((renc % Q).astype(np.uint32)[:, None], w[None, :, 2]))
+        # g[r, P] = row r . P^sigma
+        g = vdot(t, digits[:, None, :], t.vsigma(space.points)[None, :, :])
         self.h = [t.vmul(space.points[:, i][None, :], g).astype(dtype) for i in range(3)]
         del g
         # scalar multiples of every row vector, as encodings
         lam = np.arange(Q, dtype=np.uint32)
-        d0 = (renc // (Q * Q)).astype(np.uint32)
-        d1 = ((renc // Q) % Q).astype(np.uint32)
-        d2 = (renc % Q).astype(np.uint32)
-        self.smul = (t.vmul(lam[:, None], d0[None, :]).astype(np.int64) * Q * Q
-                     + t.vmul(lam[:, None], d1[None, :]).astype(np.int64) * Q
-                     + t.vmul(lam[:, None], d2[None, :]).astype(np.int64))
-        self._row_digits = (d0, d1, d2)
+        self.smul = (t.vmul(lam[:, None], digits[None, :, 0]).astype(np.int64) * Q * Q
+                     + t.vmul(lam[:, None], digits[None, :, 1]).astype(np.int64) * Q
+                     + t.vmul(lam[:, None], digits[None, :, 2]).astype(np.int64))
 
     def row_encode(self, entries: np.ndarray) -> tuple:
         """Row encodings (r1, r2, r3) for (K, 9) matrix entry arrays."""
@@ -163,11 +166,9 @@ class PlaneKernel:
 
 
 def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
-    kern = getattr(space, "_kernel", None)
-    if kern is None:
-        kern = PlaneKernel(space)
-        space._kernel = kern
-    return kern
+    if space._kernel is None:
+        space._kernel = PlaneKernel(space)
+    return space._kernel
 
 
 # -- vectorised matrix algebra on entry columns -------------------------------
@@ -218,18 +219,6 @@ def _first_nonzero_rows(cands) -> np.ndarray:
         out[nz] = c[nz]
         taken |= nz
     return out
-
-
-def _pair_eval(t: FieldTower, e: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorised x^T A y^sigma for entry columns e and vector batches x, y."""
-    w = t.vsigma(y)
-    acc = np.zeros(len(e), dtype=np.uint32)
-    for i in range(3):
-        row = np.zeros(len(e), dtype=np.uint32)
-        for j in range(3):
-            row = t.vadd(row, t.vmul(e[:, 3 * i + j], w[:, j]))
-        acc = t.vadd(acc, t.vmul(x[:, i], row))
-    return acc
 
 
 # -- census data structures ----------------------------------------------------
@@ -442,13 +431,8 @@ def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
     (which needs exactly q+1 points)."""
     t = tower
     line = projective_space(t, 1)
-    pts = line.points
-    w = t.vsigma(pts)
-    phi = None
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        term = t.vmul(blocks[:, k][:, None], t.vmul(pts[:, i], w[:, j])[None, :])
-        phi = term if phi is None else t.vadd(phi, term)
-    zero = phi == 0
+    pts = line.points[None]
+    zero = form_values(t, blocks[:, None, :], pts, pts) == 0
     counts = zero.sum(axis=1)
     subline = np.zeros(len(blocks), dtype=bool)
     for k in np.nonzero(counts == t.q + 1)[0]:
@@ -488,7 +472,7 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
         return
     t = tower
     Q = t.order
-    bval = _pair_eval(t, e, v_r, v_l)
+    bval = form_values(t, e, v_r, v_l)
     deg = bval == 0
     summary.bump(KIND_DEGENERATE_CF, int(deg.sum()))
     summary.bump(KIND_CF, int((~deg).sum()))
@@ -499,37 +483,14 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
                                              "the tangent-line split"))
     if not steiner:
         return
-    # build the midpoint column and the pencil block in normal coordinates
+    # the midpoint column and the pencil block in normal coordinates, as in
+    # cfsets.pencil_collineation_from_form
     rl = _vcross(t, v_r, v_l)
-    k_mid = np.where(rl[:, 0] != 0, 0, np.where(rl[:, 1] != 0, 1, 2))
-    mid = _STD[k_mid]
-    a = _pair_eval(t, e, v_r, mid)
-    c = _pair_eval(t, e, mid, mid)
-    d = _pair_eval(t, e, mid, v_l)
-    alpha = np.concatenate([np.ones(Q, dtype=np.uint32), [0]])
-    beta = np.concatenate([np.arange(Q, dtype=np.uint32), [1]])
-    al_s, be_s = t.vsigma(alpha), t.vsigma(beta)
-    alp = t.vadd(t.vmul(a[:, None], al_s[None, :]),
-                 t.vmul(bval[:, None], be_s[None, :]))
-    bep = t.vadd(t.vmul(c[:, None], al_s[None, :]),
-                 t.vmul(d[:, None], be_s[None, :]))
-    whole_line = (alp == 0) & (alpha[None, :] == 0)
-    at_vertex = (alp == 0) & (alpha[None, :] != 0)
-    safe = np.where(alp == 0, 1, alp)
-    lam = t.vmul(t.vneg(t.vmul(bep, t.vinv(safe))), alpha[None, :])
-    K, P = lam.shape
-    local = np.empty((K, P, 3), dtype=np.uint32)
-    local[:, :, 0] = np.where(at_vertex, 1, lam)
-    local[:, :, 1] = np.where(at_vertex, 0, alpha[None, :])
-    local[:, :, 2] = np.where(at_vertex, 0, beta[None, :])
-    # map through the basis (v_r, mid, v_l)
-    orig = np.empty_like(local)
-    for coord in range(3):
-        acc = t.vmul(v_r[:, coord][:, None], local[:, :, 0])
-        acc = t.vadd(acc, t.vmul(mid[:, coord][:, None], local[:, :, 1]))
-        acc = t.vadd(acc, t.vmul(v_l[:, coord][:, None], local[:, :, 2]))
-        orig[:, :, coord] = acc
-    idx = space.index_rows(orig.reshape(K * P, 3)).reshape(K, P)
+    mid = _STD[np.where(rl[:, 0] != 0, 0, np.where(rl[:, 1] != 0, 1, 2))]
+    block = np.stack([form_values(t, e, v_r, mid), bval,
+                      form_values(t, e, mid, mid), form_values(t, e, mid, v_l)],
+                     axis=1)
+    idx, whole_line = steiner_locus(space, v_r, mid, v_l, block, t.m)
     member = np.take_along_axis(mask, idx, axis=1)
     single = ~whole_line
     ok = (member | whole_line).all(axis=1)
@@ -544,10 +505,7 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
     if has_line.any():
         lines_pts = lines_points_array(space)[rl_idx[has_line]]
         on_line = np.take_along_axis(mask[has_line], lines_pts, axis=1)
-        line_ok = on_line.all(axis=1)
-        tmp = ok[has_line]
-        tmp &= line_ok
-        ok[has_line] = tmp
+        ok[has_line] &= on_line.all(axis=1)
     totals = n_single + np.where(has_line, Q + 1, 0)
     ok &= totals == counts
     ok &= has_line == deg
@@ -711,9 +669,7 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         if cls.absolute_count != expect:
             violations.append(f"expected {expect} absolute points, "
                               f"got {cls.absolute_count}")
-        if steiner:
-            from .cfsets import steiner_matches_form
-            if not steiner_matches_form(form, space):
-                violations.append("steiner locus differs from the absolute set")
+        if steiner and not steiner_matches_form(form, space):
+            violations.append("steiner locus differs from the absolute set")
     rec["violations"] = violations
     return rec

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import FieldTower
 from .forms import SesquiForm, absolute_mask, radicals
 from .linalg import (cross3, dot, mat_det, mat_mul, mat_sigma,
-                     mat_transpose, mat_vec, normalize)
+                     mat_transpose, normalize, vdot)
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 
@@ -103,34 +103,55 @@ def pencil_collineation_from_form(form: SesquiForm) -> PencilCollineation:
     return PencilCollineation(tower=t, basis=basis, block=block, qexp=t.m)
 
 
+def steiner_locus(space: ProjectiveSpace, r_vec: np.ndarray, mid: np.ndarray,
+                  l_vec: np.ndarray, block: np.ndarray, qexp: int) -> tuple:
+    """Steiner loci of K pencil collineations at once.
+
+    Collineation k has the basis columns r_vec[k], mid[k], l_vec[k] (each
+    (K, 3)) and the row-major pencil block block[k] = (a, b, c, d).  The
+    pencil line with parameters (alpha, beta), taken in the order (1, x)
+    for every element x and then (0, 1), meets its image in one point.
+    Returns the (K, q^n + 1) indices of those points and a mask of the
+    same shape that is true at the parameter (0, 1) when the line RL is
+    mapped to itself: the whole of RL then lies in the locus, and the index
+    there is that of L.
+    """
+    t = space.tower
+    Q = t.order
+    alpha = np.ones(Q + 1, dtype=np.uint32)
+    alpha[Q] = 0
+    beta = np.arange(Q + 1, dtype=np.uint32)
+    beta[Q] = 1
+    twisted = t.vfrobq(np.stack([alpha, beta], axis=1), qexp)
+    alp = vdot(t, block[:, None, :2], twisted[None])
+    bep = vdot(t, block[:, None, 2:], twisted[None])
+    whole_line = (alp == 0) & (alpha == 0)
+    at_vertex = (alp == 0) & (alpha != 0)
+    lam = t.vmul(t.vneg(t.vmul(bep, t.vinv(np.where(alp == 0, 1, alp)))), alpha)
+    local = np.empty(lam.shape + (3,), dtype=np.uint32)
+    local[..., 0] = np.where(at_vertex, 1, lam)
+    local[..., 1] = np.where(at_vertex, 0, alpha)
+    local[..., 2] = np.where(at_vertex, 0, beta)
+    basis = np.stack([r_vec, mid, l_vec], axis=2)
+    pts = vdot(t, basis[:, None], local[:, :, None])
+    return space.index_rows(pts.reshape(-1, 3)).reshape(lam.shape), whole_line
+
+
 def steiner_generate(phi: PencilCollineation,
                      space: ProjectiveSpace | None = None) -> frozenset:
     """Point indices of the locus {l meet phi(l) : l through R}.
 
     When phi fixes the line RL, that line lies entirely in the locus.
     """
-    t = phi.tower
-    space = space or projective_space(t, 2)
-    a, b = phi.block[0]
-    c, d = phi.block[1]
-    basis = phi.basis
-    out = set()
-    params = [(1, x) for x in t.elements()] + [(0, 1)]
-    for al, be in params:
-        als, bes = t.frobq(al, phi.qexp), t.frobq(be, phi.qexp)
-        alp = t.add(t.mul(a, als), t.mul(b, bes))
-        bep = t.add(t.mul(c, als), t.mul(d, bes))
-        if alp == 0 and al == 0:
-            # phi fixes the line RL: the whole line belongs to the locus
-            line = space.line_through(phi.r_vec, phi.l_vec)
-            out.update(int(i) for i in space.line_points(line))
-            continue
-        if alp == 0:
-            local = (1, 0, 0)
-        else:
-            lam = t.mul(t.neg(t.div(bep, alp)), al)
-            local = (lam, al, be)
-        out.add(space.point_index(mat_vec(t, basis, local)))
+    space = space or projective_space(phi.tower, 2)
+    basis = np.array(phi.basis, dtype=np.uint32)[None]
+    block = np.array(phi.block, dtype=np.uint32).reshape(1, 4)
+    idx, whole_line = steiner_locus(space, basis[..., 0], basis[..., 1],
+                                    basis[..., 2], block, phi.qexp)
+    out = set(idx[0].tolist())
+    if whole_line.any():
+        line = space.line_through(phi.r_vec, phi.l_vec)
+        out.update(space.line_points(line).tolist())
     return frozenset(out)
 
 

@@ -151,17 +151,14 @@ def line_spectrum(mask_or_form, space: ProjectiveSpace) -> np.ndarray:
 
 def lines_points_array(space: ProjectiveSpace) -> np.ndarray:
     """(n_lines, q^n + 1) array of the point indices on each line."""
-    cached = getattr(space, "_lines_points", None)
-    if cached is None:
-        inc = space.incidence()
-        rows, cols = np.nonzero(inc)
+    if space._lines_points is None:
+        rows, cols = np.nonzero(space.incidence())
         per = space.tower.order + 1
         if not (np.bincount(rows, minlength=space.n_points) == per).all():
             raise RuntimeError(f"a line of the incidence matrix does not "
                                f"have {per} points")
-        cached = cols.reshape(space.n_points, per).astype(np.int64)
-        space._lines_points = cached
-    return cached
+        space._lines_points = cols.reshape(space.n_points, per).astype(np.int64)
+    return space._lines_points
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ coordinate vectors is x^T A y^sigma, linear in x and sigma-semilinear in y.
 This module computes radicals, reflexivity and polarity predicates, the set
 of absolute points of the induced (possibly degenerate) correlation, and
 the collineation obtained by applying the correlation twice.
+
+`form_values` is the one vectorised evaluator of x^T A y^sigma; the
+absolute sets, the reflexivity test and the census batch checks all go
+through it.  `SesquiForm.evaluate` is its scalar reference.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .fields import FieldTower
 from .linalg import (dot, left_null_space, mat_inv, mat_mul, mat_rank,
                      mat_sigma, mat_transpose, mat_vec, normalize, null_space,
-                     vec_frobq, vec_sigma)
+                     vdot, vec_frobq, vec_sigma)
 from .projective import ProjectiveSpace, projective_space
 
 
@@ -95,22 +99,25 @@ class AbsolutePointSet:
         return len(self.point_ids)
 
 
+def form_values(t: FieldTower, entries: np.ndarray, x: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """x^T A y^sigma for arrays of encodings.  The last axis of `entries`
+    holds the k*k row-major entries of A, the last axis of x and y the k
+    coordinates; all leading axes broadcast."""
+    k = x.shape[-1]
+    a = entries.reshape(entries.shape[:-1] + (k, k))
+    return vdot(t, x, vdot(t, a, t.vsigma(y)[..., None, :]))
+
+
+def _entries(form: SesquiForm) -> np.ndarray:
+    return np.array(form.matrix, dtype=np.uint32).ravel()
+
+
 def absolute_mask(form: SesquiForm, space: ProjectiveSpace | None = None) -> np.ndarray:
     """Boolean mask over the space's points: true where x^T A x^sigma = 0."""
     space = space or form.space()
-    t = form.tower
     pts = space.points
-    w = t.vsigma(pts)
-    a = form.matrix
-    k = len(a)
-    phi = np.zeros(space.n_points, dtype=np.uint32)
-    for i in range(k):
-        row = np.zeros(space.n_points, dtype=np.uint32)
-        for j in range(k):
-            if a[i][j]:
-                row = t.vadd(row, t.vmul(np.uint32(a[i][j]), w[:, j]))
-        phi = t.vadd(phi, t.vmul(pts[:, i], row))
-    return phi == 0
+    return form_values(form.tower, _entries(form), pts, pts) == 0
 
 
 def absolute_points(form: SesquiForm, space: ProjectiveSpace | None = None) -> AbsolutePointSet:
@@ -120,28 +127,11 @@ def absolute_points(form: SesquiForm, space: ProjectiveSpace | None = None) -> A
     return AbsolutePointSet(form=form, point_ids=ids, mask=mask)
 
 
-def _pair_values(form: SesquiForm, space: ProjectiveSpace) -> np.ndarray:
-    """Matrix of <P_i, P_j> over all pairs of projective points."""
-    t = form.tower
-    pts = space.points
-    w = t.vsigma(pts)
-    a = form.matrix
-    k = len(a)
-    xa = [np.zeros(space.n_points, dtype=np.uint32) for _ in range(k)]
-    for j in range(k):
-        for i in range(k):
-            if a[i][j]:
-                xa[j] = t.vadd(xa[j], t.vmul(pts[:, i], np.uint32(a[i][j])))
-    e = np.zeros((space.n_points, space.n_points), dtype=np.uint32)
-    for j in range(k):
-        e = t.vadd(e, t.vmul(xa[j][:, None], w[None, :, j]))
-    return e
-
-
 def is_reflexive(form: SesquiForm, space: ProjectiveSpace | None = None) -> bool:
     """Exhaustive test: <x,y> = 0 implies <y,x> = 0 on all projective pairs."""
     space = space or form.space()
-    zero = _pair_values(form, space) == 0
+    pts = space.points
+    zero = form_values(form.tower, _entries(form), pts[:, None], pts[None, :]) == 0
     return bool(np.array_equal(zero, zero.T))
 
 
@@ -185,15 +175,8 @@ def collineation_images(coll: Collineation, space: ProjectiveSpace) -> np.ndarra
     """Index array img with img[i] = index of the image of point i."""
     t = coll.tower
     w = t.vfrobq(space.points, coll.qexp)
-    k = len(coll.matrix)
-    out = np.zeros((space.n_points, k), dtype=np.uint32)
-    for i in range(k):
-        acc = np.zeros(space.n_points, dtype=np.uint32)
-        for j in range(k):
-            if coll.matrix[i][j]:
-                acc = t.vadd(acc, t.vmul(np.uint32(coll.matrix[i][j]), w[:, j]))
-        out[:, i] = acc
-    return space.index_rows(out)
+    m = np.array(coll.matrix, dtype=np.uint32)
+    return space.index_rows(vdot(t, m, w[:, None, :]))
 
 
 def fixed_points(coll: Collineation, space: ProjectiveSpace | None = None) -> tuple:

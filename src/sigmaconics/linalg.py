@@ -2,10 +2,13 @@
 
 Vectors are tuples of element encodings, matrices are tuples of row tuples.
 Everything here is exact; elimination pivots on the first nonzero entry so
-reduced forms and null-space bases are deterministic.
+reduced forms and null-space bases are deterministic.  `vdot` is the one
+vectorised routine: the dot product of numpy arrays of encodings.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .fields import FieldTower
 
@@ -30,6 +33,15 @@ def dot(t: FieldTower, u, v) -> int:
     acc = 0
     for a, b in zip(u, v):
         acc = t.add(acc, t.mul(a, b))
+    return acc
+
+
+def vdot(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Field dot product over the last axis of two arrays of encodings; the
+    leading axes broadcast."""
+    acc = t.vmul(u[..., 0], v[..., 0])
+    for i in range(1, u.shape[-1]):
+        acc = t.vadd(acc, t.vmul(u[..., i], v[..., i]))
     return acc
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cfsets import ExteriorSet
 from .fields import FieldTower
-from .linalg import mat_inv, mat_vec, normalize
+from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 
@@ -61,12 +61,9 @@ def _mod_inverse_matrix(b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _decomposer(t: FieldTower):
-    cached = getattr(t, "_subfield_decomp", None)
-    if cached is None:
-        binv, basis_elems = _subfield_coord_matrix(t)
-        cached = (binv, basis_elems)
-        t._subfield_decomp = cached
-    return cached
+    if t._subfield_decomp is None:
+        t._subfield_decomp = _subfield_coord_matrix(t)
+    return t._subfield_decomp
 
 
 def subfield_coords(t: FieldTower, x: int) -> tuple:
@@ -91,26 +88,9 @@ def field_reduce(t: FieldTower, v) -> np.ndarray:
 
 
 def rank_fq(t: FieldTower, mat) -> int:
-    """Rank over F_q of a matrix of subfield element encodings."""
-    rows = [list(int(x) for x in r) for r in np.asarray(mat)]
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        pivot = rows.pop(piv)
-        inv = t.inv(pivot[col])
-        pivot = [t.mul(inv, x) for x in pivot]
-        rows = [[t.sub(x, t.mul(r[col], y)) for x, y in zip(r, pivot)]
-                for r in rows]
-        rows = [r for r in rows if any(r)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over F_q of a matrix of subfield element encodings; it equals
+    the rank over F_{q^n}, which elimination in the big field computes."""
+    return mat_rank(t, tuple(tuple(int(x) for x in r) for r in np.asarray(mat)))
 
 
 def singleton_bound(rows: int, cols: int, q: int, s: int) -> int:
@@ -150,7 +130,6 @@ def frame_projectivity(t: FieldTower, src_frame, dst_frame) -> tuple:
     m_src = frame_matrix(src_frame)
     m_dst = frame_matrix(dst_frame)
     # dst_matrix . src_matrix^{-1} sends src frame to dst frame
-    from .linalg import mat_mul
     return mat_mul(t, m_dst, mat_inv(t, m_src))
 
 

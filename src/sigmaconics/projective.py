@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldTower, build_field
-from .linalg import cross3, dot, mat_det, normalize
+from .linalg import cross3, dot, mat_det, normalize, vdot
 
 _INCIDENCE_MAX_CELLS = 64_000_000
 
@@ -45,8 +45,11 @@ class ProjectiveSpace:
         Q = tower.order
         self.n_points = (Q ** (d + 1) - 1) // (Q - 1)
         self.points = self._enumerate()
+        # caches built on first use: the dense incidence matrix, the
+        # lines-by-points array (classify) and the row tables (census)
         self._incidence = None
-        self._pencils = None
+        self._lines_points = None
+        self._kernel = None
 
     def _enumerate(self) -> np.ndarray:
         Q = self.tower.order
@@ -105,10 +108,7 @@ class ProjectiveSpace:
             if N * N > _INCIDENCE_MAX_CELLS:
                 raise ValueError("plane too large for dense incidence")
             P = self.points
-            acc = np.zeros((N, N), dtype=np.uint32)
-            for k in range(3):
-                acc = t.vadd(acc, t.vmul(P[:, k][:, None], P[:, k][None, :]))
-            self._incidence = acc == 0
+            self._incidence = vdot(t, P[:, None, :], P[None, :, :]) == 0
         return self._incidence
 
     def line_points(self, line) -> np.ndarray:

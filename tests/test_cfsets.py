@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sigmaconics.census import sample_matrix_entries
+from sigmaconics.census import matrix_ranks, sample_matrix_entries
 from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
                                 components, embed_subplane_in_component,
                                 exterior_set, pencil_collineation,
                                 pencil_collineation_from_form,
-                                steiner_generate, steiner_matches_form,
-                                verify_exterior)
+                                steiner_generate, steiner_locus,
+                                steiner_matches_form, verify_exterior)
 from sigmaconics.classify import line_spectrum
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
@@ -180,3 +180,55 @@ def test_form_collineation_consistency():
     assert not pencil_collineation_from_form(f_cf).maps_rl_to_itself()
     f_deg = SesquiForm(T8, ((0, 0, 1), (0, 0, 0), (0, T8.neg(1), 0)))
     assert pencil_collineation_from_form(f_deg).maps_rl_to_itself()
+
+
+T64 = build_field(2, 2, 3, 1)
+
+
+def test_steiner_matches_absolute_set_extension_tower():
+    # F_64 over F_4: rank-2 forms with distinct radicals, cones skipped
+    entries = sample_matrix_entries(T64.order, 103, 0, 8000)
+    entries = entries[matrix_ranks(T64, entries) == 2]
+    hits = 0
+    for row in entries:
+        form = make_form(T64, [int(x) for x in row])
+        try:
+            pencil_collineation_from_form(form)
+        except ValueError:
+            continue
+        assert steiner_matches_form(form)
+        hits += 1
+        if hits >= 30:
+            break
+    assert hits >= 30
+
+
+@pytest.mark.parametrize("tower", [T8, T27, T64], ids=lambda t: f"F{t.order}")
+def test_steiner_locus_batch_matches_single_collineations(tower):
+    # one batch of random pencil collineations against steiner_generate one
+    # collineation at a time; every third block fixes the line RL
+    sp = projective_space(tower, 2)
+    vecs = sample_matrix_entries(tower.order, 104, 0, 200)
+    blocks = sample_matrix_entries(tower.order, 105, 0, 200)[:, :4]
+    blocks[::3, 1] = 0
+    for qexp in (0, tower.m):
+        phis = []
+        for row, blk in zip(vecs, blocks):
+            try:
+                phis.append(pencil_collineation(tower, row[:3], row[3:6],
+                                                blk.reshape(2, 2), qexp=qexp))
+            except (ValueError, ZeroDivisionError):
+                continue
+        basis = np.array([phi.basis for phi in phis], dtype=np.uint32)
+        block = np.array([phi.block for phi in phis], dtype=np.uint32)
+        idx, whole_line = steiner_locus(sp, basis[..., 0], basis[..., 1],
+                                        basis[..., 2], block.reshape(-1, 4), qexp)
+        assert idx.shape == whole_line.shape == (len(phis), tower.order + 1)
+        assert 0 < whole_line.any(axis=1).sum() < len(phis)
+        for phi, ids, line in zip(phis, idx, whole_line):
+            assert line.any() == phi.maps_rl_to_itself()
+            expect = set(ids.tolist())
+            if line.any():
+                rl = sp.line_through(phi.r_vec, phi.l_vec)
+                expect |= set(sp.line_points(rl).tolist())
+            assert steiner_generate(phi, sp) == expect

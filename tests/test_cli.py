@@ -164,3 +164,22 @@ def test_zero_records_and_violations_accepted(capsys):
                           "--seed", "1", "--count", "5", "--records", "0",
                           "--max-violations", "0"], capsys)
     assert code == 0 and recs[-1]["total"] == 5
+
+
+@pytest.mark.parametrize("command", ["classify", "steiner-check"])
+@pytest.mark.parametrize("entry", ["99", "-1"])
+def test_out_of_range_matrix_entry_exits_2(capsys, command, entry):
+    code = main([command, "--p", "2", "--n", "3",
+                 "--matrix", "0", "0", "1", "0", "1", "0", "0", "0", entry])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert (f"matrix entry {entry} at row 3, column 3 is outside 0..7"
+            in captured.err)
+    assert captured.out == ""
+
+
+def test_steiner_check_rejects_2x2(capsys):
+    code = main(["steiner-check", "--p", "2", "--n", "3",
+                 "--matrix", "0", "1", "1", "0"])
+    assert code == 2
+    assert "steiner-check needs a rank-2 3x3 matrix" in capsys.readouterr().err

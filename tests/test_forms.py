@@ -5,9 +5,9 @@ from sigmaconics.census import sample_matrix_entries
 from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
-                               fixed_points, induced_collineation, is_polarity,
-                               is_reflexive, make_form, radicals)
-from sigmaconics.linalg import mat_rank, mat_sigma
+                               fixed_points, form_values, induced_collineation,
+                               is_polarity, is_reflexive, make_form, radicals)
+from sigmaconics.linalg import dot, mat_rank, mat_sigma, vdot
 from sigmaconics.projective import projective_space
 
 T8 = build_field(2, 1, 3, 1)
@@ -176,3 +176,69 @@ def test_make_form_shapes():
     assert make_form(T8, list(range(9))).d == 2
     with pytest.raises(ValueError):
         make_form(T8, [1, 2, 3])
+
+
+# -- the shared vectorised evaluators against their scalar references --------
+
+T64 = build_field(2, 2, 3, 1)
+SHARED_TOWERS = [T8, T27, T64]
+
+
+def _entries(tower, count, seed, size=9):
+    return sample_matrix_entries(tower.order, seed, 0, count)[:, :size]
+
+
+def _evaluate(tower, entries, x, y):
+    return make_form(tower, [int(v) for v in entries]).evaluate(
+        tuple(int(v) for v in x), tuple(int(v) for v in y))
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+def test_form_values_batched_pairs(tower):
+    e = _entries(tower, 200, seed=41)
+    x = _entries(tower, 200, seed=42, size=3)
+    y = _entries(tower, 200, seed=43, size=3)
+    got = form_values(tower, e, x, y)
+    assert got.shape == (200,)
+    assert got.tolist() == [_evaluate(tower, *args) for args in zip(e, x, y)]
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+def test_form_values_one_form_over_all_points(tower):
+    pts = projective_space(tower, 2).points
+    for e in _entries(tower, 2, seed=44):
+        got = form_values(tower, e, pts, pts)
+        assert got.tolist() == [_evaluate(tower, e, p, p) for p in pts]
+        assert np.array_equal(got == 0, absolute_mask(make_form(
+            tower, [int(v) for v in e])))
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+def test_form_values_one_form_over_point_pairs(tower):
+    pts = projective_space(tower, 2).points
+    pts = pts[np.linspace(0, len(pts) - 1, 30).astype(int)]
+    e = _entries(tower, 1, seed=45)[0]
+    got = form_values(tower, e, pts[:, None], pts[None, :])
+    assert got.shape == (30, 30)
+    assert got.tolist() == [[_evaluate(tower, e, u, v) for v in pts] for u in pts]
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+def test_form_values_line_forms_over_pg1(tower):
+    pts = projective_space(tower, 1).points
+    blocks = _entries(tower, 12, seed=46, size=4)
+    got = form_values(tower, blocks[:, None, :], pts[None], pts[None])
+    assert got.shape == (12, tower.order + 1)
+    assert got.tolist() == [[_evaluate(tower, b, p, p) for p in pts]
+                            for b in blocks]
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+def test_vdot_matches_scalar_dot(tower):
+    u = _entries(tower, 50, seed=47, size=3)
+    v = _entries(tower, 40, seed=48, size=3)
+    got = vdot(tower, u[:, None, :], v[None, :, :])
+    assert got.shape == (50, 40)
+    assert got.tolist() == [[dot(tower, tuple(int(c) for c in a),
+                                 tuple(int(c) for c in b)) for b in v] for a in u]
+    assert np.array_equal(vdot(tower, u[:40], v), np.diagonal(got[:40]))
