@@ -27,6 +27,6 @@ from .mrd import (RankCode, build_code, field_reduce, min_rank_distance,
                   subfield_coords)
 from .census import (CapExceeded, CensusSummary, diagonal_census,
                      exhaustive_invertible_census, form_record, line_census,
-                     matrix_ranks, plane_kernel, random_census, rank1_census,
+                     plane_kernel, random_census, rank1_census,
                      rank2_normal_census, rank2_random_census, rank_le2_census,
                      splitmix64)

@@ -18,7 +18,8 @@ for the line, feeding shared batch verifiers:
 
 Form values outside the count kernel (the tangent test, the pencil blocks,
 the PG(1) forms) come from `forms.form_values`, the library's one
-vectorised x^T A y^sigma.
+vectorised x^T A y^sigma.  Ranks come from `linalg.vranks` on the entries
+reshaped to (K, 3, 3), radicals from `linalg.vcross`.
 
 The exhaustive GL sweep walks (first row, second row) pairs instead of
 entry batches and counts every admissible third row at once from the row
@@ -48,10 +49,11 @@ from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
 from .cfsets import steiner_locus, steiner_matches_form
 from .fields import FieldTower
 from .forms import SesquiForm, form_values
-from .linalg import vdot
+from .linalg import vcross, vdot, vranks
 from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
+_ENUM_CHUNK = 1 << 16  # scalar classes per enumerated batch
 _MENU_REASON = "cardinality outside the admissible menu"
 
 
@@ -171,44 +173,7 @@ def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
     return space._kernel
 
 
-# -- vectorised matrix algebra on entry columns -------------------------------
-
-def _vdet3(t: FieldTower, e: np.ndarray) -> np.ndarray:
-    """Determinants for (K, 9) entry arrays."""
-    def mul(a, b):
-        return t.vmul(e[:, a], e[:, b])
-    def minor(a, b, c, d):
-        return t.vsub(mul(a, d), mul(b, c))
-    m0 = minor(4, 5, 7, 8)
-    m1 = minor(3, 5, 6, 8)
-    m2 = minor(3, 4, 6, 7)
-    return t.vadd(t.vsub(t.vmul(e[:, 0], m0), t.vmul(e[:, 1], m1)),
-                  t.vmul(e[:, 2], m2))
-
-
-def matrix_ranks(tower: FieldTower, entries: np.ndarray) -> np.ndarray:
-    """Vectorised 3x3 ranks (0..3) for (K, 9) entry arrays.  The 2x2 minors
-    are only evaluated on the singular rows."""
-    t = tower
-    ranks = np.where(_vdet3(t, entries) != 0, 3, 2)
-    singular = np.nonzero(ranks == 2)[0]
-    e = entries[singular]
-    le1 = np.ones(len(e), dtype=bool)
-    for r1, r2 in ((0, 1), (0, 2), (1, 2)):
-        for c1, c2 in ((0, 1), (0, 2), (1, 2)):
-            le1 &= t.vsub(t.vmul(e[:, 3 * r1 + c1], e[:, 3 * r2 + c2]),
-                          t.vmul(e[:, 3 * r1 + c2], e[:, 3 * r2 + c1])) == 0
-    ranks[singular[le1]] = np.where(e[le1].any(axis=1), 1, 0)
-    return ranks
-
-
-def _vcross(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    out[:, 0] = t.vsub(t.vmul(u[:, 1], v[:, 2]), t.vmul(u[:, 2], v[:, 1]))
-    out[:, 1] = t.vsub(t.vmul(u[:, 2], v[:, 0]), t.vmul(u[:, 0], v[:, 2]))
-    out[:, 2] = t.vsub(t.vmul(u[:, 0], v[:, 1]), t.vmul(u[:, 1], v[:, 0]))
-    return out
-
+# -- vectorised helpers on entry columns -------------------------------------
 
 def _first_nonzero_rows(cands) -> np.ndarray:
     """Row-wise first candidate vector that is not identically zero."""
@@ -352,8 +317,7 @@ def diagonal_census(tower: FieldTower) -> CensusSummary:
 
 # -- rank <= 2 censuses ------------------------------------------------------------
 
-def rank_le2_census(tower: FieldTower, steiner: bool = True,
-                    chunk: int = 1 << 16) -> CensusSummary:
+def rank_le2_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
     """Exhaustive classification of every rank <= 2 matrix up to scalars.
 
     Verifies, per matrix: the union-of-lines shape for rank 1; for rank 2,
@@ -364,8 +328,8 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True,
     space = projective_space(tower, 2)
     _check_exhaustive_cap(tower.order, "rank<=2 sweep")
     summary = _summary(tower, "exhaustive-rank-le2")
-    for e in _enumerate_scalar_classes(tower.order, 9, chunk):
-        ranks = matrix_ranks(tower, e)
+    for e in _enumerate_scalar_classes(tower.order, 9, _ENUM_CHUNK):
+        ranks = vranks(tower, e.reshape(-1, 3, 3))
         _verify_rank1_batch(tower, space, e[ranks == 1], summary)
         _verify_rank2_batch(tower, space, e[ranks == 2], summary, steiner)
     return summary
@@ -410,13 +374,13 @@ def _verify_rank2_batch(tower, space, e, summary, steiner):
 
     rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
     cols = [e[:, i::3] for i in range(3)]
-    null_r = _first_nonzero_rows([_vcross(t, rows[0], rows[1]),
-                                  _vcross(t, rows[0], rows[2]),
-                                  _vcross(t, rows[1], rows[2])])
+    null_r = _first_nonzero_rows([vcross(t, rows[0], rows[1]),
+                                  vcross(t, rows[0], rows[2]),
+                                  vcross(t, rows[1], rows[2])])
     v_r = space.normalize_rows(t.vfrobq(null_r, (t.n - t.m) % t.n))
     v_l = space.normalize_rows(_first_nonzero_rows(
-        [_vcross(t, cols[0], cols[1]), _vcross(t, cols[0], cols[2]),
-         _vcross(t, cols[1], cols[2])]))
+        [vcross(t, cols[0], cols[1]), vcross(t, cols[0], cols[2]),
+         vcross(t, cols[1], cols[2])]))
     same = (v_r == v_l).all(axis=1)
 
     _verify_cone_batch(tower, e[same], v_r[same], counts[same], summary)
@@ -485,7 +449,7 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
         return
     # the midpoint column and the pencil block in normal coordinates, as in
     # cfsets.pencil_collineation_from_form
-    rl = _vcross(t, v_r, v_l)
+    rl = vcross(t, v_r, v_l)
     mid = _STD[np.where(rl[:, 0] != 0, 0, np.where(rl[:, 1] != 0, 1, 2))]
     block = np.stack([form_values(t, e, v_r, mid), bval,
                       form_values(t, e, mid, mid), form_values(t, e, mid, v_l)],
@@ -523,7 +487,7 @@ def line_census(tower: FieldTower) -> CensusSummary:
     t = tower
     summary = _summary(t, "line-2x2")
     menu = np.array([0, 1, 2, t.q + 1], dtype=np.int64)
-    for blk in _enumerate_scalar_classes(t.order, 4, 1 << 16):
+    for blk in _enumerate_scalar_classes(t.order, 4, _ENUM_CHUNK):
         counts, subline = _line_form_counts(t, blk)
         _check_menu(summary, counts, menu,
                     "line absolute count outside {0, 1, 2, q+1}",
@@ -571,7 +535,7 @@ def rank2_normal_census(tower: FieldTower, steiner: bool = True) -> CensusSummar
         for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
             e = np.zeros((len(blk), 9), dtype=np.uint32)
             e[:, layout] = blk
-            _verify_rank2_batch(tower, space, e[matrix_ranks(tower, e) == 2],
+            _verify_rank2_batch(tower, space, e[vranks(tower, e.reshape(-1, 3, 3)) == 2],
                                 summary, steiner)
     return summary
 
@@ -583,7 +547,7 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int,
     space = projective_space(tower, 2)
     t = tower
     summary = _summary(t, f"rank2-random(seed={seed}, count={count})")
-    entries = _sample_entries(t, count, seed, lambda e: matrix_ranks(t, e) == 2)
+    entries = _sample_entries(t, count, seed, lambda e: vranks(t, e.reshape(-1, 3, 3)) == 2)
     for start in range(0, len(entries), 1 << 15):
         _verify_rank2_batch(t, space, entries[start:start + (1 << 15)],
                             summary, steiner)
@@ -604,7 +568,7 @@ def random_census(tower: FieldTower, count: int, seed: int,
     summary = _summary(tower, f"random(seed={seed}, count={count})")
     if invertible_only:
         entries = _sample_entries(tower, count, seed,
-                                  lambda e: _vdet3(tower, e) != 0)
+                                  lambda e: vranks(tower, e.reshape(-1, 3, 3)) == 3)
         menu = _admissible(tower, False)
     else:
         entries = _sample_entries(tower, count, seed, lambda e: e.any(axis=1))

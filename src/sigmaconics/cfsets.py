@@ -150,8 +150,13 @@ def steiner_generate(phi: PencilCollineation,
                                     basis[..., 2], block, phi.qexp)
     out = set(idx[0].tolist())
     if whole_line.any():
-        line = space.line_through(phi.r_vec, phi.l_vec)
-        out.update(space.line_points(line).tolist())
+        # the points of RL are R and x R + L for x in F_Q
+        t = phi.tower
+        r = np.array(phi.r_vec, dtype=np.uint32)
+        l = np.array(phi.l_vec, dtype=np.uint32)
+        x = np.arange(t.order, dtype=np.uint32)[:, None]
+        rl = np.vstack([r, t.vadd(t.vmul(x, r), l)])
+        out.update(space.index_rows(rl).tolist())
     return frozenset(out)
 
 
@@ -267,9 +272,9 @@ def embed_subplane_in_component(cf: CfSet,
                           t.mul(c, basis[2]))
                 ids.add(space.point_index((t.sigma(x, 2), t.sigma(x, 1), x)))
     if len(ids) != t.q * t.q + t.q + 1:
-        raise AssertionError("subspace parameterisation collapsed")
+        raise RuntimeError("subspace parameterisation collapsed")
     if not ids <= cf.components[1]:
-        raise AssertionError("subplane points escaped the norm-1 component")
+        raise RuntimeError("subplane points escaped the norm-1 component")
     frame = _general_position_frame(space, sorted(ids))
     return Subplane(point_ids=frozenset(ids), frame=frame, q=t.q)
 

@@ -61,7 +61,7 @@ def classify_line_form(form: SesquiForm,
     elif size == q + 1 and space.is_fq_subline(ids):
         kind = LINE_SUBLINE
     else:
-        raise AssertionError(f"absolute set of size {size} escapes the line taxonomy")
+        raise RuntimeError(f"absolute set of size {size} escapes the line taxonomy")
     return LineClassification(kind=kind, point_ids=ids,
                               degenerate=size not in (0, 2, q + 1))
 

@@ -105,19 +105,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _form_from_args(tower, entries):
-    """The form of a --matrix argument, whose entries must be encodings of
-    the field."""
-    form = make_form(tower, entries)
-    for i, row in enumerate(form.matrix):
-        for j, x in enumerate(row):
-            if not 0 <= x < tower.order:
-                raise ValueError(f"matrix entry {x} at row {i + 1}, column "
-                                 f"{j + 1} is outside 0..{tower.order - 1}, "
-                                 f"the encodings of F_{tower.order}")
-    return form
-
-
 def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--e", type=int, default=1, help="degree of F_q over F_p")
@@ -132,7 +119,7 @@ def _add_out_args(sub):
 
 def cmd_classify(args) -> int:
     tower = _tower_from_args(args)
-    form = _form_from_args(tower, args.matrix)
+    form = make_form(tower, args.matrix)
     writer = _Writer(args.out, args.format)
     writer.add(_header(tower, "classify", {"matrix": args.matrix}))
     if form.d == 1:
@@ -251,7 +238,7 @@ def cmd_steiner_check(args) -> int:
                        {"matrix": args.matrix, "count": args.count,
                         "seed": args.seed}))
     if args.matrix:
-        form = _form_from_args(tower, args.matrix)
+        form = make_form(tower, args.matrix)
         if form.d != 2 or form.rank() != 2:
             raise SystemExit("steiner-check needs a rank-2 3x3 matrix")
         ok = steiner_matches_form(form)

@@ -33,8 +33,15 @@ class SesquiForm:
         k = len(self.matrix)
         if k not in (2, 3) or any(len(r) != k for r in self.matrix):
             raise ValueError("matrix must be 2x2 or 3x3")
-        object.__setattr__(self, "matrix",
-                           tuple(tuple(int(x) for x in r) for r in self.matrix))
+        matrix = tuple(tuple(int(x) for x in r) for r in self.matrix)
+        Q = self.tower.order
+        for i, row in enumerate(matrix):
+            for j, x in enumerate(row):
+                if not 0 <= x < Q:
+                    raise ValueError(f"matrix entry {x} at row {i + 1}, column "
+                                     f"{j + 1} is outside 0..{Q - 1}, the "
+                                     f"encodings of F_{Q}")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def d(self) -> int:

@@ -2,11 +2,16 @@
 
 Vectors are tuples of element encodings, matrices are tuples of row tuples.
 Everything here is exact; elimination pivots on the first nonzero entry so
-reduced forms and null-space bases are deterministic.  `vdot` is the one
-vectorised routine: the dot product of numpy arrays of encodings.
+reduced forms and null-space bases are deterministic.  The vectorised
+routines act on numpy arrays of encodings: `vdot` (the dot product),
+`vcross` (the cross product) and `vranks`, the library's one batch rank,
+built from the two.  `dot`, `cross3` and `mat_rank` are their scalar
+references.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -43,6 +48,35 @@ def vdot(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i in range(1, u.shape[-1]):
         acc = t.vadd(acc, t.vmul(u[..., i], v[..., i]))
     return acc
+
+
+def vcross(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Field cross product over the last axis (of length 3) of two arrays of
+    encodings; the leading axes broadcast."""
+    def minor(i, j):
+        return t.vsub(t.vmul(u[..., i], v[..., j]), t.vmul(u[..., j], v[..., i]))
+    return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
+
+
+def vranks(t: FieldTower, m: np.ndarray) -> np.ndarray:
+    """Ranks (0..3) of a (K, 3, c) batch of matrices of encodings.
+
+    The 3x3 minors are col_a . (col_b x col_c) for every column triple; the
+    2x2 minors, the entries of col_a x col_b, are only evaluated on the
+    matrices that the 3x3 minors leave singular.
+    """
+    c = m.shape[2]
+    full = np.zeros(len(m), dtype=bool)
+    for a, b, d in combinations(range(c), 3):
+        full |= vdot(t, m[:, :, a], vcross(t, m[:, :, b], m[:, :, d])) != 0
+    ranks = np.where(full, 3, 2)
+    singular = np.nonzero(~full)[0]
+    s = m[singular]
+    two = np.zeros(len(s), dtype=bool)
+    for a, b in combinations(range(c), 2):
+        two |= vcross(t, s[:, :, a], s[:, :, b]).any(axis=1)
+    ranks[singular] = np.where(two, 2, s.any(axis=(1, 2)))
+    return ranks
 
 
 def mat_transpose(a):

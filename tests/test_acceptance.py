@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from sigmaconics.census import (diagonal_census, exhaustive_invertible_census,
-                                line_census, matrix_ranks, plane_kernel,
+                                line_census, plane_kernel,
                                 random_census, rank1_census,
                                 rank2_normal_census, rank2_random_census,
                                 rank_le2_census, sample_matrix_entries)
@@ -20,7 +20,7 @@ from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, collineation_images,
                                congruence_transform, fixed_points,
                                induced_collineation, make_form, radicals)
-from sigmaconics.linalg import mat_mul, mat_sigma, mat_transpose
+from sigmaconics.linalg import mat_mul, mat_sigma, mat_transpose, vranks
 from sigmaconics.mrd import (build_code, min_rank_distance,
                              nonlinearity_witness, singleton_bound)
 from sigmaconics.projective import projective_space
@@ -68,7 +68,7 @@ def test_2_line_spectrum_random_forms():
             assert bool(np.isin(spec, allowed).all())
             has_full = (spec == t.order + 1).any(axis=1)
             if has_full.any():
-                full_line_ranks.append(matrix_ranks(t, e[has_full]))
+                full_line_ranks.append(vranks(t, e[has_full].reshape(-1, 3, 3)))
         ranks = np.concatenate(full_line_ranks) if full_line_ranks else np.array([])
         assert (ranks <= 2).all()
         details.append(f"PG(2,{t.order}):{len(entries)} forms, "
@@ -281,7 +281,7 @@ def test_9_algebraic_invariant_suite():
         # congruence transforms preserve the cardinality; the collineation
         # of an invertible form permutes its absolute set
         mats = sample_matrix_entries(Q, SEED + 39, 0, 2000)
-        inv_rows = mats[matrix_ranks(t, mats) == 3][:1000]
+        inv_rows = mats[vranks(t, mats.reshape(-1, 3, 3)) == 3][:1000]
         for i, row in enumerate(entries[:1000]):
             form = make_form(t, [int(x) for x in row])
             mrow = inv_rows[i % len(inv_rows)]

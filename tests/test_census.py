@@ -3,14 +3,14 @@ import pytest
 
 from sigmaconics.census import (CapExceeded, diagonal_census,
                                 exhaustive_invertible_census, form_record,
-                                line_census, matrix_ranks, plane_kernel,
+                                line_census, plane_kernel,
                                 random_census, rand_stream, rank1_census,
                                 rank2_normal_census, rank2_random_census,
                                 rank_le2_census, sample_matrix_entries,
                                 splitmix64)
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
-from sigmaconics.linalg import mat_rank
+from sigmaconics.linalg import mat_rank, vranks
 from sigmaconics.projective import projective_space
 
 T4 = build_field(2, 1, 2, 1)
@@ -40,7 +40,7 @@ def test_kernel_matches_library_mask():
 
 def test_matrix_ranks_vectorised():
     entries = sample_matrix_entries(T9.order, 5, 0, 200)
-    ranks = matrix_ranks(T9, entries)
+    ranks = vranks(T9, entries.reshape(-1, 3, 3))
     for row, r in zip(entries, ranks):
         form_rows = tuple(tuple(int(x) for x in row[3 * i:3 * i + 3])
                           for i in range(3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmaconics.census import matrix_ranks, sample_matrix_entries
+from sigmaconics.census import sample_matrix_entries
 from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
                                 components, embed_subplane_in_component,
                                 exterior_set, pencil_collineation,
@@ -11,7 +11,8 @@ from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
 from sigmaconics.classify import line_spectrum
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
-from sigmaconics.projective import projective_space
+from sigmaconics.linalg import vranks
+from sigmaconics.projective import ProjectiveSpace, projective_space
 
 T8 = build_field(2, 1, 3, 1)
 T27 = build_field(3, 1, 3, 1)
@@ -188,7 +189,7 @@ T64 = build_field(2, 2, 3, 1)
 def test_steiner_matches_absolute_set_extension_tower():
     # F_64 over F_4: rank-2 forms with distinct radicals, cones skipped
     entries = sample_matrix_entries(T64.order, 103, 0, 8000)
-    entries = entries[matrix_ranks(T64, entries) == 2]
+    entries = entries[vranks(T64, entries.reshape(-1, 3, 3)) == 2]
     hits = 0
     for row in entries:
         form = make_form(T64, [int(x) for x in row])
@@ -232,3 +233,16 @@ def test_steiner_locus_batch_matches_single_collineations(tower):
                 rl = sp.line_through(phi.r_vec, phi.l_vec)
                 expect |= set(sp.line_points(rl).tolist())
             assert steiner_generate(phi, sp) == expect
+
+
+def test_steiner_generate_lists_fixed_line_without_incidence():
+    # a degenerate C_F^m form of PG(2,64): the fixed line RL is listed from
+    # R and x R + L, without the dense incidence matrix of the plane
+    sp = ProjectiveSpace(T64, 2)
+    form = SesquiForm(T64, ((0, 0, 1), (0, 0, 0), (0, T64.neg(1), 0)))
+    phi = pencil_collineation_from_form(form)
+    assert phi.maps_rl_to_itself()
+    pts = steiner_generate(phi, sp)
+    assert sp._incidence is None
+    assert len(pts) == 2 * T64.order + 1
+    assert pts == frozenset(np.nonzero(absolute_mask(form, sp))[0].tolist())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmaconics.census import sample_matrix_entries
 from sigmaconics.fields import build_field
@@ -7,7 +9,8 @@ from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
                                fixed_points, form_values, induced_collineation,
                                is_polarity, is_reflexive, make_form, radicals)
-from sigmaconics.linalg import dot, mat_rank, mat_sigma, vdot
+from sigmaconics.linalg import (cross3, dot, mat_rank, mat_sigma, vcross, vdot,
+                                vranks)
 from sigmaconics.projective import projective_space
 
 T8 = build_field(2, 1, 3, 1)
@@ -173,9 +176,13 @@ def test_congruence_transform_preserves_cardinality():
 
 def test_make_form_shapes():
     assert make_form(T8, [1, 0, 0, 1]).d == 1
-    assert make_form(T8, list(range(9))).d == 2
+    assert make_form(T8, [0, 1, 2, 3, 4, 5, 6, 7, 0]).d == 2
     with pytest.raises(ValueError):
         make_form(T8, [1, 2, 3])
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match=f"matrix entry {bad} at row 3, "
+                                             "column 3 is outside 0..7"):
+            make_form(T8, [0, 1, 2, 3, 4, 5, 6, 7, bad])
 
 
 # -- the shared vectorised evaluators against their scalar references --------
@@ -242,3 +249,48 @@ def test_vdot_matches_scalar_dot(tower):
     assert got.tolist() == [[dot(tower, tuple(int(c) for c in a),
                                  tuple(int(c) for c in b)) for b in v] for a in u]
     assert np.array_equal(vdot(tower, u[:40], v), np.diagonal(got[:40]))
+
+
+# -- the batch rank against row reduction ------------------------------------
+
+@st.composite
+def _planted_batches(draw, tower):
+    """(K, 3, c) batches, each matrix a sum of r outer products u v^T, so
+    every rank from 0 to 3 is planted; returns the batch and the r."""
+    c = draw(st.sampled_from([2, 3, 4]))
+    elem = st.integers(0, tower.order - 1)
+    mats, planted = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        r = draw(st.integers(0, 3))
+        m = np.zeros((3, c), dtype=np.uint32)
+        for _ in range(r):
+            u = np.array(draw(st.lists(elem, min_size=3, max_size=3)), dtype=np.uint32)
+            v = np.array(draw(st.lists(elem, min_size=c, max_size=c)), dtype=np.uint32)
+            m = tower.vadd(m, tower.vmul(u[:, None], v[None, :]))
+        mats.append(m)
+        planted.append(r)
+    return np.stack(mats), planted
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vranks_matches_mat_rank(tower, data):
+    mats, planted = data.draw(_planted_batches(tower))
+    ranks = vranks(tower, mats).tolist()
+    assert ranks == [mat_rank(tower, tuple(map(tuple, m.tolist()))) for m in mats]
+    assert all(r <= p for r, p in zip(ranks, planted))
+
+
+@pytest.mark.parametrize("tower", SHARED_TOWERS, ids=lambda t: f"F{t.order}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vcross_matches_cross3(tower, data):
+    vecs = st.lists(st.lists(st.integers(0, tower.order - 1), min_size=3,
+                             max_size=3), min_size=1, max_size=8)
+    u = np.array(data.draw(vecs), dtype=np.uint32)
+    v = np.array(data.draw(vecs), dtype=np.uint32)
+    got = vcross(tower, u[:, None], v[None, :])
+    assert got.shape == (len(u), len(v), 3)
+    assert got.tolist() == [[list(cross3(tower, a, b)) for b in v.tolist()]
+                            for a in u.tolist()]

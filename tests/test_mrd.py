@@ -11,6 +11,7 @@ from sigmaconics.mrd import (RankCode, build_code, field_reduce,
 from sigmaconics.projective import projective_space
 
 T27 = build_field(3, 1, 3, 1)
+T64 = build_field(2, 2, 3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +148,15 @@ def test_code_export_shape(mrd_pipeline):
     code = build_code(ext, sub, "all")
     assert code.matrices.shape == (729, 3, 3)
     assert len(code.keys()) == 729
+
+
+def test_q4_code_over_extension_subfield():
+    # q = 4 = 2^2: distances and sums go through the same batch path as q = p
+    cf = cf_canonical(T64)
+    code = build_code(exterior_set(cf, {1}), embed_subplane_in_component(cf))
+    assert len(code) == singleton_bound(3, 3, 4, 2) == 4096
+    assert min_rank_distance(code) == 2
+    witness = nonlinearity_witness(code)
+    assert witness is not None
+    total = T64.vadd(*witness).astype(code.matrices.dtype)
+    assert total.tobytes() not in code.keys()
