@@ -21,16 +21,20 @@ the PG(1) forms) come from `forms.form_values`, the library's one
 vectorised x^T A y^sigma.  Ranks come from `linalg.vranks` on the entries
 reshaped to (K, 3, 3), radicals from `linalg.vcross`.
 
-The exhaustive GL sweep walks (first row, second row) pairs instead of
-entry batches and counts every admissible third row at once from the row
-tables, but it feeds the same menu check.
-
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A, and splits over the rows of A as
 sum_i P_i * (row_i . P^sigma).  Tables indexed by (row encoding, point)
-therefore reduce the absolute count of a matrix to three gathers and two
-additions over the full point set, which batches cleanly over millions of
-matrices.  Row vectors (a,b,c) are encoded as a*Q^2 + b*Q + c.
+therefore reduce the absolute count of a matrix to three gathers, one
+addition and one comparison over the full point set (the third table is
+stored negated), which batches cleanly over millions of matrices.  Row
+vectors (a,b,c) are encoded as a*Q^2 + b*Q + c.
+
+The exhaustive GL sweep walks first rows and blocks of `_GL_BLOCK` second
+rows instead of entry batches.  Both sides of h0[r1] + h1[r2] == h2[r3]
+become one-hot bitsets over (point, value), so one block is counted
+against every third row at once by popcounts of ANDs; the block histogram,
+less the third rows in the span of (r1, r2), is checked by one lookup in
+the menu, and only a block that fails it lists its matrices.
 
 Random sampling uses a counter-based SplitMix64 stream so any run is
 reproducible from (seed, counter) alone.
@@ -54,6 +58,7 @@ from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
 _ENUM_CHUNK = 1 << 16  # scalar classes per enumerated batch
+_GL_BLOCK = 64  # second rows per block of the exhaustive GL sweep
 _MENU_REASON = "cardinality outside the admissible menu"
 
 
@@ -130,9 +135,13 @@ class PlaneKernel:
         digits = np.stack([renc // (Q * Q), (renc // Q) % Q, renc % Q],
                           axis=1).astype(np.uint32)
         dtype = np.uint8 if Q <= 256 else np.uint32
-        # g[r, P] = row r . P^sigma
+        # g[r, P] = row r . P^sigma; h[i][r, P] = P_i g[r, P], except that
+        # h[2] carries -P_2, so P is absolute for rows (r1, r2, r3) exactly
+        # when h[0][r1, P] + h[1][r2, P] == h[2][r3, P]
         g = vdot(t, digits[:, None, :], t.vsigma(space.points)[None, :, :])
-        self.h = [t.vmul(space.points[:, i][None, :], g).astype(dtype) for i in range(3)]
+        pts = space.points
+        self.h = [t.vmul(c[None, :], g).astype(dtype)
+                  for c in (pts[:, 0], pts[:, 1], t.vneg(pts[:, 2]))]
         del g
         # scalar multiples of every row vector, as encodings
         lam = np.arange(Q, dtype=np.uint32)
@@ -160,8 +169,7 @@ class PlaneKernel:
         return out
 
     def masks(self, r1, r2, r3) -> np.ndarray:
-        t = self.tower
-        return t.vadd(t.vadd(self.h[0][r1], self.h[1][r2]), self.h[2][r3]) == 0
+        return self.tower.vadd(self.h[0][r1], self.h[1][r2]) == self.h[2][r3]
 
     def counts(self, r1, r2, r3) -> np.ndarray:
         return self.masks(r1, r2, r3).sum(axis=1)
@@ -199,10 +207,13 @@ class CensusSummary:
     records: list = field(default_factory=list)
 
     def add_counts(self, counts: np.ndarray):
-        vals, freq = np.unique(counts, return_counts=True)
-        for v, f in zip(vals, freq):
-            self.histogram[int(v)] = self.histogram.get(int(v), 0) + int(f)
-        self.total += int(counts.size)
+        self.add_histogram(np.bincount(counts.ravel()))
+
+    def add_histogram(self, hist: np.ndarray):
+        """Merge hist[v], the number of matrices with absolute count v."""
+        for v in np.nonzero(hist)[0]:
+            self.histogram[int(v)] = self.histogram.get(int(v), 0) + int(hist[v])
+        self.total += int(hist.sum())
 
     def bump(self, kind: str, k: int = 1):
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
@@ -268,7 +279,12 @@ def exhaustive_invertible_census(tower: FieldTower,
     """Absolute-count histogram over all invertible matrices up to scalars.
 
     Enumerates (projective first row, independent second row, third row off
-    the span); every scalar class of GL(3, q^n) appears exactly once.
+    the span); every scalar class of GL(3, q^n) appears exactly once.  A
+    block of second rows is counted against every third row at once: point
+    P is absolute when h0[r1, P] + h1[r2, P] == h2[r3, P] (h2 is negated),
+    so with both sides one-hot encoded as bit P*Q + value, the count is the
+    popcount of the AND of two bitsets.  Third rows in the span of (r1, r2)
+    are counted too and then subtracted from the block's histogram.
     """
     space = projective_space(tower, 2)
     Q = tower.order
@@ -276,21 +292,46 @@ def exhaustive_invertible_census(tower: FieldTower,
     kern = plane_kernel(space)
     menu = _admissible(tower, False) if check_allowed else None
     summary = _summary(tower, "exhaustive-gl")
+    n_pts = space.n_points
+    words = -(-n_pts * Q // 64)
+    third = np.ascontiguousarray(_onehot_bits(kern.h[2], Q, words).T)
+    admissible = (np.ones(n_pts + 1, dtype=bool) if menu is None
+                  else np.isin(np.arange(n_pts + 1), menu))
+    hist = np.zeros(n_pts + 1, dtype=np.int64)
     proj_rows = space.points.astype(np.int64) @ np.array([Q * Q, Q, 1])
     all_rows = np.arange(Q ** 3, dtype=np.int64)
     for r1 in proj_rows:
         ok2 = np.ones(Q ** 3, dtype=bool)
         ok2[kern.smul[:, r1]] = False
-        for r2 in all_rows[ok2]:
-            span = kern.renc_add(kern.smul[:, r1][:, None],
-                                 kern.smul[:, r2][None, :]).ravel()
-            ok3 = np.ones(Q ** 3, dtype=bool)
-            ok3[span] = False
-            r3s = all_rows[ok3]
-            _check_menu(summary, kern.counts(r1, r2, r3s), menu, _MENU_REASON,
-                        lambda bad: [_rows_to_entries(Q, r1, r2, r3)
-                                     for r3 in r3s[bad]])
+        second = all_rows[ok2]
+        for start in range(0, len(second), _GL_BLOCK):
+            r2s = second[start:start + _GL_BLOCK]
+            first = _onehot_bits(tower.vadd(kern.h[0][r1], kern.h[1][r2s]), Q, words)
+            counts = np.zeros((len(r2s), Q ** 3), dtype=np.uint16)
+            for w in range(words):
+                counts += np.bitwise_count(first[:, w, None] & third[w])
+            span = kern.renc_add(kern.smul[:, r1][None, :, None],
+                                 kern.smul[:, r2s].T[:, None, :]).reshape(len(r2s), -1)
+            block = (np.bincount(counts.ravel(), minlength=n_pts + 1)
+                     - np.bincount(np.take_along_axis(counts, span, axis=1).ravel(),
+                                   minlength=n_pts + 1))
+            hist += block
+            if block[~admissible].any():
+                bad = ~admissible[counts]
+                np.put_along_axis(bad, span, False, axis=1)
+                for b, r3 in zip(*np.nonzero(bad)):
+                    summary.violations.append(_violation(
+                        _rows_to_entries(Q, r1, r2s[b], r3), _MENU_REASON))
+    summary.add_histogram(hist)
     return summary
+
+
+def _onehot_bits(values: np.ndarray, Q: int, words: int) -> np.ndarray:
+    """(K, N) field values as (K, words) uint64 bitsets, bit P*Q + value."""
+    k, n = values.shape
+    bits = np.zeros((k, words * 64), dtype=bool)
+    bits[np.arange(k)[:, None], np.arange(n) * Q + values] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
 def _rows_to_entries(Q: int, r1: int, r2: int, r3: int) -> list:

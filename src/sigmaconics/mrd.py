@@ -11,9 +11,10 @@ projectivity carrying that subplane onto the canonical one and only then
 reduces; skipping this step collapses the minimum distance to 1.
 
 Distances and sums are checked in blocks of code matrices for every
-q = p^e: differences and sums come from the tower's `vsub`/`vadd` on the
-subfield encodings, ranks from `linalg.vranks` (the minors of an F_q
-matrix are the same in F_{q^n}).  `rank_fq` is the scalar reference.
+q = p^e: differences come from the tower's `vsub` on the subfield
+encodings, ranks from `linalg.vranks` (the minors of an F_q matrix are the
+same in F_{q^n}), and sums are looked up by integer key in the sorted keys
+of the code.  `rank_fq` is the scalar reference.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize, vranks
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 _PAIR_CHUNK = 512  # code matrices per side of one block of differences
+_WITNESS_ROWS = 64  # code matrices whose sums one witness block tests
 
 
 def _subfield_coord_matrix(t: FieldTower):
@@ -215,14 +217,37 @@ def min_rank_distance(code: RankCode) -> int:
 
 
 def nonlinearity_witness(code: RankCode):
-    """A pair of code matrices whose sum escapes the code, or None if the
-    code is closed under addition (checked exhaustively)."""
+    """The first pair (i, j >= i) of code matrices whose sum escapes the
+    code, or None if the code is closed under addition (checked
+    exhaustively, a block of rows against every later matrix at a time).
+
+    A matrix is keyed by the positions of its entries in `t.subfield`,
+    read as base-q digits, and a sum's key is built entry by entry from
+    the addition table of those positions, so no sum matrix is formed."""
     t = code.tower
-    keys = code.keys()
     mats = code.matrices
-    for i in range(len(mats)):
-        sums = t.vadd(mats[i][None], mats).astype(mats.dtype, copy=False)
-        for j in range(i, len(mats)):
-            if sums[j].tobytes() not in keys:
-                return mats[i], mats[j]
+    flat = mats.reshape(len(mats), -1)
+    k, width = flat.shape
+    if t.q ** width > 1 << 63:
+        raise ValueError("code matrices too large for int64 keys")
+    sub = np.array(t.subfield, dtype=np.int64)
+    pos = np.zeros(t.order, dtype=np.int64)
+    pos[sub] = np.arange(t.q)
+    digits = pos[flat]
+    weights = t.q ** np.arange(width, dtype=np.int64)
+    keys = np.sort(digits @ weights)
+    # add[a * q + b] is the position of subfield[a] + subfield[b]
+    add = pos[t.vadd(sub[:, None], sub[None, :])].ravel()
+    for i0 in range(0, k, _WITNESS_ROWS):
+        rows = digits[i0:i0 + _WITNESS_ROWS] * t.q
+        cols = digits[i0:]
+        sums = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for w in range(width):
+            sums += add[rows[:, w, None] + cols[None, :, w]] * weights[w]
+        found = keys[np.minimum(np.searchsorted(keys, sums), k - 1)] == sums
+        miss = ~found & (np.arange(len(rows))[:, None] <= np.arange(len(cols)))
+        hit = np.nonzero(miss.any(axis=1))[0]
+        if len(hit):
+            i = hit[0]
+            return mats[i0 + i], mats[i0 + int(np.argmax(miss[i]))]
     return None

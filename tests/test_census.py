@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigmaconics import census
 from sigmaconics.census import (CapExceeded, diagonal_census,
                                 exhaustive_invertible_census, form_record,
                                 line_census, plane_kernel,
@@ -52,6 +53,42 @@ def test_exhaustive_gl_census_pg2_4():
     assert s.total == 60480                      # |GL(3,4)| / 3
     assert s.histogram == {1: 2520, 3: 20160, 5: 15120, 7: 20160, 9: 2520}
     assert not s.violations
+
+
+def _gl_menu_violations(t, menu):
+    """The GL sweep's violations, walked one (r1, r2, r3) class at a time:
+    first rows in point order, then every second row off the span of r1,
+    then every third row off the span of (r1, r2), each ascending."""
+    sp = projective_space(t, 2)
+    kern = plane_kernel(sp)
+    Q = t.order
+    out = []
+    for r1 in sp.points.astype(np.int64) @ np.array([Q * Q, Q, 1]):
+        line = set(kern.smul[:, r1].tolist())
+        for r2 in range(Q ** 3):
+            if r2 in line:
+                continue
+            span = set(kern.renc_add(kern.smul[:, r1][:, None],
+                                     kern.smul[:, r2][None, :]).ravel().tolist())
+            r3s = np.array([r for r in range(Q ** 3) if r not in span])
+            for r3, c in zip(r3s, kern.counts(r1, r2, r3s)):
+                if c not in menu:
+                    out.append([d for r in (r1, r2, r3)
+                                for d in (r // (Q * Q), (r // Q) % Q, r % Q)])
+    return out
+
+
+@pytest.mark.parametrize("tower, menu", [(T4, [5, 7, 9]),
+                                         (build_field(3, 1, 1, 1), [1, 7])],
+                         ids=["T4", "T3"])
+def test_exhaustive_gl_violation_order(tower, menu, monkeypatch):
+    monkeypatch.setattr(census, "_admissible",
+                        lambda t, diagonal: np.array(menu, dtype=np.int64))
+    s = exhaustive_invertible_census(tower)
+    expect = _gl_menu_violations(tower, menu)
+    assert 0 < len(expect) < s.total
+    assert [v["matrix"] for v in s.violations] == expect
+    assert {v["reason"] for v in s.violations} == {census._MENU_REASON}
 
 
 def test_diagonal_census_pg2_4():

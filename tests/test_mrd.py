@@ -160,3 +160,42 @@ def test_q4_code_over_extension_subfield():
     assert witness is not None
     total = T64.vadd(*witness).astype(code.matrices.dtype)
     assert total.tobytes() not in code.keys()
+
+
+def _first_escaping_pair(code):
+    """Reference witness: walk i, then j >= i, with one set lookup per sum."""
+    t, keys, mats = code.tower, code.keys(), code.matrices
+    for i in range(len(mats)):
+        sums = t.vadd(mats[i][None], mats).astype(mats.dtype)
+        for j in range(i, len(mats)):
+            if sums[j].tobytes() not in keys:
+                return mats[i], mats[j]
+    return None
+
+
+@pytest.mark.parametrize("tower, T", [(T27, {1}), (T64, {1}), (T27, {1, 2})],
+                         ids=["q3-T1", "q4-T1", "q3-T12"])
+def test_witness_matches_reference(tower, T):
+    cf = cf_canonical(tower)
+    code = build_code(exterior_set(cf, T), embed_subplane_in_component(cf))
+    got, expect = nonlinearity_witness(code), _first_escaping_pair(code)
+    if T == {1, 2}:
+        assert got is None and expect is None
+    else:
+        assert expect is not None
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+def test_witness_past_the_first_block(mrd_pipeline):
+    # a linear code followed by its coset through a rank-1 matrix (outside
+    # the code, whose distance is 2): sums within the code stay in it, so
+    # the first escaping pair is (729, 729), past the first block of rows
+    sp, cf, sub, ext = mrd_pipeline
+    lin = build_code(exterior_set(cf, {1, 2}), sub).matrices
+    unit = np.zeros_like(lin[0])
+    unit[0, 0] = 1
+    mats = np.concatenate([lin, T27.vadd(lin, unit).astype(lin.dtype)])
+    code = RankCode(tower=T27, matrices=mats, scalars="all", claimed_distance=2)
+    got, expect = nonlinearity_witness(code), _first_escaping_pair(code)
+    assert np.array_equal(expect[0], mats[729])
+    assert all(np.array_equal(a, b) for a, b in zip(got, expect))
