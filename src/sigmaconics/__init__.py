@@ -18,7 +18,7 @@ from .cfsets import (CfSet, ExteriorSet, PencilCollineation, cf_canonical,
                      pencil_collineation, pencil_collineation_from_form,
                      steiner_generate, steiner_matches_form, verify_exterior)
 from .classify import (KestenbandProfile, LineClassification,
-                       PlaneClassification, TrinomialSpec,
+                       LineTaxonomyError, PlaneClassification, TrinomialSpec,
                        allowed_cardinalities, classify_line_form,
                        classify_plane_form, count_trinomial_roots, is_arc,
                        kestenband_profile, line_spectrum)

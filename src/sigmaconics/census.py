@@ -6,15 +6,29 @@ Every sweep is a source of entry batches, (K, 9) for the plane or (K, 4)
 for the line, feeding shared batch verifiers:
 
 - sources: the scalar-class enumerator `_enumerate_scalar_classes`, the
-  counter-based rejection sampler `_sample_entries`, the outer products of
-  `rank1_census`, the radical-normal layouts of `rank2_normal_census` and
-  the diagonal matrices;
+  torus-orbit representatives `_torus_representatives` of the rank <= 2
+  sweep, the counter-based rejection sampler `_sample_entries`, the outer
+  products of `rank1_census`, the radical-normal layouts of
+  `rank2_normal_census` and the diagonal matrices;
 - verifiers: the menu check `_check_menu` on absolute counts, the rank-1
   line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
   C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check through
   `cfsets.steiner_locus`, the same construction as `steiner_generate`),
   and the PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and
-  the cone bases.
+  the cone bases.  The rank verifiers take an int64 weight per row, the
+  number of matrices the row stands for (one unless given); histograms and
+  kind counts add the weights exactly.
+
+The rank <= 2 sweep verifies one representative per orbit of the torus
+congruence a_ij -> lam d_i a_ij d_j^sigma, a projectivity of the plane
+that keeps the rank, the absolute count and the kind.  On the matrices
+with support S (the positions of the nonzero entries, 511 in all) the
+torus acts in log coordinates mod Q-1 through an integer |S| x 4 matrix
+T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`, in-house) lists
+the orbits by a mixed-radix counter, and each orbit weighs N^(|S|-1) /
+prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is 391,543
+representatives for 19,173,961 scalar classes.  A violation names the
+failing representative.
 
 Form values outside the count kernel (the tangent test, the pencil blocks,
 the PG(1) forms) come from `forms.form_values`, the library's one
@@ -42,6 +56,7 @@ reproducible from (seed, counter) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +72,7 @@ from .linalg import vcross, vdot, vranks
 from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
-_ENUM_CHUNK = 1 << 16  # scalar classes per enumerated batch
+_ENUM_CHUNK = 1 << 16  # rows (scalar classes or orbit representatives) per batch
 _GL_BLOCK = 64  # second rows per block of the exhaustive GL sweep
 _MENU_REASON = "cardinality outside the admissible menu"
 
@@ -66,8 +81,8 @@ class CapExceeded(RuntimeError):
     """The requested exhaustive sweep is beyond the configured budget."""
 
 
-def _check_exhaustive_cap(Q: int, what: str):
-    if (Q ** 9 - 1) // (Q - 1) > EXHAUSTIVE_CAP:
+def _check_exhaustive_cap(classes: int, what: str):
+    if classes > EXHAUSTIVE_CAP:
         raise CapExceeded(f"{what} beyond the matrix budget; use random sampling")
 
 
@@ -206,8 +221,14 @@ class CensusSummary:
     violations: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
-    def add_counts(self, counts: np.ndarray):
-        self.add_histogram(np.bincount(counts.ravel()))
+    def add_counts(self, counts: np.ndarray, weights: np.ndarray | None = None):
+        """Histogram absolute counts; count k stands for weights[k] matrices
+        (one without weights), added exactly as int64."""
+        counts = counts.ravel()
+        if len(counts):
+            hist = np.zeros(int(counts.max()) + 1, dtype=np.int64)
+            np.add.at(hist, counts, 1 if weights is None else weights)
+            self.add_histogram(hist)
 
     def add_histogram(self, hist: np.ndarray):
         """Merge hist[v], the number of matrices with absolute count v."""
@@ -272,6 +293,133 @@ def _enumerate_scalar_classes(Q: int, size: int, chunk: int):
             yield e
 
 
+def _diagonalise(a: list) -> tuple:
+    """A diagonal form of the integer matrix `a` (a list of s rows).
+
+    Returns (d, uinv): unimodular U and V with U a V = diag(d), where d is
+    padded with zeros to length s, and uinv = U^-1.  Repeatedly moves the
+    smallest nonzero entry of the remaining block to the pivot and reduces
+    its row and column by it; V is not tracked.
+    """
+    a = [list(row) for row in a]
+    s, c = len(a), len(a[0])
+    uinv = [[int(i == j) for j in range(s)] for i in range(s)]
+    d = [0] * s
+    for t in range(min(s, c)):
+        while True:
+            nz = [(abs(a[i][j]), i, j) for i in range(t, s) for j in range(t, c)
+                  if a[i][j]]
+            if not nz:
+                return d, uinv
+            _, i, j = min(nz)
+            # a row operation R turns U into R U and uinv into uinv R^-1: a
+            # row swap swaps the same columns of uinv, and row_i -= f row_t
+            # adds f times column i of uinv to its column t
+            a[t], a[i] = a[i], a[t]
+            for row in uinv:
+                row[t], row[i] = row[i], row[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            piv, done = a[t][t], True
+            for i in range(t + 1, s):
+                f = a[i][t] // piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                for row in uinv:
+                    row[t] += f * row[i]
+                done &= a[i][t] == 0
+            for j in range(t + 1, c):
+                f = a[t][j] // piv
+                for row in a:
+                    row[j] -= f * row[t]
+                done &= a[t][j] == 0
+            if done:
+                break
+        d[t] = a[t][t]
+    return d, uinv
+
+
+@dataclass(frozen=True)
+class _TorusSupport:
+    """The matrices whose nonzero entries sit exactly at `positions`, up to
+    the torus a_ij -> lam d_i a_ij d_j^sigma.  In log coordinates (mod N =
+    Q-1) the orbits are the cosets of the image of T_S; orbit k has the
+    representative uinv @ y mod N, y being k in the mixed radix `radices`,
+    and stands for `weight` scalar classes."""
+    positions: tuple
+    uinv: np.ndarray
+    radices: tuple
+    weight: int
+    units: int
+
+    @property
+    def count(self) -> int:
+        return math.prod(self.radices)
+
+    def logs(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, |S|) log coordinates of representatives start..stop-1."""
+        rest = np.arange(start, stop, dtype=np.int64)
+        y = np.empty((len(rest), len(self.radices)), dtype=np.int64)
+        for k in range(len(self.radices) - 1, -1, -1):
+            y[:, k] = rest % self.radices[k]
+            rest //= self.radices[k]
+        return (y @ self.uinv.T) % self.units
+
+
+def _torus_supports(tower: FieldTower) -> list:
+    """One `_TorusSupport` per nonempty support S of a 3x3 matrix (511 of
+    them).  In log coordinates the torus (lam, d_0, d_1, d_2) acts on the
+    entry (i, j) by adding lam + d_i + q^m d_j, the row of the |S| x 4
+    integer matrix T_S.  With U T_S V = diag(d_k), the cosets of im T_S in
+    (Z/N)^S are U^-1 y for 0 <= y_k < gcd(d_k, N) (d_k = 0 past the rank,
+    so gcd N); each holds |im T_S| = N^|S| / prod gcd(d_k, N) matrices, a
+    weight of |im T_S| / N scalar classes."""
+    n_units = tower.order - 1
+    qm = tower.q ** (tower.m % tower.n)
+    out = []
+    for bits in range(1, 1 << 9):
+        positions = tuple(k for k in range(9) if bits >> k & 1)
+        rows = []
+        for k in positions:
+            row = [1, 0, 0, 0]
+            row[1 + k // 3] += 1
+            row[1 + k % 3] += qm
+            rows.append(row)
+        d, uinv = _diagonalise(rows)
+        radices = tuple(math.gcd(x, n_units) for x in d)
+        out.append(_TorusSupport(
+            positions, np.array(uinv, dtype=np.int64) % n_units, radices,
+            n_units ** (len(positions) - 1) // math.prod(radices), n_units))
+    return out
+
+
+def _torus_representatives(tower: FieldTower, supports: list, chunk: int):
+    """Yield (e, w): (K, 9) entries of torus-orbit representatives, K <=
+    `chunk`, filled across supports, and their int64 weights in scalar
+    classes.  Representatives are generated by index, so a support is
+    never held whole."""
+    exp = tower._exp
+    pieces, size = [], 0
+    for sup in supports:
+        start = 0
+        while start < sup.count:
+            stop = min(sup.count, start + chunk - size)
+            e = np.zeros((stop - start, 9), dtype=np.uint32)
+            e[:, sup.positions] = exp[sup.logs(start, stop)]
+            pieces.append((e, np.full(stop - start, sup.weight, dtype=np.int64)))
+            size += stop - start
+            start = stop
+            if size == chunk:
+                yield _join(pieces)
+                pieces, size = [], 0
+    if pieces:
+        yield _join(pieces)
+
+
+def _join(pieces: list) -> tuple:
+    return (np.concatenate([e for e, _ in pieces]),
+            np.concatenate([w for _, w in pieces]))
+
+
 # -- invertible censuses -------------------------------------------------------
 
 def exhaustive_invertible_census(tower: FieldTower,
@@ -288,7 +436,7 @@ def exhaustive_invertible_census(tower: FieldTower,
     """
     space = projective_space(tower, 2)
     Q = tower.order
-    _check_exhaustive_cap(Q, "exhaustive census")
+    _check_exhaustive_cap((Q ** 9 - 1) // (Q - 1), "exhaustive census")
     kern = plane_kernel(space)
     menu = _admissible(tower, False) if check_allowed else None
     summary = _summary(tower, "exhaustive-gl")
@@ -365,36 +513,51 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
     the cone / degenerate / non-degenerate split with the expected
     cardinalities, cone base shapes, and (optionally) that the Steiner locus
     of the attached pencil collineation reproduces the absolute set.
+
+    The congruence a_ij -> lam d_i a_ij d_j^sigma is a projectivity of the
+    plane, so the rank, the absolute count and the kind are constant on its
+    orbits.  The sweep therefore verifies one representative per orbit
+    (`_torus_representatives`, support by support) and adds its weight, the
+    number of scalar classes in the orbit, to the histogram and the kind
+    counts; these equal those of the full scalar-class sweep.  A violation
+    names the failing representative.  The budget counts representatives.
     """
     space = projective_space(tower, 2)
-    _check_exhaustive_cap(tower.order, "rank<=2 sweep")
+    supports = _torus_supports(tower)
+    _check_exhaustive_cap(sum(sup.count for sup in supports), "rank<=2 sweep")
     summary = _summary(tower, "exhaustive-rank-le2")
-    for e in _enumerate_scalar_classes(tower.order, 9, _ENUM_CHUNK):
+    for e, w in _torus_representatives(tower, supports, _ENUM_CHUNK):
         ranks = vranks(tower, e.reshape(-1, 3, 3))
-        _verify_rank1_batch(tower, space, e[ranks == 1], summary)
-        _verify_rank2_batch(tower, space, e[ranks == 2], summary, steiner)
+        one, two = ranks == 1, ranks == 2
+        _verify_rank1_batch(tower, space, e[one], summary, w[one])
+        _verify_rank2_batch(tower, space, e[two], summary, steiner, w[two])
     return summary
 
 
-def _verify_rank1_batch(tower, space, e, summary):
+def _unit(e, w):
+    """The weights of a batch: one matrix per row unless given."""
+    return np.ones(len(e), dtype=np.int64) if w is None else w
+
+
+def _verify_rank1_batch(tower, space, e, summary, w=None):
     if not len(e):
         return
+    w = _unit(e, w)
     t = tower
     kern = plane_kernel(space)
     inc = space.incidence()
     cols = [e[:, i::3] for i in range(3)]          # column vectors
     u = _first_nonzero_rows([cols[0], cols[1], cols[2]])
     rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
-    w = _first_nonzero_rows(rows)
-    w_tw = t.vfrobq(w, (t.n - t.m) % t.n)
+    w_tw = t.vfrobq(_first_nonzero_rows(rows), (t.n - t.m) % t.n)
     left_idx = space.index_rows(u)
     right_idx = space.index_rows(w_tw)
     expect = inc[left_idx] | inc[right_idx]
     mask = kern.masks(*kern.row_encode(e))
     ok = (mask == expect).all(axis=1)
-    summary.add_counts(mask.sum(axis=1))
-    summary.bump(KIND_TWO_LINES, len(e))
-    summary.bump("two_lines_coincident", int((left_idx == right_idx).sum()))
+    summary.add_counts(mask.sum(axis=1), w)
+    summary.bump(KIND_TWO_LINES, int(w.sum()))
+    summary.bump("two_lines_coincident", int(w[left_idx == right_idx].sum()))
     for bad in np.nonzero(~ok)[0]:
         summary.violations.append(_violation(e[bad],
                                              "rank-1 set is not the union of "
@@ -404,14 +567,15 @@ def _verify_rank1_batch(tower, space, e, summary):
 _STD = np.eye(3, dtype=np.uint32)
 
 
-def _verify_rank2_batch(tower, space, e, summary, steiner):
+def _verify_rank2_batch(tower, space, e, summary, steiner, w=None):
     if not len(e):
         return
+    w = _unit(e, w)
     t = tower
     kern = plane_kernel(space)
     mask = kern.masks(*kern.row_encode(e))
     counts = mask.sum(axis=1)
-    summary.add_counts(counts)
+    summary.add_counts(counts, w)
 
     rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
     cols = [e[:, i::3] for i in range(3)]
@@ -424,10 +588,10 @@ def _verify_rank2_batch(tower, space, e, summary, steiner):
          vcross(t, cols[1], cols[2])]))
     same = (v_r == v_l).all(axis=1)
 
-    _verify_cone_batch(tower, e[same], v_r[same], counts[same], summary)
+    _verify_cone_batch(tower, e[same], v_r[same], counts[same], w[same], summary)
     sel = ~same
     _verify_cf_batch(tower, space, e[sel], v_r[sel], v_l[sel], mask[sel],
-                     counts[sel], summary, steiner)
+                     counts[sel], w[sel], summary, steiner)
 
 
 def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
@@ -445,11 +609,11 @@ def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
     return counts, subline
 
 
-def _verify_cone_batch(tower, e, vert, counts, summary):
+def _verify_cone_batch(tower, e, vert, counts, w, summary):
     if not len(e):
         return
     Q, q = tower.order, tower.q
-    summary.bump(KIND_CONE, len(e))
+    summary.bump(KIND_CONE, int(w.sum()))
     # complement the vertex with two standard basis vectors; the block of
     # the congruent matrix is then just a 2x2 submatrix of A
     pair_idx = np.where(vert[:, 2] != 0, 0,
@@ -469,18 +633,18 @@ def _verify_cone_batch(tower, e, vert, counts, summary):
     for bad in np.nonzero(full_base & ~subline)[0]:
         summary.violations.append(_violation(e[bad], "cone base of size q+1 "
                                                      "is not a subline"))
-    summary.bump("cone_base_subline", int(full_base.sum()))
+    summary.bump("cone_base_subline", int(w[full_base].sum()))
 
 
-def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
+def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary, steiner):
     if not len(e):
         return
     t = tower
     Q = t.order
     bval = form_values(t, e, v_r, v_l)
     deg = bval == 0
-    summary.bump(KIND_DEGENERATE_CF, int(deg.sum()))
-    summary.bump(KIND_CF, int((~deg).sum()))
+    summary.bump(KIND_DEGENERATE_CF, int(w[deg].sum()))
+    summary.bump(KIND_CF, int(w[~deg].sum()))
     expect = np.where(deg, 2 * Q + 1, Q + 1)
     for bad in np.nonzero(counts != expect)[0]:
         summary.violations.append(_violation(e[bad],
@@ -514,7 +678,7 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, summary, steiner):
     totals = n_single + np.where(has_line, Q + 1, 0)
     ok &= totals == counts
     ok &= has_line == deg
-    summary.bump("steiner_checked", int(len(e)))
+    summary.bump("steiner_checked", int(w.sum()))
     for bad in np.nonzero(~ok)[0]:
         summary.violations.append(_violation(e[bad],
                                              "steiner locus differs from the "

@@ -36,6 +36,16 @@ KIND_TWO_LINES = "union_two_lines"
 KIND_KESTENBAND = "kestenband_nondegenerate"
 
 
+class LineTaxonomyError(RuntimeError):
+    """An absolute set on PG(1,q^n) that is none of the four line shapes,
+    that is, a counterexample to the line taxonomy."""
+
+    def __init__(self, point_ids: tuple):
+        self.point_ids = point_ids
+        super().__init__(f"absolute set of size {len(point_ids)} escapes "
+                         "the line taxonomy")
+
+
 @dataclass(frozen=True)
 class LineClassification:
     kind: str
@@ -47,6 +57,8 @@ def classify_line_form(form: SesquiForm,
                        space: ProjectiveSpace | None = None) -> LineClassification:
     if form.d != 1:
         raise ValueError("expected a form on the projective line")
+    if not any(x for row in form.matrix for x in row):
+        raise ValueError("the zero form is absolute everywhere and is not classified")
     space = space or form.space()
     mask = absolute_mask(form, space)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
@@ -61,7 +73,7 @@ def classify_line_form(form: SesquiForm,
     elif size == q + 1 and space.is_fq_subline(ids):
         kind = LINE_SUBLINE
     else:
-        raise RuntimeError(f"absolute set of size {size} escapes the line taxonomy")
+        raise LineTaxonomyError(ids)
     return LineClassification(kind=kind, point_ids=ids,
                               degenerate=size not in (0, 2, q + 1))
 

@@ -26,7 +26,7 @@ from .census import (CapExceeded, diagonal_census,
                      rank2_random_census, rank_le2_census)
 from .cfsets import (cf_canonical, embed_subplane_in_component, exterior_set,
                      steiner_matches_form, verify_exterior)
-from .classify import classify_line_form
+from .classify import LineTaxonomyError, classify_line_form
 from .fields import build_field
 from .forms import SesquiForm, make_form
 from .mrd import (build_code, min_rank_distance, nonlinearity_witness,
@@ -123,10 +123,15 @@ def cmd_classify(args) -> int:
     writer = _Writer(args.out, args.format)
     writer.add(_header(tower, "classify", {"matrix": args.matrix}))
     if form.d == 1:
-        cls = classify_line_form(form)
-        rec = {"record": "matrix", "matrix": args.matrix, "kind": cls.kind,
-               "absolute": len(cls.point_ids), "degenerate": cls.degenerate,
-               "points": list(cls.point_ids), "violations": []}
+        try:
+            cls = classify_line_form(form)
+            kind, ids, degenerate, violations = (cls.kind, cls.point_ids,
+                                                 cls.degenerate, [])
+        except LineTaxonomyError as exc:
+            kind, ids, degenerate, violations = None, exc.point_ids, None, [str(exc)]
+        rec = {"record": "matrix", "matrix": args.matrix, "kind": kind,
+               "absolute": len(ids), "degenerate": degenerate,
+               "points": list(ids), "violations": violations}
     else:
         rec = dict(form_record(form, steiner=True), record="matrix")
     writer.add(rec)

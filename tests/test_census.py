@@ -9,6 +9,7 @@ from sigmaconics.census import (CapExceeded, diagonal_census,
                                 rank2_normal_census, rank2_random_census,
                                 rank_le2_census, sample_matrix_entries,
                                 splitmix64)
+from sigmaconics.cli import _summary_record
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
 from sigmaconics.linalg import mat_rank, vranks
@@ -177,3 +178,94 @@ def test_form_record_contents():
                        steiner=True)
     assert rec2["kind"] == "cf" and rec2["absolute"] == 9
     assert not rec2["violations"]
+
+
+# -- the torus-reduced rank <= 2 sweep ------------------------------------------
+
+def _unreduced_rank_le2(t):
+    """The rank <= 2 sweep over every scalar class, with unit weights."""
+    space = projective_space(t, 2)
+    summary = census._summary(t, "exhaustive-rank-le2")
+    for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
+        ranks = vranks(t, e.reshape(-1, 3, 3))
+        census._verify_rank1_batch(t, space, e[ranks == 1], summary)
+        census._verify_rank2_batch(t, space, e[ranks == 2], summary, True)
+    return summary
+
+
+@pytest.mark.parametrize("params", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1),
+                                    (2, 2, 1, 1), (5, 1, 1, 1)],
+                         ids=["Q2", "Q3", "Q4-q2", "Q4-q4", "Q5"])
+def test_rank_le2_reduced_matches_unreduced(params):
+    t = build_field(*params)
+    reduced = _summary_record(rank_le2_census(t))
+    assert reduced == _summary_record(_unreduced_rank_le2(t))
+    assert reduced["violations"] == 0
+
+
+def _torus_image(positions, qm, n_units):
+    """The distinct vectors T_S z mod N, z over (Z/N)^4, as (M, |S|)."""
+    z = np.stack(np.meshgrid(*[np.arange(n_units)] * 4, indexing="ij"),
+                 axis=-1).reshape(-1, 4)
+    rows = np.array([[1] + [int(k // 3 == c) + qm * int(k % 3 == c)
+                            for c in range(3)] for k in positions])
+    return np.unique((z @ rows.T) % n_units, axis=0)
+
+
+@pytest.mark.parametrize("t", [T4, T8], ids=["T4", "T8"])
+@pytest.mark.parametrize("positions", [(0, 4, 8), (0, 1, 2), tuple(range(9))],
+                         ids=["diagonal", "row", "full"])
+def test_torus_orbits_partition_support(t, positions):
+    n_units = t.order - 1
+    sup = next(s for s in census._torus_supports(t) if s.positions == positions)
+    image = _torus_image(positions, t.q ** t.m, n_units)
+    assert len(image) == sup.weight * n_units
+    reps = sup.logs(0, sup.count)
+    assert len(reps) == sup.count
+    assert sup.count * len(image) == n_units ** len(positions)
+    place = n_units ** np.arange(len(positions), dtype=np.int64)
+    seen = np.zeros(n_units ** len(positions), dtype=bool)
+    for start in range(0, len(reps), 64):
+        orbit = (reps[start:start + 64, None, :] + image[None]) % n_units
+        codes = orbit @ place
+        seen[codes.ravel()] = True
+    # the orbits have total size N^|S| and reach every matrix on S, so they
+    # are pairwise disjoint
+    assert seen.all()
+
+
+def test_diagonal_form_invariants_match_smith():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    for qm in (2, 3, 4):
+        for bits in range(1, 1 << 9):
+            positions = [k for k in range(9) if bits >> k & 1]
+            rows = [[1] + [int(k // 3 == c) + qm * int(k % 3 == c)
+                           for c in range(3)] for k in positions]
+            d, uinv = census._diagonalise(rows)
+            # U = uinv^-1 is integral and U T = diag(d) V^-1: row k of U T is
+            # a multiple of d_k
+            u = np.rint(np.linalg.inv(np.array(uinv, dtype=float)))
+            u = u.astype(np.int64)
+            assert np.array_equal(u @ np.array(uinv), np.eye(len(rows)))
+            ut = u @ np.array(rows)
+            for k, dk in enumerate(d):
+                assert not (ut[k] % dk).any() if dk else not ut[k].any()
+            snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            invariants = [int(snf[k, k]) for k in range(min(snf.shape))]
+            invariants += [0] * (len(rows) - len(invariants))
+            for n_units in (3, 7, 8, 15, 26, 63):
+                assert (np.prod([np.gcd(x, n_units) for x in d])
+                        == np.prod([np.gcd(x, n_units) for x in invariants]))
+
+
+@pytest.mark.parametrize("params, reps", [((2, 1, 4, 1), 20_363_925),
+                                          ((2, 2, 2, 1), 20_365_833)],
+                         ids=["2-1-4-1", "2-2-2-1"])
+def test_rank_le2_cap_counts_representatives(params, reps, monkeypatch):
+    t = build_field(*params)
+    assert (t.order ** 9 - 1) // (t.order - 1) > census.EXHAUSTIVE_CAP
+    assert sum(s.count for s in census._torus_supports(t)) == reps
+    monkeypatch.setattr(census, "_torus_representatives",
+                        lambda tower, supports, chunk: iter(()))
+    assert rank_le2_census(t).total == 0

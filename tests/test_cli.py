@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sigmaconics.cli import main
+from sigmaconics.projective import ProjectiveSpace
 
 
 def run_cli(args, capsys):
@@ -183,3 +184,25 @@ def test_steiner_check_rejects_2x2(capsys):
                  "--matrix", "0", "1", "1", "0"])
     assert code == 2
     assert "steiner-check needs a rank-2 3x3 matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [["0"] * 4, ["0"] * 9])
+def test_classify_zero_form_exits_2(capsys, matrix):
+    code = main(["classify", "--p", "2", "--n", "3", "--matrix", *matrix])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert ("the zero form is absolute everywhere and is not classified"
+            in captured.err)
+    assert captured.out == ""
+
+
+def test_classify_line_taxonomy_escape_exits_3(capsys, monkeypatch):
+    # x0 x1^2 + x1 x0^2 vanishes on the F_2-subline {(1,0), (0,1), (1,1)};
+    # with the subline test failing, three points fit no line shape
+    monkeypatch.setattr(ProjectiveSpace, "is_fq_subline", lambda self, ids: False)
+    code, recs = run_cli(["classify", "--p", "2", "--n", "3",
+                          "--matrix", "0", "1", "1", "0"], capsys)
+    assert code == 3
+    rec = recs[1]
+    assert rec["kind"] is None and rec["absolute"] == 3
+    assert rec["violations"] == ["absolute set of size 3 escapes the line taxonomy"]
