@@ -6,29 +6,30 @@ Every sweep is a source of entry batches, (K, 9) for the plane or (K, 4)
 for the line, feeding shared batch verifiers:
 
 - sources: the scalar-class enumerator `_enumerate_scalar_classes`, the
-  torus-orbit representatives `_torus_representatives` of the rank <= 2
-  sweep, the counter-based rejection sampler `_sample_entries`, the outer
-  products of `rank1_census`, the radical-normal layouts of
+  torus-orbit representatives `_torus_representatives` of the exhaustive
+  3x3 sweeps, the counter-based rejection sampler `_sample_entries`, the
+  outer products of `rank1_census`, the radical-normal layouts of
   `rank2_normal_census` and the diagonal matrices;
 - verifiers: the menu check `_check_menu` on absolute counts, the rank-1
   line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
   C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check through
   `cfsets.steiner_locus`, the same construction as `steiner_generate`),
   and the PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and
-  the cone bases.  The rank verifiers take an int64 weight per row, the
-  number of matrices the row stands for (one unless given); histograms and
-  kind counts add the weights exactly.
+  the cone bases.  The menu check and the rank verifiers take an int64
+  weight per row, the number of matrices the row stands for (one unless
+  given); histograms and kind counts add the weights exactly.
 
-The rank <= 2 sweep verifies one representative per orbit of the torus
-congruence a_ij -> lam d_i a_ij d_j^sigma, a projectivity of the plane
-that keeps the rank, the absolute count and the kind.  On the matrices
-with support S (the positions of the nonzero entries, 511 in all) the
-torus acts in log coordinates mod Q-1 through an integer |S| x 4 matrix
-T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`, in-house) lists
-the orbits by a mixed-radix counter, and each orbit weighs N^(|S|-1) /
-prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is 391,543
-representatives for 19,173,961 scalar classes.  A violation names the
-failing representative.
+Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
+one representative per orbit of the torus congruence a_ij -> lam d_i a_ij
+d_j^sigma, a projectivity of the plane that keeps the rank, the absolute
+count and the kind; `_orbit_batches` is their one source and budget check.
+On the matrices with support S (the positions of the nonzero entries, 511
+in all) the torus acts in log coordinates mod Q-1 through an integer
+|S| x 4 matrix T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`,
+in-house) lists the orbits by a mixed-radix counter, and each orbit weighs
+N^(|S|-1) / prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is
+391,543 representatives for 19,173,961 nonzero scalar classes, at Q = 16
+20,363,925 for 4.58e9.  A violation names the failing representative.
 
 Form values outside the count kernel (the tangent test, the pencil blocks,
 the PG(1) forms) come from `forms.form_values`, the library's one
@@ -42,13 +43,6 @@ therefore reduce the absolute count of a matrix to three gathers, one
 addition and one comparison over the full point set (the third table is
 stored negated), which batches cleanly over millions of matrices.  Row
 vectors (a,b,c) are encoded as a*Q^2 + b*Q + c.
-
-The exhaustive GL sweep walks first rows and blocks of `_GL_BLOCK` second
-rows instead of entry batches.  Both sides of h0[r1] + h1[r2] == h2[r3]
-become one-hot bitsets over (point, value), so one block is counted
-against every third row at once by popcounts of ANDs; the block histogram,
-less the third rows in the span of (r1, r2), is checked by one lookup in
-the menu, and only a block that fails it lists its matrices.
 
 Random sampling uses a counter-based SplitMix64 stream so any run is
 reproducible from (seed, counter) alone.
@@ -71,9 +65,11 @@ from .forms import SesquiForm, form_values
 from .linalg import vcross, vdot, vranks
 from .projective import ProjectiveSpace, projective_space
 
-EXHAUSTIVE_CAP = 100_000_000  # matrices up to scalar
+EXHAUSTIVE_CAP = 100_000_000  # torus-orbit representatives per exhaustive 3x3 sweep
 _ENUM_CHUNK = 1 << 16  # rows (scalar classes or orbit representatives) per batch
-_GL_BLOCK = 64  # second rows per block of the exhaustive GL sweep
+# orbit representatives per batch of the GL sweep; at _ENUM_CHUNK its (K, N)
+# count masks raised the peak RSS of GL(3,8) from 36 to 58 MB
+_GL_CHUNK = 1 << 12
 _MENU_REASON = "cardinality outside the admissible menu"
 
 
@@ -158,7 +154,9 @@ class PlaneKernel:
         self.h = [t.vmul(c[None, :], g).astype(dtype)
                   for c in (pts[:, 0], pts[:, 1], t.vneg(pts[:, 2]))]
         del g
-        # scalar multiples of every row vector, as encodings
+        # scalar multiples of every row vector, as encodings; no sweep uses
+        # them or `renc_add`, but they are the per-class reference of the
+        # tests (rows off a span) and perfbench binds both
         lam = np.arange(Q, dtype=np.uint32)
         self.smul = (t.vmul(lam[:, None], digits[None, :, 0]).astype(np.int64) * Q * Q
                      + t.vmul(lam[:, None], digits[None, :, 1]).astype(np.int64) * Q
@@ -228,13 +226,9 @@ class CensusSummary:
         if len(counts):
             hist = np.zeros(int(counts.max()) + 1, dtype=np.int64)
             np.add.at(hist, counts, 1 if weights is None else weights)
-            self.add_histogram(hist)
-
-    def add_histogram(self, hist: np.ndarray):
-        """Merge hist[v], the number of matrices with absolute count v."""
-        for v in np.nonzero(hist)[0]:
-            self.histogram[int(v)] = self.histogram.get(int(v), 0) + int(hist[v])
-        self.total += int(hist.sum())
+            for v in np.nonzero(hist)[0]:
+                self.histogram[int(v)] = self.histogram.get(int(v), 0) + int(hist[v])
+            self.total += int(hist.sum())
 
     def bump(self, kind: str, k: int = 1):
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
@@ -257,10 +251,11 @@ def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
                     dtype=np.int64)
 
 
-def _check_menu(summary, counts, menu, reason, entries):
-    """Histogram `counts` and flag each count outside `menu` (None: no
-    check); `entries(bad)` gives the matrices of the rows in mask `bad`."""
-    summary.add_counts(counts)
+def _check_menu(summary, counts, menu, reason, entries, w=None):
+    """Histogram `counts` (row k standing for w[k] matrices, one without
+    weights) and flag each count outside `menu` (None: no check);
+    `entries(bad)` gives the matrices of the rows in mask `bad`."""
+    summary.add_counts(counts, w)
     if menu is None:
         return
     bad = ~np.isin(counts, menu)
@@ -269,9 +264,9 @@ def _check_menu(summary, counts, menu, reason, entries):
             summary.violations.append(_violation(row, reason))
 
 
-def _verify_menu_batch(kern, e, summary, menu, reason=_MENU_REASON):
+def _verify_menu_batch(kern, e, summary, menu, reason=_MENU_REASON, w=None):
     _check_menu(summary, kern.counts(*kern.row_encode(e)), menu, reason,
-                lambda bad: e[bad])
+                lambda bad: e[bad], w)
 
 
 # -- sources -----------------------------------------------------------------------
@@ -420,73 +415,39 @@ def _join(pieces: list) -> tuple:
             np.concatenate([w for _, w in pieces]))
 
 
+def _orbit_batches(tower: FieldTower, what: str, chunk: int):
+    """The source of both exhaustive 3x3 sweeps: (e, w) batches of the
+    torus-orbit representatives of every nonzero matrix and their weights.
+    The budget is checked on the number of representatives when this is
+    called, before anything is allocated.  The callers rank a batch after
+    the loop has dropped the previous one, which keeps the peak RSS down."""
+    supports = _torus_supports(tower)
+    _check_exhaustive_cap(sum(sup.count for sup in supports), what)
+    return _torus_representatives(tower, supports, chunk)
+
+
 # -- invertible censuses -------------------------------------------------------
 
 def exhaustive_invertible_census(tower: FieldTower,
                                  check_allowed: bool = True) -> CensusSummary:
     """Absolute-count histogram over all invertible matrices up to scalars.
 
-    Enumerates (projective first row, independent second row, third row off
-    the span); every scalar class of GL(3, q^n) appears exactly once.  A
-    block of second rows is counted against every third row at once: point
-    P is absolute when h0[r1, P] + h1[r2, P] == h2[r3, P] (h2 is negated),
-    so with both sides one-hot encoded as bit P*Q + value, the count is the
-    popcount of the AND of two bitsets.  Third rows in the span of (r1, r2)
-    are counted too and then subtracted from the block's histogram.
+    Like the rank <= 2 sweep, this verifies one representative per orbit of
+    the torus congruence a_ij -> lam d_i a_ij d_j^sigma (`_orbit_batches`),
+    keeps the representatives of rank 3, counts their absolute points
+    through the row tables and adds each representative's weight, the
+    number of scalar classes in its orbit, to the histogram; every scalar
+    class of GL(3, q^n) is counted exactly once.  A violation names the
+    failing representative.  The budget counts representatives.
     """
-    space = projective_space(tower, 2)
-    Q = tower.order
-    _check_exhaustive_cap((Q ** 9 - 1) // (Q - 1), "exhaustive census")
-    kern = plane_kernel(space)
+    batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
+    kern = plane_kernel(projective_space(tower, 2))
     menu = _admissible(tower, False) if check_allowed else None
     summary = _summary(tower, "exhaustive-gl")
-    n_pts = space.n_points
-    words = -(-n_pts * Q // 64)
-    third = np.ascontiguousarray(_onehot_bits(kern.h[2], Q, words).T)
-    admissible = (np.ones(n_pts + 1, dtype=bool) if menu is None
-                  else np.isin(np.arange(n_pts + 1), menu))
-    hist = np.zeros(n_pts + 1, dtype=np.int64)
-    proj_rows = space.points.astype(np.int64) @ np.array([Q * Q, Q, 1])
-    all_rows = np.arange(Q ** 3, dtype=np.int64)
-    for r1 in proj_rows:
-        ok2 = np.ones(Q ** 3, dtype=bool)
-        ok2[kern.smul[:, r1]] = False
-        second = all_rows[ok2]
-        for start in range(0, len(second), _GL_BLOCK):
-            r2s = second[start:start + _GL_BLOCK]
-            first = _onehot_bits(tower.vadd(kern.h[0][r1], kern.h[1][r2s]), Q, words)
-            counts = np.zeros((len(r2s), Q ** 3), dtype=np.uint16)
-            for w in range(words):
-                counts += np.bitwise_count(first[:, w, None] & third[w])
-            span = kern.renc_add(kern.smul[:, r1][None, :, None],
-                                 kern.smul[:, r2s].T[:, None, :]).reshape(len(r2s), -1)
-            block = (np.bincount(counts.ravel(), minlength=n_pts + 1)
-                     - np.bincount(np.take_along_axis(counts, span, axis=1).ravel(),
-                                   minlength=n_pts + 1))
-            hist += block
-            if block[~admissible].any():
-                bad = ~admissible[counts]
-                np.put_along_axis(bad, span, False, axis=1)
-                for b, r3 in zip(*np.nonzero(bad)):
-                    summary.violations.append(_violation(
-                        _rows_to_entries(Q, r1, r2s[b], r3), _MENU_REASON))
-    summary.add_histogram(hist)
+    for e, w in batches:
+        inv = vranks(tower, e.reshape(-1, 3, 3)) == 3
+        _verify_menu_batch(kern, e[inv], summary, menu, w=w[inv])
     return summary
-
-
-def _onehot_bits(values: np.ndarray, Q: int, words: int) -> np.ndarray:
-    """(K, N) field values as (K, words) uint64 bitsets, bit P*Q + value."""
-    k, n = values.shape
-    bits = np.zeros((k, words * 64), dtype=bool)
-    bits[np.arange(k)[:, None], np.arange(n) * Q + values] = True
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-
-
-def _rows_to_entries(Q: int, r1: int, r2: int, r3: int) -> list:
-    out = []
-    for r in (r1, r2, r3):
-        out.extend([(r // (Q * Q)) % Q, (r // Q) % Q, r % Q])
-    return out
 
 
 def diagonal_census(tower: FieldTower) -> CensusSummary:
@@ -517,16 +478,15 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
     The congruence a_ij -> lam d_i a_ij d_j^sigma is a projectivity of the
     plane, so the rank, the absolute count and the kind are constant on its
     orbits.  The sweep therefore verifies one representative per orbit
-    (`_torus_representatives`, support by support) and adds its weight, the
+    (`_orbit_batches`, support by support) and adds its weight, the
     number of scalar classes in the orbit, to the histogram and the kind
     counts; these equal those of the full scalar-class sweep.  A violation
     names the failing representative.  The budget counts representatives.
     """
+    batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)
     space = projective_space(tower, 2)
-    supports = _torus_supports(tower)
-    _check_exhaustive_cap(sum(sup.count for sup in supports), "rank<=2 sweep")
     summary = _summary(tower, "exhaustive-rank-le2")
-    for e, w in _torus_representatives(tower, supports, _ENUM_CHUNK):
+    for e, w in batches:
         ranks = vranks(tower, e.reshape(-1, 3, 3))
         one, two = ranks == 1, ranks == 2
         _verify_rank1_batch(tower, space, e[one], summary, w[one])

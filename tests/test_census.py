@@ -57,9 +57,10 @@ def test_exhaustive_gl_census_pg2_4():
 
 
 def _gl_menu_violations(t, menu):
-    """The GL sweep's violations, walked one (r1, r2, r3) class at a time:
-    first rows in point order, then every second row off the span of r1,
-    then every third row off the span of (r1, r2), each ascending."""
+    """The invertible scalar classes whose count is outside `menu`, walked
+    one (r1, r2, r3) class at a time: first rows in point order, then every
+    second row off the span of r1, then every third row off the span of
+    (r1, r2), each ascending."""
     sp = projective_space(t, 2)
     kern = plane_kernel(sp)
     Q = t.order
@@ -79,17 +80,60 @@ def _gl_menu_violations(t, menu):
     return out
 
 
+def _orbit_class_codes(t, matrices):
+    """For each matrix, the scalar classes in its torus orbit, computed by
+    field arithmetic as lam d_i a_ij d_j^sigma over every (lam, d) in
+    (F*)^4: an (M, (Q-1)^4) array of the base-Q codes of the orbit members
+    with leading entry 1, and -1 for the other members."""
+    units = np.arange(1, t.order, dtype=np.uint32)
+    g = np.stack(np.meshgrid(*[units] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    lam, d = g[:, 0], g[:, 1:]
+    a = np.array(matrices, dtype=np.uint32).reshape(-1, 1, 3, 3)
+    orbit = t.vmul(lam[None, :, None, None],
+                   t.vmul(t.vmul(d[None, :, :, None], a),
+                          t.vsigma(d)[None, :, None, :])).reshape(len(a), len(g), 9)
+    lead = np.take_along_axis(orbit, (orbit != 0).argmax(axis=2)[..., None], axis=2)
+    codes = orbit.astype(np.int64) @ (t.order ** np.arange(8, -1, -1, dtype=np.int64))
+    return np.where(lead[..., 0] == 1, codes, -1)
+
+
 @pytest.mark.parametrize("tower, menu", [(T4, [5, 7, 9]),
                                          (build_field(3, 1, 1, 1), [1, 7])],
                          ids=["T4", "T3"])
 def test_exhaustive_gl_violation_order(tower, menu, monkeypatch):
+    """The sweep reports one representative per violating torus orbit: the
+    orbits of the reported matrices are disjoint and their scalar classes
+    are exactly the violating classes of the per-class walk."""
     monkeypatch.setattr(census, "_admissible",
                         lambda t, diagonal: np.array(menu, dtype=np.int64))
     s = exhaustive_invertible_census(tower)
     expect = _gl_menu_violations(tower, menu)
     assert 0 < len(expect) < s.total
-    assert [v["matrix"] for v in s.violations] == expect
     assert {v["reason"] for v in s.violations} == {census._MENU_REASON}
+    codes = _orbit_class_codes(tower, [v["matrix"] for v in s.violations])
+    per_orbit = [np.unique(row[row >= 0]) for row in codes]
+    union = np.unique(np.concatenate(per_orbit))
+    assert len(union) == sum(len(c) for c in per_orbit)      # disjoint
+    Q = tower.order
+    assert np.array_equal(union, np.unique(np.array(expect, dtype=np.int64)
+                                           @ (Q ** np.arange(8, -1, -1))))
+
+
+@pytest.mark.parametrize("params, reps, within",
+                         [((2, 1, 4, 1), 20_363_925, True),
+                          ((5, 1, 2, 1), None, False),
+                          ((3, 1, 3, 1), None, False)],
+                         ids=["Q16", "Q25", "Q27"])
+def test_orbit_batches_cap(params, reps, within):
+    """Both exhaustive 3x3 sweeps check one budget on the representatives
+    when their source is made, before a batch is produced."""
+    t = build_field(*params)
+    if within:
+        census._orbit_batches(t, "probe", 1)
+        assert sum(s.count for s in census._torus_supports(t)) == reps
+    else:
+        with pytest.raises(CapExceeded, match="probe beyond the matrix budget"):
+            census._orbit_batches(t, "probe", 1)
 
 
 def test_diagonal_census_pg2_4():
@@ -193,13 +237,34 @@ def _unreduced_rank_le2(t):
     return summary
 
 
-@pytest.mark.parametrize("params", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1),
-                                    (2, 2, 1, 1), (5, 1, 1, 1)],
-                         ids=["Q2", "Q3", "Q4-q2", "Q4-q4", "Q5"])
-def test_rank_le2_reduced_matches_unreduced(params):
+def _unreduced_gl(t):
+    """The GL sweep over every scalar class, with unit weights."""
+    kern = plane_kernel(projective_space(t, 2))
+    summary = census._summary(t, "exhaustive-gl")
+    menu = census._admissible(t, False)
+    for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
+        census._verify_menu_batch(kern, e[vranks(t, e.reshape(-1, 3, 3)) == 3],
+                                  summary, menu)
+    return summary
+
+
+_SMALL_FIELDS = {"Q2": (2, 1, 1, 1), "Q3": (3, 1, 1, 1), "Q4-q2": (2, 1, 2, 1),
+                 "Q4-q4": (2, 2, 1, 1), "Q5": (5, 1, 1, 1)}
+_SWEEPS = {"": (rank_le2_census, _unreduced_rank_le2),
+           "-gl": (exhaustive_invertible_census, _unreduced_gl)}
+
+
+@pytest.mark.parametrize("params, sweep",
+                         [(p, sw) for sw in _SWEEPS.values()
+                          for p in _SMALL_FIELDS.values()],
+                         ids=[f + s for s in _SWEEPS for f in _SMALL_FIELDS])
+def test_rank_le2_reduced_matches_unreduced(params, sweep):
+    """Both torus-reduced sweeps (the rank <= 2 cases keep their plain ids)
+    reproduce the summary of their sweep over every scalar class."""
+    reduced_sweep, unreduced_sweep = sweep
     t = build_field(*params)
-    reduced = _summary_record(rank_le2_census(t))
-    assert reduced == _summary_record(_unreduced_rank_le2(t))
+    reduced = _summary_record(reduced_sweep(t))
+    assert reduced == _summary_record(unreduced_sweep(t))
     assert reduced["violations"] == 0
 
 
