@@ -37,12 +37,25 @@ vectorised x^T A y^sigma.  Ranks come from `linalg.vranks` on the entries
 reshaped to (K, 3, 3), radicals from `linalg.vcross`.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
-is linear in the entries of A, and splits over the rows of A as
-sum_i P_i * (row_i . P^sigma).  Tables indexed by (row encoding, point)
-therefore reduce the absolute count of a matrix to three gathers, one
-addition and one comparison over the full point set (the third table is
-stored negated), which batches cleanly over millions of matrices.  Row
-vectors (a,b,c) are encoded as a*Q^2 + b*Q + c.
+is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
+count kernel `PlaneKernel` splits the nine entries into g groups, each a
+set of entries of one row i, and tabulates per group G the value
+P_i * sum_{j in G} a_ij P_j^sigma for every combination of the group's
+entries and every point P.  The absolute mask of a matrix is then g row
+gathers, g - 1 additions and one zero test over the full point set, which
+batches cleanly over millions of matrices.  The grouping is the coarsest
+whose tables fit KERNEL_BUDGET (64 MiB), checked before any table is built:
+rows (3 tables of Q^3 x N; Q = 8, 9, 16, 25), half-rows ((a_i0, a_i1) in a
+Q^2 x N table and a_i2 in a Q x N one, 6 tables; Q = 27, 32, 49, 64) or
+single entries (9 tables of Q x N; Q = 81, 121, 125, 128).  The largest
+plane within the budget is PG(2,151); past it the census raises
+CapExceeded.  In characteristic 2 the additions are XOR.  For odd p they
+are reduced lazily, as in the delayed modular reduction of Dumas, Giorgi
+and Pernet (FFLAS-FFPACK, ACM TOMS 2008): each value is stored as its F_p
+digits in base B = g(p-1)+1, so g values add as plain integers with no
+carry between digits, and one lookup in a B^d zero table (d the degree
+over F_p) tests the sum.  Under the rows grouping the group index of
+(a,b,c) is the row encoding a*Q^2 + b*Q + c.
 
 Random sampling uses a counter-based SplitMix64 stream so any run is
 reproducible from (seed, counter) alone.
@@ -50,6 +63,7 @@ reproducible from (seed, counter) alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,8 +75,8 @@ from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
                        line_spectrum, lines_points_array)
 from .cfsets import steiner_locus, steiner_matches_form
 from .fields import FieldTower
-from .forms import SesquiForm, form_values
-from .linalg import vcross, vdot, vranks
+from .forms import SesquiForm, absolute_mask, form_values
+from .linalg import vcross, vranks
 from .projective import ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # torus-orbit representatives per exhaustive 3x3 sweep
@@ -70,6 +84,7 @@ _ENUM_CHUNK = 1 << 16  # rows (scalar classes or orbit representatives) per batc
 # orbit representatives per batch of the GL sweep; at _ENUM_CHUNK its (K, N)
 # count masks raised the peak RSS of GL(3,8) from 36 to 58 MB
 _GL_CHUNK = 1 << 12
+_KERNEL_CELLS = 1 << 22  # (matrix, point) cells per batch of a sampled census
 _MENU_REASON = "cardinality outside the admissible menu"
 
 
@@ -130,8 +145,45 @@ def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> np.ndarra
 
 # -- the batched absolute-count kernel ----------------------------------------
 
+KERNEL_BUDGET = 64 << 20  # bytes of count-kernel tables, checked before any is built
+# the groupings of each row's columns, coarsest first: rows, half-rows and
+# single entries
+_GROUPINGS = (((0, 1, 2),), ((0, 1), (2,)), ((0,), (1,), (2,)))
+
+
+def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
+    """(grouping, base, dtype) of the coarsest grouping whose tables fit
+    KERNEL_BUDGET.  For p = 2 the tables hold field encodings (base None);
+    for odd p they hold each value's F_p digits in base g(p-1)+1, g the
+    number of groups, and the base^d zero table counts too.  Raises
+    CapExceeded, before anything is allocated, when even single entries do
+    not fit."""
+    t, Q = tower, tower.order
+    for grouping in _GROUPINGS:
+        if t.p == 2:
+            base, dtype, zero_bytes = None, np.min_scalar_type(Q - 1), 0
+        else:
+            base = 3 * len(grouping) * (t.p - 1) + 1
+            zero_bytes = base ** t.degree
+            dtype = np.min_scalar_type(zero_bytes - 1)
+        need = (3 * sum(Q ** len(c) for c in grouping) * n_points * dtype.itemsize
+                + zero_bytes)
+        if need <= KERNEL_BUDGET:
+            return grouping, base, dtype
+    raise CapExceeded(f"count-kernel tables for PG(2,{Q}) need {need / 2**20:.0f} "
+                      f"MiB even as single entries, beyond the "
+                      f"{KERNEL_BUDGET >> 20} MiB kernel budget")
+
+
 class PlaneKernel:
-    """Per-plane tables mapping row encodings to their point functionals."""
+    """Grouped coefficient tables for the absolute counts of 3x3 forms.
+
+    A group is a tuple of columns j of one row i of A; its table is
+    h[G][idx, P] = P_i * sum_{j in G} a_ij P_j^sigma, idx the base-Q code
+    of the group's entries (first entry most significant).  The point P is
+    absolute for A exactly when the g group values sum to zero.  The groups
+    run row by row; under the rows grouping the group indices are the row
+    encodings a*Q^2 + b*Q + c."""
 
     def __init__(self, space: ProjectiveSpace):
         t = space.tower
@@ -139,35 +191,64 @@ class PlaneKernel:
         self.space = space
         self.tower = t
         self.Q = Q
-        n_rows = Q ** 3
-        if n_rows * space.n_points > 200_000_000:
-            raise CapExceeded("row-functional tables would be too large")
-        renc = np.arange(n_rows, dtype=np.int64)
-        digits = np.stack([renc // (Q * Q), (renc // Q) % Q, renc % Q],
-                          axis=1).astype(np.uint32)
-        dtype = np.uint8 if Q <= 256 else np.uint32
-        # g[r, P] = row r . P^sigma; h[i][r, P] = P_i g[r, P], except that
-        # h[2] carries -P_2, so P is absolute for rows (r1, r2, r3) exactly
-        # when h[0][r1, P] + h[1][r2, P] == h[2][r3, P]
-        g = vdot(t, digits[:, None, :], t.vsigma(space.points)[None, :, :])
-        pts = space.points
-        self.h = [t.vmul(c[None, :], g).astype(dtype)
-                  for c in (pts[:, 0], pts[:, 1], t.vneg(pts[:, 2]))]
-        del g
-        # scalar multiples of every row vector, as encodings; no sweep uses
-        # them or `renc_add`, but they are the per-class reference of the
-        # tests (rows off a span) and perfbench binds both
-        lam = np.arange(Q, dtype=np.uint32)
-        self.smul = (t.vmul(lam[:, None], digits[None, :, 0]).astype(np.int64) * Q * Q
-                     + t.vmul(lam[:, None], digits[None, :, 1]).astype(np.int64) * Q
-                     + t.vmul(lam[:, None], digits[None, :, 2]).astype(np.int64))
+        self.grouping, base, dtype = _kernel_plan(t, space.n_points)
+        pts, n_points = space.points, space.n_points
+        if t.p == 2:
+            encode, red = (lambda v: v.astype(dtype)), None
+        else:
+            # value x -> its F_p digits in base `base`; red maps a vector of
+            # base-`base` digits below `base` to the same digits mod p
+            lazy = (t._digits.astype(np.int64) @ base ** np.arange(t.degree)
+                    ).astype(dtype)
+            encode = lazy.__getitem__
+            sums = np.arange(base ** t.degree, dtype=np.int64)
+            red = np.zeros(len(sums), dtype=dtype)
+            for k in range(t.degree):
+                red += (sums // base ** k % base % t.p * base ** k).astype(dtype)
+        # a group's table sums its columns' (Q, N) tables of a * P_i P_j^sigma
+        # over every combination of entries; for odd p the sum is plain
+        # integer addition of digit vectors and one `red` lookup reduces it
+        units = np.arange(Q, dtype=np.uint32)[:, None]
+        ps = t.vsigma(pts)
+        self.h = []
+        for i in range(3):
+            for cols in self.grouping:
+                tbl, *rest = [encode(t.vmul(units, t.vmul(pts[:, i], ps[:, j])[None]))
+                              for j in cols]
+                for m in rest:
+                    tbl = (tbl[:, None] ^ m[None] if red is None
+                           else tbl[:, None] + m[None]).reshape(-1, n_points)
+                self.h.append(red[tbl] if rest and red is not None else tbl)
+        # a point is absolute when the sum of the g values is zero; for odd p
+        # that sum has every digit below `base`, no carries, so red reduces it
+        self._zero = None if red is None else red == 0
+
+    @functools.cached_property
+    def smul(self) -> np.ndarray:
+        """(Q, Q^3) scalar multiples of every row vector, as row encodings.
+        No sweep uses them or `renc_add`; they are the per-class reference
+        of the tests (rows off a span), built on first use."""
+        t, Q = self.tower, self.Q
+        renc = np.arange(Q ** 3, dtype=np.int64)
+        lam = np.arange(Q, dtype=np.uint32)[:, None]
+        out = np.zeros((Q, Q ** 3), dtype=np.int64)
+        for shift in (Q * Q, Q, 1):
+            out += t.vmul(lam, (renc // shift % Q).astype(np.uint32)[None]
+                          ).astype(np.int64) * shift
+        return out
 
     def row_encode(self, entries: np.ndarray) -> tuple:
-        """Row encodings (r1, r2, r3) for (K, 9) matrix entry arrays."""
+        """Group indices for (K, 9) matrix entry arrays, group by group; the
+        row encodings (r1, r2, r3) under the rows grouping."""
         e = entries.astype(np.int64)
-        Q = self.Q
-        return tuple(e[:, 3 * i] * Q * Q + e[:, 3 * i + 1] * Q + e[:, 3 * i + 2]
-                     for i in range(3))
+        out = []
+        for i in range(3):
+            for cols in self.grouping:
+                idx = e[:, 3 * i + cols[0]]
+                for j in cols[1:]:
+                    idx = idx * self.Q + e[:, 3 * i + j]
+                out.append(idx)
+        return tuple(out)
 
     def renc_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinate-wise field addition of row encodings."""
@@ -181,17 +262,37 @@ class PlaneKernel:
             out += t.vadd(da, db).astype(np.int64) * shift
         return out
 
-    def masks(self, r1, r2, r3) -> np.ndarray:
-        return self.tower.vadd(self.h[0][r1], self.h[1][r2]) == self.h[2][r3]
+    def masks(self, *idx) -> np.ndarray:
+        """Absolute-point masks, (K, N), from the g group indices of K
+        matrices (they broadcast)."""
+        idx = np.broadcast_arrays(*idx)
+        vals = (tbl[i] for tbl, i in zip(self.h, idx))
+        if self._zero is None:
+            # characteristic 2: the adds are XOR, and the sum is zero when
+            # the last value equals the sum of the others
+            acc = np.bitwise_xor(next(vals), next(vals))
+            for _ in range(len(self.h) - 3):
+                acc ^= next(vals)
+            return acc == next(vals)
+        acc = np.add(next(vals), next(vals))
+        for v in vals:
+            acc += v
+        return self._zero[acc]
 
-    def counts(self, r1, r2, r3) -> np.ndarray:
-        return self.masks(r1, r2, r3).sum(axis=1)
+    def counts(self, *idx) -> np.ndarray:
+        return np.count_nonzero(self.masks(*idx), axis=1)
 
 
 def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
     if space._kernel is None:
         space._kernel = PlaneKernel(space)
     return space._kernel
+
+
+def _kernel_rows(space: ProjectiveSpace) -> int:
+    """Matrices per batch of a sampled census: 4096, fewer where their
+    (K, N) count masks would pass 2^22 cells."""
+    return max(1, min(4096, _KERNEL_CELLS // space.n_points))
 
 
 # -- vectorised helpers on entry columns -------------------------------------
@@ -218,6 +319,10 @@ class CensusSummary:
     total: int = 0
     violations: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    # every violation found; `violations` keeps the first `max_violations`
+    # of them (all without a bound)
+    violation_count: int = 0
+    max_violations: int | None = None
 
     def add_counts(self, counts: np.ndarray, weights: np.ndarray | None = None):
         """Histogram absolute counts; count k stands for weights[k] matrices
@@ -233,13 +338,21 @@ class CensusSummary:
     def bump(self, kind: str, k: int = 1):
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
 
+    def flag(self, matrices, reason: str):
+        """Count one violation per matrix (a sequence of entry rows) and keep
+        as many as the bound leaves room for."""
+        self.violation_count += len(matrices)
+        room = len(matrices)
+        if self.max_violations is not None:
+            room = min(room, max(0, self.max_violations - len(self.violations)))
+        self.violations.extend({"matrix": [int(x) for x in m], "reason": reason}
+                               for m in matrices[:room])
 
-def _summary(t: FieldTower, mode: str) -> CensusSummary:
-    return CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode=mode)
 
-
-def _violation(matrix_entries, reason: str) -> dict:
-    return {"matrix": [int(x) for x in matrix_entries], "reason": reason}
+def _summary(t: FieldTower, mode: str,
+             max_violations: int | None = None) -> CensusSummary:
+    return CensusSummary(field_params=(t.p, t.e, t.n, t.m), mode=mode,
+                         max_violations=max_violations)
 
 
 def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
@@ -260,8 +373,7 @@ def _check_menu(summary, counts, menu, reason, entries, w=None):
         return
     bad = ~np.isin(counts, menu)
     if bad.any():
-        for row in entries(bad):
-            summary.violations.append(_violation(row, reason))
+        summary.flag(entries(bad), reason)
 
 
 def _verify_menu_batch(kern, e, summary, menu, reason=_MENU_REASON, w=None):
@@ -428,32 +540,34 @@ def _orbit_batches(tower: FieldTower, what: str, chunk: int):
 
 # -- invertible censuses -------------------------------------------------------
 
-def exhaustive_invertible_census(tower: FieldTower,
-                                 check_allowed: bool = True) -> CensusSummary:
+def exhaustive_invertible_census(tower: FieldTower, check_allowed: bool = True,
+                                 max_violations: int | None = None) -> CensusSummary:
     """Absolute-count histogram over all invertible matrices up to scalars.
 
     Like the rank <= 2 sweep, this verifies one representative per orbit of
     the torus congruence a_ij -> lam d_i a_ij d_j^sigma (`_orbit_batches`),
     keeps the representatives of rank 3, counts their absolute points
-    through the row tables and adds each representative's weight, the
+    through the count kernel and adds each representative's weight, the
     number of scalar classes in its orbit, to the histogram; every scalar
     class of GL(3, q^n) is counted exactly once.  A violation names the
-    failing representative.  The budget counts representatives.
+    failing representative.  The budget counts representatives;
+    `max_violations` bounds the violations kept, not those counted.
     """
     batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
     kern = plane_kernel(projective_space(tower, 2))
     menu = _admissible(tower, False) if check_allowed else None
-    summary = _summary(tower, "exhaustive-gl")
+    summary = _summary(tower, "exhaustive-gl", max_violations)
     for e, w in batches:
         inv = vranks(tower, e.reshape(-1, 3, 3)) == 3
         _verify_menu_batch(kern, e[inv], summary, menu, w=w[inv])
     return summary
 
 
-def diagonal_census(tower: FieldTower) -> CensusSummary:
+def diagonal_census(tower: FieldTower,
+                    max_violations: int | None = None) -> CensusSummary:
     """Absolute counts over invertible diagonal matrices up to scalars."""
     Q = tower.order
-    summary = _summary(tower, "diagonal")
+    summary = _summary(tower, "diagonal", max_violations)
     units = np.arange(1, Q, dtype=np.uint32)
     e = np.zeros(((Q - 1) ** 2, 9), dtype=np.uint32)
     e[:, 0] = 1
@@ -467,7 +581,8 @@ def diagonal_census(tower: FieldTower) -> CensusSummary:
 
 # -- rank <= 2 censuses ------------------------------------------------------------
 
-def rank_le2_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
+def rank_le2_census(tower: FieldTower, steiner: bool = True,
+                    max_violations: int | None = None) -> CensusSummary:
     """Exhaustive classification of every rank <= 2 matrix up to scalars.
 
     Verifies, per matrix: the union-of-lines shape for rank 1; for rank 2,
@@ -481,11 +596,12 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
     (`_orbit_batches`, support by support) and adds its weight, the
     number of scalar classes in the orbit, to the histogram and the kind
     counts; these equal those of the full scalar-class sweep.  A violation
-    names the failing representative.  The budget counts representatives.
+    names the failing representative.  The budget counts representatives;
+    `max_violations` bounds the violations kept, not those counted.
     """
     batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)
     space = projective_space(tower, 2)
-    summary = _summary(tower, "exhaustive-rank-le2")
+    summary = _summary(tower, "exhaustive-rank-le2", max_violations)
     for e, w in batches:
         ranks = vranks(tower, e.reshape(-1, 3, 3))
         one, two = ranks == 1, ranks == 2
@@ -518,10 +634,7 @@ def _verify_rank1_batch(tower, space, e, summary, w=None):
     summary.add_counts(mask.sum(axis=1), w)
     summary.bump(KIND_TWO_LINES, int(w.sum()))
     summary.bump("two_lines_coincident", int(w[left_idx == right_idx].sum()))
-    for bad in np.nonzero(~ok)[0]:
-        summary.violations.append(_violation(e[bad],
-                                             "rank-1 set is not the union of "
-                                             "its radical lines"))
+    summary.flag(e[~ok], "rank-1 set is not the union of its radical lines")
 
 
 _STD = np.eye(3, dtype=np.uint32)
@@ -585,14 +698,10 @@ def _verify_cone_batch(tower, e, vert, counts, w, summary):
     base_counts, subline = _line_form_counts(tower, blocks)
     ok_size = counts == 1 + base_counts.astype(np.int64) * Q
     ok_base = np.isin(base_counts, [0, 1, 2, q + 1])
-    for bad in np.nonzero(~(ok_size & ok_base))[0]:
-        summary.violations.append(_violation(e[bad],
-                                             "cone cardinality does not match "
-                                             "its base shape"))
+    summary.flag(e[~(ok_size & ok_base)],
+                 "cone cardinality does not match its base shape")
     full_base = base_counts == q + 1
-    for bad in np.nonzero(full_base & ~subline)[0]:
-        summary.violations.append(_violation(e[bad], "cone base of size q+1 "
-                                                     "is not a subline"))
+    summary.flag(e[full_base & ~subline], "cone base of size q+1 is not a subline")
     summary.bump("cone_base_subline", int(w[full_base].sum()))
 
 
@@ -606,10 +715,8 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary, steine
     summary.bump(KIND_DEGENERATE_CF, int(w[deg].sum()))
     summary.bump(KIND_CF, int(w[~deg].sum()))
     expect = np.where(deg, 2 * Q + 1, Q + 1)
-    for bad in np.nonzero(counts != expect)[0]:
-        summary.violations.append(_violation(e[bad],
-                                             "cf cardinality does not match "
-                                             "the tangent-line split"))
+    summary.flag(e[counts != expect],
+                 "cf cardinality does not match the tangent-line split")
     if not steiner:
         return
     # the midpoint column and the pencil block in normal coordinates, as in
@@ -639,10 +746,7 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary, steine
     ok &= totals == counts
     ok &= has_line == deg
     summary.bump("steiner_checked", int(w.sum()))
-    for bad in np.nonzero(~ok)[0]:
-        summary.violations.append(_violation(e[bad],
-                                             "steiner locus differs from the "
-                                             "absolute set"))
+    summary.flag(e[~ok], "steiner locus differs from the absolute set")
 
 
 def line_census(tower: FieldTower) -> CensusSummary:
@@ -659,10 +763,8 @@ def line_census(tower: FieldTower) -> CensusSummary:
                     lambda bad: blk[bad])
         if subline.any():
             summary.bump("subline_verified", int(subline.sum()))
-        for bad in np.nonzero((counts == t.q + 1) & ~subline)[0]:
-            summary.violations.append(_violation(blk[bad],
-                                                 "q+1 absolute points do "
-                                                 "not form a subline"))
+        summary.flag(blk[(counts == t.q + 1) & ~subline],
+                     "q+1 absolute points do not form a subline")
     return summary
 
 
@@ -713,9 +815,9 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int,
     t = tower
     summary = _summary(t, f"rank2-random(seed={seed}, count={count})")
     entries = _sample_entries(t, count, seed, lambda e: vranks(t, e.reshape(-1, 3, 3)) == 2)
-    for start in range(0, len(entries), 1 << 15):
-        _verify_rank2_batch(t, space, entries[start:start + (1 << 15)],
-                            summary, steiner)
+    rows = _kernel_rows(space)
+    for start in range(0, len(entries), rows):
+        _verify_rank2_batch(t, space, entries[start:start + rows], summary, steiner)
     return summary
 
 
@@ -725,12 +827,15 @@ def random_census(tower: FieldTower, count: int, seed: int,
                   invertible_only: bool = True,
                   collect_records: bool = False,
                   record_limit: int | None = None,
-                  steiner: bool = False) -> CensusSummary:
+                  steiner: bool = False,
+                  max_violations: int | None = None) -> CensusSummary:
     """Sampled census.  The light mode only histograms absolute counts; with
-    `collect_records` every sampled matrix is fully classified and profiled."""
+    `collect_records` every sampled matrix is fully classified and profiled.
+    `max_violations` bounds the violations kept, not those counted."""
     space = projective_space(tower, 2)
     kern = plane_kernel(space)
-    summary = _summary(tower, f"random(seed={seed}, count={count})")
+    summary = _summary(tower, f"random(seed={seed}, count={count})",
+                       max_violations)
     if invertible_only:
         entries = _sample_entries(tower, count, seed,
                                   lambda e: vranks(tower, e.reshape(-1, 3, 3)) == 3)
@@ -738,8 +843,9 @@ def random_census(tower: FieldTower, count: int, seed: int,
     else:
         entries = _sample_entries(tower, count, seed, lambda e: e.any(axis=1))
         menu = None
-    for start in range(0, len(entries), 4096):
-        _verify_menu_batch(kern, entries[start:start + 4096], summary, menu)
+    rows = _kernel_rows(space)
+    for start in range(0, len(entries), rows):
+        _verify_menu_batch(kern, entries[start:start + rows], summary, menu)
     if collect_records:
         limit = len(entries) if record_limit is None else min(record_limit,
                                                               len(entries))
@@ -749,7 +855,7 @@ def random_census(tower: FieldTower, count: int, seed: int,
         for rec in summary.records:
             summary.bump(rec["kind"])
             for v in rec["violations"]:
-                summary.violations.append({"matrix": rec["matrix"], "reason": v})
+                summary.flag([rec["matrix"]], v)
     return summary
 
 
@@ -764,7 +870,8 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
     space = space or form.space()
     t = form.tower
     Q = t.order
-    cls = classify_plane_form(form, space)
+    mask = absolute_mask(form, space)
+    cls = classify_plane_form(form, space, mask)
     rec = {
         "matrix": [x for row in form.matrix for x in row],
         "rank": cls.rank,
@@ -779,7 +886,7 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
     }
     violations = []
     if spectrum:
-        spec = line_spectrum(cls.point_ids, space)
+        spec = line_spectrum(mask, space)
         vals, freq = np.unique(spec, return_counts=True)
         rec["spectrum"] = {int(v): int(f) for v, f in zip(vals, freq)}
         legal = {0, 1, 2, t.q + 1, Q + 1}
@@ -789,7 +896,7 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         if Q + 1 in rec["spectrum"] and cls.rank == 3:
             violations.append("an invertible form may not contain a line")
     if cls.rank == 3 and t.n > 1:
-        prof = kestenband_profile(form, space)
+        prof = kestenband_profile(form, space, mask, cls.rank)
         rec.update(family=prof.family, epsilon=prof.epsilon,
                    fixed_in=prof.fixed_in, fixed_out=prof.fixed_out)
         violations.extend(prof.violations)

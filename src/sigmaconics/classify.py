@@ -97,14 +97,17 @@ def _radical_line(t: FieldTower, basis) -> tuple:
     return normalize(t, cross3(t, basis[0], basis[1]))
 
 
-def classify_plane_form(form: SesquiForm,
-                        space: ProjectiveSpace | None = None) -> PlaneClassification:
+def classify_plane_form(form: SesquiForm, space: ProjectiveSpace | None = None,
+                        mask: np.ndarray | None = None) -> PlaneClassification:
+    """Kind, rank and absolute points of a 3x3 form; `mask` is its
+    absolute mask when the caller already has it."""
     if form.d != 2:
         raise ValueError("expected a form on the projective plane")
     space = space or form.space()
     t = form.tower
     rad = radicals(form)
-    mask = absolute_mask(form, space)
+    if mask is None:
+        mask = absolute_mask(form, space)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
     count = len(ids)
 
@@ -236,18 +239,22 @@ def is_diagonal(matrix) -> bool:
                for j in range(len(matrix)) if i != j)
 
 
-def kestenband_profile(form: SesquiForm,
-                       space: ProjectiveSpace | None = None) -> KestenbandProfile:
+def kestenband_profile(form: SesquiForm, space: ProjectiveSpace | None = None,
+                       mask: np.ndarray | None = None,
+                       rank: int | None = None) -> KestenbandProfile:
     """Cardinality and fixed-point profile of an invertible form, validated
     against the admissible cardinality menu.  Violations are reported, not
-    raised, so censuses can surface counterexample candidates."""
+    raised, so censuses can surface counterexample candidates.  `mask` and
+    `rank` are the form's absolute mask and rank when the caller already
+    has them."""
     t = form.tower
     space = space or form.space()
-    if form.rank() != 3:
+    if (form.rank() if rank is None else rank) != 3:
         raise ValueError("profile requires an invertible 3x3 matrix")
     if t.n == 1:
         raise ValueError("degree over F_q must be at least 2")
-    mask = absolute_mask(form, space)
+    if mask is None:
+        mask = absolute_mask(form, space)
     count = int(mask.sum())
     img = collineation_images(induced_collineation(form), space)
     fixed = img == np.arange(space.n_points)

@@ -146,7 +146,7 @@ def _summary_record(summary) -> dict:
         "histogram": {str(k): v for k, v in sorted(summary.histogram.items())},
         "kinds": dict(sorted(summary.kind_counts.items())),
         "total": summary.total,
-        "violations": len(summary.violations),
+        "violations": summary.violation_count,
     }
 
 
@@ -157,29 +157,31 @@ def cmd_census(args) -> int:
               "seed": args.seed}
     writer.add(_header(tower, "census", params))
     summaries = []
+    keep = args.max_violations
     if args.mode == "exhaustive":
         if args.scope in ("gl", "all"):
-            summaries.append(exhaustive_invertible_census(tower))
+            summaries.append(exhaustive_invertible_census(tower, max_violations=keep))
         if args.scope in ("rank-le2", "all"):
-            summaries.append(rank_le2_census(tower))
+            summaries.append(rank_le2_census(tower, max_violations=keep))
         if args.scope == "diagonal":
-            summaries.append(diagonal_census(tower))
+            summaries.append(diagonal_census(tower, max_violations=keep))
     else:
         if args.seed is None:
             raise SystemExit("--seed is required in random mode")
         summary = random_census(tower, args.count, args.seed,
                                 invertible_only=not args.any_rank,
                                 collect_records=args.records > 0,
-                                record_limit=args.records, steiner=True)
+                                record_limit=args.records, steiner=True,
+                                max_violations=keep)
         for rec in summary.records:
             writer.add(dict(rec, record="matrix"))
         summaries.append(summary)
     code = EXIT_OK
     for summary in summaries:
-        for v in summary.violations[:args.max_violations]:
+        for v in summary.violations:
             writer.add(dict(v, record="violation"))
         writer.add(_summary_record(summary))
-        if summary.violations:
+        if summary.violation_count:
             code = EXIT_VIOLATION
     writer.flush()
     return code
@@ -255,7 +257,7 @@ def cmd_steiner_check(args) -> int:
     summary = rank2_random_census(tower, args.count, args.seed, steiner=True)
     writer.add(_summary_record(summary))
     writer.flush()
-    return EXIT_VIOLATION if summary.violations else EXIT_OK
+    return EXIT_VIOLATION if summary.violation_count else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

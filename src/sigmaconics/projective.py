@@ -46,7 +46,7 @@ class ProjectiveSpace:
         self.n_points = (Q ** (d + 1) - 1) // (Q - 1)
         self.points = self._enumerate()
         # caches built on first use: the dense incidence matrix, the
-        # lines-by-points array (classify) and the row tables (census)
+        # lines-by-points array (classify) and the count kernel (census)
         self._incidence = None
         self._lines_points = None
         self._kernel = None

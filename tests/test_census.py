@@ -119,6 +119,20 @@ def test_exhaustive_gl_violation_order(tower, menu, monkeypatch):
                                            @ (Q ** np.arange(8, -1, -1))))
 
 
+def test_violation_store_keeps_the_first_and_counts_all(monkeypatch):
+    monkeypatch.setattr(census, "_admissible",
+                        lambda t, diagonal: np.array([5, 7, 9], dtype=np.int64))
+    full = exhaustive_invertible_census(T4)
+    kept = exhaustive_invertible_census(T4, max_violations=3)
+    assert len(full.violations) == full.violation_count > 3
+    assert kept.violations == full.violations[:3]
+    assert kept.violation_count == full.violation_count
+    assert kept.histogram == full.histogram
+    assert _summary_record(kept) == _summary_record(full)
+    none = exhaustive_invertible_census(T4, max_violations=0)
+    assert not none.violations and none.violation_count == full.violation_count
+
+
 @pytest.mark.parametrize("params, reps, within",
                          [((2, 1, 4, 1), 20_363_925, True),
                           ((5, 1, 2, 1), None, False),
@@ -210,6 +224,21 @@ def test_exhaustive_cap():
         exhaustive_invertible_census(T27)
     with pytest.raises(CapExceeded):
         rank_le2_census(T27)
+
+
+def test_kernel_budget_checked_before_any_table(monkeypatch):
+    """PG(2,169) needs more than the kernel budget even as single entries;
+    the kernel refuses it before it computes any table."""
+    t = build_field(13, 1, 2, 1)
+    space = projective_space(t, 2)
+
+    def no_tables(*args):
+        raise AssertionError("a kernel table was computed")
+    monkeypatch.setattr(t, "vmul", no_tables)
+    monkeypatch.setattr(t, "vsigma", no_tables)
+    with pytest.raises(CapExceeded, match="beyond the 64 MiB kernel budget"):
+        plane_kernel(space)
+    assert space._kernel is None
 
 
 def test_form_record_contents():

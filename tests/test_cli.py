@@ -77,6 +77,22 @@ def test_census_cap_exits_4(capsys):
     assert code == 4
 
 
+def test_census_random_beyond_row_tables(capsys):
+    """PG(2,49) counts on half-row tables; it exited 4 on row tables."""
+    code, recs = run_cli(["census", "--p", "7", "--n", "2", "--mode", "random",
+                          "--count", "200", "--seed", "1"], capsys)
+    assert code == 0
+    assert recs[-1]["total"] == 200 and recs[-1]["violations"] == 0
+
+
+def test_census_random_past_kernel_budget_exits_4(capsys):
+    code = main(["census", "--p", "13", "--n", "2", "--mode", "random",
+                 "--count", "10", "--seed", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "64 MiB kernel budget" in err and "PG(2,169)" in err
+
+
 def test_census_csv_summary(tmp_path):
     out = tmp_path / "summary.csv"
     assert main(["census", "--p", "2", "--n", "2", "--m", "1", "--mode",
