@@ -7,7 +7,7 @@ codes, plus exhaustive census kernels that verify the structure theorems."""
 __version__ = "0.1.0"
 
 from .fields import FieldTower, build_field
-from .projective import ProjectiveSpace, Subplane, projective_space
+from .projective import CapExceeded, ProjectiveSpace, Subplane, projective_space
 from .forms import (AbsolutePointSet, Collineation, RadicalPair, SesquiForm,
                     absolute_mask, absolute_points, congruence_transform,
                     fixed_points, induced_collineation, is_polarity,
@@ -25,7 +25,7 @@ from .classify import (KestenbandProfile, LineClassification,
 from .mrd import (RankCode, build_code, field_reduce, min_rank_distance,
                   nonlinearity_witness, rank_fq, singleton_bound,
                   subfield_coords)
-from .census import (CapExceeded, CensusSummary, diagonal_census,
+from .census import (CensusSummary, diagonal_census,
                      exhaustive_invertible_census, form_record, line_census,
                      plane_kernel, random_census, rank1_census,
                      rank2_normal_census, rank2_random_census, rank_le2_census,

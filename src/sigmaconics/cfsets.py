@@ -21,8 +21,8 @@ import numpy as np
 
 from .fields import FieldTower
 from .forms import SesquiForm, absolute_mask, radicals
-from .linalg import (cross3, dot, mat_det, mat_mul, mat_sigma,
-                     mat_transpose, normalize, vdot)
+from .linalg import (cross3, mat_det, mat_mul, mat_sigma,
+                     mat_transpose, normalize, vcross, vdot)
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 
@@ -150,13 +150,8 @@ def steiner_generate(phi: PencilCollineation,
                                     basis[..., 2], block, phi.qexp)
     out = set(idx[0].tolist())
     if whole_line.any():
-        # the points of RL are R and x R + L for x in F_Q
-        t = phi.tower
-        r = np.array(phi.r_vec, dtype=np.uint32)
-        l = np.array(phi.l_vec, dtype=np.uint32)
-        x = np.arange(t.order, dtype=np.uint32)[:, None]
-        rl = np.vstack([r, t.vadd(t.vmul(x, r), l)])
-        out.update(space.index_rows(rl).tolist())
+        rl = vcross(phi.tower, basis[..., 0], basis[..., 2])
+        out.update(space.lines_points(rl)[0].tolist())
     return frozenset(out)
 
 
@@ -320,15 +315,15 @@ def exterior_set(cf: CfSet, T, space: ProjectiveSpace | None = None) -> Exterior
 
 def verify_exterior(point_ids, subplane: Subplane, space: ProjectiveSpace) -> bool:
     """Exhaustive check that every line through two of the points misses the
-    subplane."""
+    subplane, in blocks of pairs of about 2^22 (line, subplane point) cells."""
     t = space.tower
-    ids = sorted(int(i) for i in point_ids)
-    vecs = [space.point_vec(i) for i in ids]
-    sub_vecs = [space.point_vec(i) for i in sorted(subplane.point_ids)]
-    for u, v in combinations(vecs, 2):
-        line = cross3(t, u, v)
-        if all(x == 0 for x in line):
-            continue
-        if any(dot(t, line, s) == 0 for s in sub_vecs):
+    pts = space.points[sorted(int(i) for i in point_ids)]
+    sub = space.points[sorted(subplane.point_ids)]
+    first, second = np.triu_indices(len(pts), 1)
+    block = max(1, (1 << 22) // len(sub))
+    for k in range(0, len(first), block):
+        lines = vcross(t, pts[first[k:k + block]], pts[second[k:k + block]])
+        lines = lines[lines.any(axis=1)]        # repeated points span no line
+        if (vdot(t, lines[:, None], sub) == 0).any():
             return False
     return True

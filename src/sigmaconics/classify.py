@@ -22,7 +22,7 @@ from .forms import (SesquiForm, absolute_mask, collineation_images,
                     induced_collineation, radicals)
 from .linalg import (cross3, dot, mat_det, mat_mul, mat_sigma, mat_transpose,
                      normalize)
-from .projective import ProjectiveSpace, projective_space
+from .projective import ProjectiveSpace
 
 LINE_EMPTY = "empty"
 LINE_ONE_POINT = "one_point"
@@ -167,12 +167,7 @@ def line_spectrum(mask_or_form, space: ProjectiveSpace) -> np.ndarray:
 def lines_points_array(space: ProjectiveSpace) -> np.ndarray:
     """(n_lines, q^n + 1) array of the point indices on each line."""
     if space._lines_points is None:
-        rows, cols = np.nonzero(space.incidence())
-        per = space.tower.order + 1
-        if not (np.bincount(rows, minlength=space.n_points) == per).all():
-            raise RuntimeError(f"a line of the incidence matrix does not "
-                               f"have {per} points")
-        space._lines_points = cols.reshape(space.n_points, per).astype(np.int64)
+        space._lines_points = space.lines_points(space.points)
     return space._lines_points
 
 

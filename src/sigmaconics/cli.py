@@ -21,17 +21,17 @@ import json
 import sys
 
 from . import __version__
-from .census import (CapExceeded, diagonal_census,
-                     exhaustive_invertible_census, form_record, random_census,
-                     rank2_random_census, rank_le2_census)
+from .census import (diagonal_census, exhaustive_invertible_census,
+                     form_record, random_census, rank2_random_census,
+                     rank_le2_census)
 from .cfsets import (cf_canonical, embed_subplane_in_component, exterior_set,
                      steiner_matches_form, verify_exterior)
 from .classify import LineTaxonomyError, classify_line_form
 from .fields import build_field
-from .forms import SesquiForm, make_form
+from .forms import make_form
 from .mrd import (build_code, min_rank_distance, nonlinearity_witness,
                   singleton_bound)
-from .projective import projective_space
+from .projective import CapExceeded, projective_space
 
 EXIT_OK = 0
 EXIT_USAGE = 2

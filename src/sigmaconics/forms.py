@@ -19,8 +19,8 @@ import numpy as np
 
 from .fields import FieldTower
 from .linalg import (dot, left_null_space, mat_inv, mat_mul, mat_rank,
-                     mat_sigma, mat_transpose, mat_vec, normalize, null_space,
-                     vdot, vec_frobq, vec_sigma)
+                     mat_sigma, mat_transpose, mat_vec, null_space, vdot,
+                     vec_frobq, vec_sigma)
 from .projective import ProjectiveSpace, projective_space
 
 
@@ -162,11 +162,6 @@ class Collineation:
     tower: FieldTower
     matrix: tuple
     qexp: int
-
-    def apply(self, vec) -> tuple:
-        t = self.tower
-        img = mat_vec(t, self.matrix, vec_frobq(t, vec, self.qexp))
-        return normalize(t, img)
 
 
 def induced_collineation(form: SesquiForm) -> Collineation:

@@ -18,14 +18,6 @@ import numpy as np
 from .fields import FieldTower
 
 
-def vec_add(t: FieldTower, u, v):
-    return tuple(t.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(t: FieldTower, c, u):
-    return tuple(t.mul(c, a) for a in u)
-
-
 def vec_sigma(t: FieldTower, u, k: int = 1):
     return tuple(t.sigma(a, k) for a in u)
 
@@ -83,20 +75,12 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def mat_scale(t: FieldTower, c, a):
-    return tuple(tuple(t.mul(c, x) for x in row) for row in a)
-
-
 def mat_sigma(t: FieldTower, a, k: int = 1):
     return tuple(tuple(t.sigma(x, k) for x in row) for row in a)
 
 
 def mat_vec(t: FieldTower, a, v):
     return tuple(dot(t, row, v) for row in a)
-
-
-def vec_mat(t: FieldTower, v, a):
-    return mat_vec(t, mat_transpose(a), v)
 
 
 def mat_mul(t: FieldTower, a, b):

@@ -4,7 +4,8 @@ Projective points are stored normalized (leading nonzero coordinate 1) and
 enumerated in ascending lexicographic order of their coordinate encodings,
 so indices are reproducible and can be computed arithmetically.  Lines of
 PG(2,q^n) are represented by dual coordinates with the same normalization
-and ordering.
+and ordering.  `lines_points` lists the points of lines as R and xR + L
+for x in F_{q^n}; the dense `incidence()` matrix is a test reference.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from .fields import FieldTower, build_field
 from .linalg import cross3, dot, mat_det, normalize, vdot
 
 _INCIDENCE_MAX_CELLS = 64_000_000
+LINES_BUDGET = 32 << 20  # bytes of int64 point indices per call of lines_points
+
+
+class CapExceeded(RuntimeError):
+    """A computation is beyond one of the stated resource budgets."""
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,43 @@ class ProjectiveSpace:
             self._incidence = vdot(t, P[:, None, :], P[None, :, :]) == 0
         return self._incidence
 
+    def lines_points(self, dual: np.ndarray) -> np.ndarray:
+        """(K, q^n + 1) ascending point indices of the K lines with nonzero
+        dual coordinates (K, 3), listed as R and xR + L for x in F_{q^n} in
+        blocks of about 2^18 points.  Raises CapExceeded, before anything is
+        allocated, past LINES_BUDGET."""
+        self._require_plane()
+        t = self.tower
+        Q = t.order
+        need = len(dual) * (Q + 1) * 8
+        if need > LINES_BUDGET:
+            raise CapExceeded(f"the point lists of {len(dual)} lines of "
+                              f"PG(2,{Q}) need {need / 2**20:.0f} MiB, beyond "
+                              f"the {LINES_BUDGET >> 20} MiB line-list budget")
+        out = np.empty((len(dual), Q + 1), dtype=np.int64)
+        x = np.arange(Q, dtype=np.uint32)[:, None]
+        step = max(1, (1 << 18) // (Q + 1))
+        for k in range(0, len(dual), step):
+            d = dual[k:k + step]
+            # R = d x e_{j+1} and L = d x e_{j+2}, j the leading coordinate of d
+            j = np.where(d[:, 0] != 0, 0, np.where(d[:, 1] != 0, 1, 2))
+            i = np.arange(len(d))
+            r, l = np.zeros((2, len(d), 1, 3), dtype=np.uint32)
+            r[i, 0, (j + 2) % 3] = d[i, j]
+            r[i, 0, j] = t.vneg(d[i, (j + 2) % 3])
+            l[i, 0, j] = d[i, (j + 1) % 3]
+            l[i, 0, (j + 1) % 3] = t.vneg(d[i, j])
+            pts = np.concatenate([r, t.vadd(t.vmul(x, r), l)], axis=1)
+            out[k:k + step] = self.index_rows(pts.reshape(-1, 3)).reshape(-1, Q + 1)
+        out.sort(axis=1)
+        return out
+
     def line_points(self, line) -> np.ndarray:
         """Indices of the q^n + 1 points on a line (index or dual vector)."""
         idx = line if isinstance(line, (int, np.integer)) else self.line_index(line)
-        return np.nonzero(self.incidence()[idx])[0]
+        return self.lines_points(self.points[idx][None])[0]
 
-    def point_lines(self, point) -> np.ndarray:
-        idx = point if isinstance(point, (int, np.integer)) else self.point_index(point)
-        return np.nonzero(self.incidence()[:, idx])[0]
+    point_lines = line_points  # by duality, as the points of the dual line
 
     def pencil(self, point) -> Pencil:
         idx = point if isinstance(point, (int, np.integer)) else self.point_index(point)

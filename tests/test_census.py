@@ -13,7 +13,7 @@ from sigmaconics.cli import _summary_record
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
 from sigmaconics.linalg import mat_rank, vranks
-from sigmaconics.projective import projective_space
+from sigmaconics.projective import ProjectiveSpace, projective_space
 
 T4 = build_field(2, 1, 2, 1)
 T8 = build_field(2, 1, 3, 1)
@@ -239,6 +239,27 @@ def test_kernel_budget_checked_before_any_table(monkeypatch):
     with pytest.raises(CapExceeded, match="beyond the 64 MiB kernel budget"):
         plane_kernel(space)
     assert space._kernel is None
+
+
+def test_line_paths_leave_incidence_unbuilt(monkeypatch):
+    """Records with their spectrum, the rank-1 sweep and the degenerate
+    C_F^m check list the points of lines without the dense incidence."""
+    def no_incidence(self):
+        raise AssertionError("the dense incidence was built")
+    monkeypatch.setattr(ProjectiveSpace, "incidence", no_incidence)
+    space = ProjectiveSpace(T27, 2)
+    rec = form_record(SesquiForm(T27, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), space)
+    assert sum(rec["spectrum"].values()) == space.n_lines
+    assert not rec["violations"]
+    s = rank1_census(T4)
+    assert s.total > 0 and not s.violations
+    summary = census._summary(T27, "degenerate-cf")
+    e = np.array([[0, 0, 1, 0, 0, 0, 0, T27.neg(1), 0]], dtype=np.uint32)
+    census._verify_rank2_batch(T27, space, e, summary, True)
+    assert summary.kind_counts["degenerate_cf"] == 1
+    assert summary.kind_counts["steiner_checked"] == 1
+    assert not summary.violations
+    assert space._incidence is None
 
 
 def test_form_record_contents():

@@ -16,6 +16,7 @@ from sigmaconics.projective import ProjectiveSpace, projective_space
 
 T8 = build_field(2, 1, 3, 1)
 T27 = build_field(3, 1, 3, 1)
+T125 = build_field(5, 1, 3, 1)
 
 
 def test_steiner_projectivity_gives_conic():
@@ -144,11 +145,13 @@ def test_exterior_set_sizes_and_validation():
         exterior_set(cf_degenerate_canonical(T27), {1})
 
 
-def test_verify_exterior_positive_and_negative():
-    sp = projective_space(T27, 2)
-    cf = cf_canonical(T27)
+@pytest.mark.parametrize("tower, parts", [(T27, ({1}, {1, 2})), (T125, ({1},))],
+                         ids=["q3", "q5"])
+def test_verify_exterior_positive_and_negative(tower, parts):
+    sp = projective_space(tower, 2)
+    cf = cf_canonical(tower)
     sub = embed_subplane_in_component(cf)
-    for T in ({1}, {1, 2}):
+    for T in parts:
         assert verify_exterior(exterior_set(cf, T).point_ids, sub, sp)
     two_inside = list(sorted(sub.point_ids))[:2]
     assert not verify_exterior(two_inside, sub, sp)

@@ -93,6 +93,23 @@ def test_census_random_past_kernel_budget_exits_4(capsys):
     assert "64 MiB kernel budget" in err and "PG(2,169)" in err
 
 
+def test_census_records_past_dense_incidence(capsys):
+    """Records list the lines of PG(2,89) without the dense incidence, whose
+    cap made this command exit 2."""
+    code, recs = run_cli(["census", "--p", "89", "--n", "1", "--mode", "random",
+                          "--count", "5", "--seed", "1", "--records", "1"], capsys)
+    assert code == 0
+    assert recs[-1]["total"] == 5 and recs[-1]["violations"] == 0
+
+
+def test_classify_past_line_list_budget_exits_4(capsys):
+    code = main(["classify", "--p", "163", "--n", "1",
+                 "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "32 MiB line-list budget" in err and "PG(2,163)" in err
+
+
 def test_census_csv_summary(tmp_path):
     out = tmp_path / "summary.csv"
     assert main(["census", "--p", "2", "--n", "2", "--m", "1", "--mode",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from sigmaconics.classify import lines_points_array
 from sigmaconics.fields import build_field
 from sigmaconics.linalg import normalize
-from sigmaconics.projective import projective_space
+from sigmaconics.projective import CapExceeded, ProjectiveSpace, projective_space
 
 
 def test_point_counts():
@@ -65,6 +66,49 @@ def test_pencil():
     assert len(pen.line_ids) == 5
     for lid in pen.line_ids:
         assert center in sp.line_points(lid)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4),
+                                    (2, 2, 2), (5, 1, 2), (3, 1, 3)],
+                         ids=["Q4", "Q8", "Q9", "Q16-q2", "Q16-q4", "Q25", "Q27"])
+def test_lines_points_array_matches_incidence(params):
+    """R and xR + L list exactly the row-sorted points of each incidence row,
+    as the same int64 bytes."""
+    sp = ProjectiveSpace(build_field(*params, 1), 2)
+    rows, cols = np.nonzero(sp.incidence())
+    expect = cols.reshape(sp.n_points, sp.tower.order + 1).astype(np.int64)
+    got = lines_points_array(sp)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)], ids=["Q4", "Q9"])
+def test_line_point_and_pencil_lists_match_incidence(params):
+    sp = ProjectiveSpace(build_field(*params, 1), 2)
+    inc = sp.incidence()
+    for i in range(sp.n_points):
+        on_line = np.nonzero(inc[i])[0]
+        through = np.nonzero(inc[:, i])[0]
+        assert np.array_equal(sp.line_points(i), on_line)
+        assert np.array_equal(sp.line_points(sp.line_vec(i)), on_line)
+        assert np.array_equal(sp.point_lines(i), through)
+        assert sp.pencil(sp.point_vec(i)).line_ids == tuple(through.tolist())
+
+
+def test_line_list_budget_checked_before_any_point(monkeypatch):
+    """The lines of PG(2,163) need more than the line-list budget; the
+    construction refuses them before it computes any point."""
+    t = build_field(163, 1, 1, 1)
+    sp = ProjectiveSpace(t, 2)
+
+    def no_points(*args):
+        raise AssertionError("a point of a line was computed")
+    for name in ("vneg", "vmul", "vadd"):
+        monkeypatch.setattr(t, name, no_points)
+    monkeypatch.setattr(sp, "index_rows", no_points)
+    with pytest.raises(CapExceeded, match="PG.2,163.*32 MiB line-list budget"):
+        lines_points_array(sp)
+    assert sp._lines_points is None
 
 
 def test_index_rows_matches_scalar():
