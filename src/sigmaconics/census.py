@@ -12,12 +12,16 @@ for the line, feeding shared batch verifiers:
   `rank2_normal_census` and the diagonal matrices;
 - verifiers: the menu check `_check_menu` on absolute counts, the rank-1
   line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
-  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check through
-  `cfsets.steiner_locus`, the same construction as `steiner_generate`),
-  and the PG(1) form check `_line_form_counts`, shared by the 2x2 sweep and
-  the cone bases.  The menu check and the rank verifiers take an int64
-  weight per row, the number of matrices the row stands for (one unless
-  given); histograms and kind counts add the weights exactly.
+  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check, always
+  on, through `cfsets.steiner_locus`, the same construction as
+  `steiner_generate`), and the PG(1) form check `_line_form_counts`,
+  shared by the 2x2 sweep and the cone bases.  The menu check and the rank
+  verifiers take an int64 weight per row, the number of matrices the row
+  stands for (one unless given); histograms and kind counts add the
+  weights exactly.
+
+The records of a sampled census (`form_record`) reuse the sweep's masks
+and carry their rows' menu check, so each violation counts once.
 
 Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
 one representative per orbit of the torus congruence a_ij -> lam d_i a_ij
@@ -76,7 +80,7 @@ from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
 from .cfsets import steiner_locus, steiner_matches_form
 from .fields import FieldTower
 from .forms import SesquiForm, absolute_mask, form_values
-from .linalg import vcross, vdot, vranks
+from .linalg import vcross, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # torus-orbit representatives per exhaustive 3x3 sweep
@@ -538,7 +542,7 @@ def _orbit_batches(tower: FieldTower, what: str, chunk: int):
 
 # -- invertible censuses -------------------------------------------------------
 
-def exhaustive_invertible_census(tower: FieldTower, check_allowed: bool = True,
+def exhaustive_invertible_census(tower: FieldTower,
                                  max_violations: int | None = None) -> CensusSummary:
     """Absolute-count histogram over all invertible matrices up to scalars.
 
@@ -553,7 +557,7 @@ def exhaustive_invertible_census(tower: FieldTower, check_allowed: bool = True,
     """
     batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
     kern = plane_kernel(projective_space(tower, 2))
-    menu = _admissible(tower, False) if check_allowed else None
+    menu = _admissible(tower, False)
     summary = _summary(tower, "exhaustive-gl", max_violations)
     for e, w in batches:
         inv = vranks(tower, e.reshape(-1, 3, 3)) == 3
@@ -579,14 +583,14 @@ def diagonal_census(tower: FieldTower,
 
 # -- rank <= 2 censuses ------------------------------------------------------------
 
-def rank_le2_census(tower: FieldTower, steiner: bool = True,
+def rank_le2_census(tower: FieldTower,
                     max_violations: int | None = None) -> CensusSummary:
     """Exhaustive classification of every rank <= 2 matrix up to scalars.
 
     Verifies, per matrix: the union-of-lines shape for rank 1; for rank 2,
     the cone / degenerate / non-degenerate split with the expected
-    cardinalities, cone base shapes, and (optionally) that the Steiner locus
-    of the attached pencil collineation reproduces the absolute set.
+    cardinalities, cone base shapes, and that the Steiner locus of the
+    attached pencil collineation reproduces the absolute set.
 
     The congruence a_ij -> lam d_i a_ij d_j^sigma is a projectivity of the
     plane, so the rank, the absolute count and the kind are constant on its
@@ -604,7 +608,7 @@ def rank_le2_census(tower: FieldTower, steiner: bool = True,
         ranks = vranks(tower, e.reshape(-1, 3, 3))
         one, two = ranks == 1, ranks == 2
         _verify_rank1_batch(tower, space, e[one], summary, w[one])
-        _verify_rank2_batch(tower, space, e[two], summary, steiner, w[two])
+        _verify_rank2_batch(tower, space, e[two], summary, w[two])
     return summary
 
 
@@ -623,8 +627,10 @@ def _verify_rank1_batch(tower, space, e, summary, w=None):
     u = _first_nonzero_rows([cols[0], cols[1], cols[2]])
     rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
     w_tw = t.vfrobq(_first_nonzero_rows(rows), (t.n - t.m) % t.n)
-    pts = space.points
-    expect = (vdot(t, u[:, None], pts) == 0) | (vdot(t, w_tw[:, None], pts) == 0)
+    # the absolute set must be the union of the lines u and w_tw
+    expect = np.zeros((len(e), space.n_points), dtype=bool)
+    for line in (u, w_tw):
+        np.put_along_axis(expect, space.lines_points(line), True, axis=1)
     mask = kern.masks(*kern.row_encode(e))
     ok = (mask == expect).all(axis=1)
     summary.add_counts(mask.sum(axis=1), w)
@@ -637,7 +643,7 @@ def _verify_rank1_batch(tower, space, e, summary, w=None):
 _STD = np.eye(3, dtype=np.uint32)
 
 
-def _verify_rank2_batch(tower, space, e, summary, steiner, w=None):
+def _verify_rank2_batch(tower, space, e, summary, w=None):
     if not len(e):
         return
     w = _unit(e, w)
@@ -661,7 +667,7 @@ def _verify_rank2_batch(tower, space, e, summary, steiner, w=None):
     _verify_cone_batch(tower, e[same], v_r[same], counts[same], w[same], summary)
     sel = ~same
     _verify_cf_batch(tower, space, e[sel], v_r[sel], v_l[sel], mask[sel],
-                     counts[sel], w[sel], summary, steiner)
+                     counts[sel], w[sel], summary)
 
 
 def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
@@ -702,7 +708,7 @@ def _verify_cone_batch(tower, e, vert, counts, w, summary):
     summary.bump("cone_base_subline", int(w[full_base].sum()))
 
 
-def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary, steiner):
+def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary):
     if not len(e):
         return
     t = tower
@@ -714,8 +720,6 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary, steine
     expect = np.where(deg, 2 * Q + 1, Q + 1)
     summary.flag(e[counts != expect],
                  "cf cardinality does not match the tangent-line split")
-    if not steiner:
-        return
     # the midpoint column and the pencil block in normal coordinates, as in
     # cfsets.pencil_collineation_from_form
     rl = vcross(t, v_r, v_l)
@@ -788,7 +792,7 @@ def rank1_census(tower: FieldTower) -> CensusSummary:
 _NORMAL_LAYOUTS = ([1, 2, 4, 5], [4, 5, 7, 8])
 
 
-def rank2_normal_census(tower: FieldTower, steiner: bool = True) -> CensusSummary:
+def rank2_normal_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over the rank-2 matrices in the two radical-normal
     layouts: distinct radicals at (1,0,0)/(0,0,1) and the coincident-radical
     cone layout, each over all invertible blocks up to scalars."""
@@ -799,12 +803,11 @@ def rank2_normal_census(tower: FieldTower, steiner: bool = True) -> CensusSummar
             e = np.zeros((len(blk), 9), dtype=np.uint32)
             e[:, layout] = blk
             _verify_rank2_batch(tower, space, e[vranks(tower, e.reshape(-1, 3, 3)) == 2],
-                                summary, steiner)
+                                summary)
     return summary
 
 
-def rank2_random_census(tower: FieldTower, count: int, seed: int,
-                        steiner: bool = True) -> CensusSummary:
+def rank2_random_census(tower: FieldTower, count: int, seed: int) -> CensusSummary:
     """Full verification of `count` sampled rank-2 matrices in general
     position (deterministic rejection sampling)."""
     space = projective_space(tower, 2)
@@ -813,21 +816,22 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int,
     entries = _sample_entries(t, count, seed, lambda e: vranks(t, e.reshape(-1, 3, 3)) == 2)
     rows = _kernel_rows(space)
     for start in range(0, len(entries), rows):
-        _verify_rank2_batch(t, space, entries[start:start + rows], summary, steiner)
+        _verify_rank2_batch(t, space, entries[start:start + rows], summary)
     return summary
 
 
 # -- random censuses --------------------------------------------------------------
 
 def random_census(tower: FieldTower, count: int, seed: int,
-                  invertible_only: bool = True,
-                  collect_records: bool = False,
-                  record_limit: int | None = None,
-                  steiner: bool = False,
+                  invertible_only: bool = True, records: int = 0,
                   max_violations: int | None = None) -> CensusSummary:
-    """Sampled census.  The light mode only histograms absolute counts; with
-    `collect_records` every sampled matrix is fully classified and profiled.
-    `max_violations` bounds the violations kept, not those counted."""
+    """Sampled census: histogram the absolute counts of `count` sampled
+    matrices, checked against the menu with `invertible_only`.  The first
+    `records` samples also get a full `form_record`, from the sweep's
+    masks; its checks (the menu, the stricter diagonal one or the
+    odd-degree epsilon form, and the Steiner cross-check, always on)
+    replace the sweep's menu check on that row, so each violation counts
+    once.  `max_violations` bounds the violations kept, not those counted."""
     space = projective_space(tower, 2)
     kern = plane_kernel(space)
     summary = _summary(tower, f"random(seed={seed}, count={count})",
@@ -841,17 +845,19 @@ def random_census(tower: FieldTower, count: int, seed: int,
         menu = None
     rows = _kernel_rows(space)
     for start in range(0, len(entries), rows):
-        _verify_menu_batch(kern, entries[start:start + rows], summary, menu)
-    if collect_records:
-        limit = len(entries) if record_limit is None else min(record_limit,
-                                                              len(entries))
-        summary.records = [form_record(SesquiForm(tower, _to_rows(entries[i])),
-                                       space, steiner=steiner)
-                           for i in range(limit)]
-        for rec in summary.records:
+        e = entries[start:start + rows]
+        mask = kern.masks(*kern.row_encode(e))
+        k = min(max(records - start, 0), len(e))   # the batch's record rows
+        for i in range(k):
+            rec = form_record(SesquiForm(tower, _to_rows(e[i])), space, mask[i])
+            summary.records.append(rec)
             summary.bump(rec["kind"])
             for v in rec["violations"]:
                 summary.flag([rec["matrix"]], v)
+        counts = np.count_nonzero(mask, axis=1)
+        summary.add_counts(counts[:k])
+        _check_menu(summary, counts[k:], menu, _MENU_REASON,
+                    lambda bad: e[k:][bad])
     return summary
 
 
@@ -861,13 +867,18 @@ def _to_rows(entries) -> tuple:
 
 
 def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
-                steiner: bool = False, spectrum: bool = True) -> dict:
-    """One census record: classification, cardinality, profile, spectrum."""
+                mask: np.ndarray | None = None) -> dict:
+    """One census record: classification, cardinality, profile, line
+    spectrum and, for a C_F^m-set, the Steiner cross-check.  `mask` is the
+    form's absolute mask when the caller already has it."""
     space = space or form.space()
     t = form.tower
     Q = t.order
-    mask = absolute_mask(form, space)
+    if mask is None:
+        mask = absolute_mask(form, space)
     cls = classify_plane_form(form, space, mask)
+    vals, freq = np.unique(line_spectrum(mask, space), return_counts=True)
+    spectrum = {int(v): int(f) for v, f in zip(vals, freq)}
     rec = {
         "matrix": [x for row in form.matrix for x in row],
         "rank": cls.rank,
@@ -877,20 +888,15 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         "epsilon": None,
         "fixed_in": None,
         "fixed_out": None,
-        "spectrum": {},
-        "violations": [],
+        "spectrum": spectrum,
     }
     violations = []
-    if spectrum:
-        spec = line_spectrum(mask, space)
-        vals, freq = np.unique(spec, return_counts=True)
-        rec["spectrum"] = {int(v): int(f) for v, f in zip(vals, freq)}
-        legal = {0, 1, 2, t.q + 1, Q + 1}
-        if not set(rec["spectrum"]) <= legal:
-            violations.append(f"line intersections {sorted(set(rec['spectrum']) - legal)} "
-                              "outside {0, 1, 2, q+1, full}")
-        if Q + 1 in rec["spectrum"] and cls.rank == 3:
-            violations.append("an invertible form may not contain a line")
+    legal = {0, 1, 2, t.q + 1, Q + 1}
+    if not set(spectrum) <= legal:
+        violations.append(f"line intersections {sorted(set(spectrum) - legal)} "
+                          "outside {0, 1, 2, q+1, full}")
+    if Q + 1 in spectrum and cls.rank == 3:
+        violations.append("an invertible form may not contain a line")
     if cls.rank == 3 and t.n > 1:
         prof = kestenband_profile(form, space, mask, cls.rank)
         rec.update(family=prof.family, epsilon=prof.epsilon,
@@ -901,7 +907,7 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         if cls.absolute_count != expect:
             violations.append(f"expected {expect} absolute points, "
                               f"got {cls.absolute_count}")
-        if steiner and not steiner_matches_form(form, space):
+        if not steiner_matches_form(form, space):
             violations.append("steiner locus differs from the absolute set")
     rec["violations"] = violations
     return rec

@@ -133,7 +133,7 @@ def cmd_classify(args) -> int:
                "absolute": len(ids), "degenerate": degenerate,
                "points": list(ids), "violations": violations}
     else:
-        rec = dict(form_record(form, steiner=True), record="matrix")
+        rec = dict(form_record(form), record="matrix")
     writer.add(rec)
     writer.flush()
     return EXIT_VIOLATION if rec["violations"] else EXIT_OK
@@ -170,9 +170,7 @@ def cmd_census(args) -> int:
             raise SystemExit("--seed is required in random mode")
         summary = random_census(tower, args.count, args.seed,
                                 invertible_only=not args.any_rank,
-                                collect_records=args.records > 0,
-                                record_limit=args.records, steiner=True,
-                                max_violations=keep)
+                                records=args.records, max_violations=keep)
         for rec in summary.records:
             writer.add(dict(rec, record="matrix"))
         summaries.append(summary)
@@ -254,7 +252,7 @@ def cmd_steiner_check(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.seed is None:
         raise SystemExit("--seed is required without an explicit matrix")
-    summary = rank2_random_census(tower, args.count, args.seed, steiner=True)
+    summary = rank2_random_census(tower, args.count, args.seed)
     writer.add(_summary_record(summary))
     writer.flush()
     return EXIT_VIOLATION if summary.violation_count else EXIT_OK

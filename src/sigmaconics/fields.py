@@ -177,9 +177,6 @@ class FieldTower:
         self.order = order
         self.modulus = tuple(_least_irreducible(p, d))
         self._build_tables()
-        # F_p-coordinate decomposer over the basis of F_{q^n}/F_q, built by
-        # mrd on first use
-        self._subfield_decomp = None
 
     # -- construction ------------------------------------------------------
 

@@ -19,79 +19,47 @@ of the code.  `rank_fq` is the scalar reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
 import numpy as np
 
 from .cfsets import ExteriorSet
 from .fields import FieldTower
-from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize, vranks
+from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize, vdot, vranks
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 _PAIR_CHUNK = 512  # code matrices per side of one block of differences
 _WITNESS_ROWS = 64  # code matrices whose sums one witness block tests
 
 
-def _subfield_coord_matrix(t: FieldTower):
-    """Change of basis between F_p digit vectors and coordinates over the
-    basis {1, alpha, ..., alpha^(n-1)} of F_{q^n}/F_q (entries of F_q split
-    over the F_p-basis {1, s, ..., s^(e-1)} of F_q)."""
-    p, e, n, d = t.p, t.e, t.n, t.degree
-    s = t.pow(t.generator, (t.order - 1) // (t.q - 1)) if t.q > 2 else 1
-    alpha = t.encode([0, 1]) if d > 1 else 1
-    cols = []
-    basis_elems = []
-    for i in range(n):
-        for j in range(e):
-            el = t.mul(t.pow(alpha, i), t.pow(s, j))
-            basis_elems.append((i, t.pow(s, j)))
-            cols.append(t.coeffs(el))
-    b = np.array(cols, dtype=np.int64).T % p  # d x d over F_p
-    binv = _mod_inverse_matrix(b, p)
-    return binv, basis_elems
-
-
-def _mod_inverse_matrix(b: np.ndarray, p: int) -> np.ndarray:
-    d = b.shape[0]
-    aug = np.concatenate([b % p, np.eye(d, dtype=np.int64)], axis=1)
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, d) if aug[i, c] % p), None)
-        if piv is None:
-            raise ValueError("basis matrix is singular")
-        aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = (aug[r] * pow(int(aug[r, c]), p - 2, p)) % p
-        for i in range(d):
-            if i != r and aug[i, c]:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
-        r += 1
-    return aug[:, d:] % p
-
-
-def _decomposer(t: FieldTower):
-    if t._subfield_decomp is None:
-        t._subfield_decomp = _subfield_coord_matrix(t)
-    return t._subfield_decomp
+@functools.lru_cache(maxsize=None)
+def _coord_table(t: FieldTower) -> np.ndarray:
+    """(Q, n) coordinates of every x in F_{q^n} over the polynomial basis
+    {alpha^i} of F_{q^n}/F_q: row x holds the subfield encodings c with
+    x = sum c_i alpha^i, found by evaluating every c in F_q^n."""
+    sub = np.array(t.subfield, dtype=np.uint32)
+    c = sub[np.indices((t.q,) * t.n).reshape(t.n, -1).T]
+    alpha = t.encode([0, 1]) if t.degree > 1 else 1
+    x = vdot(t, c, np.array([t.pow(alpha, i) for i in range(t.n)], dtype=np.uint32))
+    if len(np.unique(x)) != t.order:
+        raise ValueError("the powers of alpha are not a basis over F_q")
+    table = np.empty((t.order, t.n), dtype=np.uint32)
+    table[x] = c
+    table.flags.writeable = False   # one table, shared by every caller
+    return table
 
 
 def subfield_coords(t: FieldTower, x: int) -> tuple:
     """Coordinates of x over the polynomial basis {alpha^i} of F_{q^n}/F_q,
     as a tuple of n subfield element encodings."""
-    if t.e == 1:
-        return t.coeffs(x)
-    binv, basis_elems = _decomposer(t)
-    digits = np.array(t.coeffs(x), dtype=np.int64)
-    raw = (binv @ digits) % t.p
-    out = [0] * t.n
-    for (i, s_pow), c in zip(basis_elems, raw):
-        if c:
-            out[i] = t.add(out[i], t.mul(int(c) % t.p, s_pow))
-    return tuple(out)
+    return tuple(int(c) for c in _coord_table(t)[x])
 
 
 def field_reduce(t: FieldTower, v) -> np.ndarray:
     """3 x n matrix over F_q whose rows are the basis coordinates of the
-    coordinates of v."""
-    return np.array([subfield_coords(t, int(x)) for x in v], dtype=np.int64)
+    coordinates of v; an array of vectors gives one matrix per vector."""
+    return _coord_table(t)[np.asarray(v, dtype=np.int64)].astype(np.int64)
 
 
 def rank_fq(t: FieldTower, mat) -> int:
@@ -169,16 +137,15 @@ def build_code(exterior: ExteriorSet, subplane: Subplane,
     if scalars not in ("all", "subfield"):
         raise ValueError("scalars must be 'all' or 'subfield'")
     space = space or projective_space(t, 2)
-    g = subplane_alignment(space, subplane)
-    scalar_set = list(t.units()) if scalars == "all" \
-        else [a for a in t.subfield if a != 0]
-    mats = [np.zeros((3, t.n), dtype=np.int64)]
-    for idx in sorted(exterior.point_ids):
-        v = mat_vec(t, g, space.point_vec(idx))
-        for rho in scalar_set:
-            w = tuple(t.mul(rho, x) for x in v)
-            mats.append(field_reduce(t, w))
-    arr = np.stack(mats)
+    g = np.array(subplane_alignment(space, subplane), dtype=np.uint32)
+    scalar_set = np.array(list(t.units()) if scalars == "all"
+                          else [a for a in t.subfield if a != 0], dtype=np.uint32)
+    # the aligned points g v, point by point, each times every scalar
+    pts = space.points[sorted(exterior.point_ids)]
+    v = vdot(t, pts[:, None, :], g[None])
+    w = t.vmul(scalar_set[None, :, None], v[:, None, :]).reshape(-1, 3)
+    arr = np.concatenate([np.zeros((1, 3, t.n), dtype=np.int64),
+                          field_reduce(t, w)])
     code = RankCode(tower=t, matrices=arr, scalars=scalars, claimed_distance=2)
     if len(code.keys()) != len(arr):
         raise RuntimeError("code contains duplicate matrices")

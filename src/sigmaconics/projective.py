@@ -20,6 +20,7 @@ from .linalg import cross3, dot, mat_det, normalize, vdot
 
 _INCIDENCE_MAX_CELLS = 64_000_000
 LINES_BUDGET = 32 << 20  # bytes of int64 point indices per call of lines_points
+POINTS_BUDGET = 64 << 20  # bytes of uint32 point coordinates, checked before they exist
 
 
 class CapExceeded(RuntimeError):
@@ -50,6 +51,11 @@ class ProjectiveSpace:
         self.d = d
         Q = tower.order
         self.n_points = (Q ** (d + 1) - 1) // (Q - 1)
+        need = self.n_points * (d + 1) * 4
+        if need > POINTS_BUDGET:
+            raise CapExceeded(f"the points of PG({d},{Q}) need {need / 2**20:.1f} "
+                              f"MiB, beyond the {POINTS_BUDGET >> 20} MiB "
+                              f"point-array budget")
         self.points = self._enumerate()
         # caches built on first use: the dense incidence matrix, the
         # lines-by-points array (classify) and the count kernel (census)

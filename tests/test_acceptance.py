@@ -79,7 +79,7 @@ def test_2_line_spectrum_random_forms():
 
 def test_3_rank_le2_classification():
     t8 = build_field(2, 1, 3, 1)
-    s = rank_le2_census(t8, steiner=True)
+    s = rank_le2_census(t8)
     assert s.total == 2691145
     assert s.kind_counts["union_two_lines"] == 5329
     assert s.kind_counts["cone_over_sigma_quadric"] == 36792
@@ -94,11 +94,11 @@ def test_3_rank_le2_classification():
     t27 = build_field(3, 1, 3, 1)
     r1 = rank1_census(t27)
     assert r1.total == 757 * 757 and not r1.violations
-    rn = rank2_normal_census(t27, steiner=True)
+    rn = rank2_normal_census(t27)
     assert rn.kind_counts["cone_over_sigma_quadric"] == 19656
     assert rn.kind_counts["cf"] + rn.kind_counts["degenerate_cf"] == 19656
     assert not rn.violations
-    rr = rank2_random_census(t27, 10000, seed=SEED, steiner=True)
+    rr = rank2_random_census(t27, 10000, seed=SEED)
     assert rr.total == 10000 and not rr.violations
     _report(3, "PG(2,8): all 2691145 rank<=2 classes verified with Steiner "
                "cross-check on all 2649024 two-vertex cases; PG(2,27): "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmaconics import census
+from sigmaconics import census, classify
 from sigmaconics.census import (CapExceeded, diagonal_census,
                                 exhaustive_invertible_census, form_record,
                                 line_census, plane_kernel,
@@ -194,7 +194,7 @@ def test_random_census_deterministic():
 
 
 def test_random_census_records():
-    s = random_census(T4, 64, seed=3, collect_records=True, record_limit=10)
+    s = random_census(T4, 64, seed=3, records=10)
     assert len(s.records) == 10
     for rec in s.records:
         assert rec["rank"] == 3
@@ -203,9 +203,27 @@ def test_random_census_records():
         assert not rec["violations"]
 
 
+@pytest.mark.parametrize("records", [0, 100, 500])
+def test_record_rows_counted_once(monkeypatch, records):
+    """With 10 dropped from the menu, the 194 samples of T9 with 10 absolute
+    points are violations; a record row is checked by its record alone, so
+    each counts once however many rows carry records."""
+    real = census.allowed_cardinalities
+
+    def without_10(tower, diagonal):
+        menu, family = real(tower, diagonal)
+        return menu - {10}, family
+    monkeypatch.setattr(census, "allowed_cardinalities", without_10)
+    monkeypatch.setattr(classify, "allowed_cardinalities", without_10)
+    s = random_census(T9, 500, seed=12, records=records)
+    assert len(s.records) == records
+    assert s.violation_count == 194
+    assert s.total == 500 and s.histogram == random_census(T9, 500, seed=12).histogram
+    assert s.histogram[10] == 194
+
+
 def test_random_census_any_rank():
-    s = random_census(T4, 400, seed=8, invertible_only=False,
-                      collect_records=True, record_limit=400, steiner=True)
+    s = random_census(T4, 400, seed=8, invertible_only=False, records=400)
     kinds = set(s.kind_counts)
     assert "kestenband_nondegenerate" in kinds
     assert not s.violations
@@ -255,7 +273,7 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     assert s.total > 0 and not s.violations
     summary = census._summary(T27, "degenerate-cf")
     e = np.array([[0, 0, 1, 0, 0, 0, 0, T27.neg(1), 0]], dtype=np.uint32)
-    census._verify_rank2_batch(T27, space, e, summary, True)
+    census._verify_rank2_batch(T27, space, e, summary)
     assert summary.kind_counts["degenerate_cf"] == 1
     assert summary.kind_counts["steiner_checked"] == 1
     assert not summary.violations
@@ -268,8 +286,7 @@ def test_form_record_contents():
     assert rec["fixed_in"] == 3 and rec["fixed_out"] == 4
     assert rec["kind"] == "kestenband_nondegenerate"
     assert not rec["violations"]
-    rec2 = form_record(SesquiForm(T8, ((0, 0, 1), (0, 1, 0), (0, 0, 0))),
-                       steiner=True)
+    rec2 = form_record(SesquiForm(T8, ((0, 0, 1), (0, 1, 0), (0, 0, 0))))
     assert rec2["kind"] == "cf" and rec2["absolute"] == 9
     assert not rec2["violations"]
 
@@ -283,7 +300,7 @@ def _unreduced_rank_le2(t):
     for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
         ranks = vranks(t, e.reshape(-1, 3, 3))
         census._verify_rank1_batch(t, space, e[ranks == 1], summary)
-        census._verify_rank2_batch(t, space, e[ranks == 2], summary, True)
+        census._verify_rank2_batch(t, space, e[ranks == 2], summary)
     return summary
 
 

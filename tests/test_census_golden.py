@@ -26,10 +26,9 @@ ENTRY_POINTS = {
     "random_census_any_rank": lambda t: census.random_census(
         t, 400, seed=8, invertible_only=False),
     "random_census_records": lambda t: census.random_census(
-        t, 200, seed=3, invertible_only=False, collect_records=True,
-        record_limit=40, steiner=True),
+        t, 200, seed=3, invertible_only=False, records=40),
     "random_census_records_invertible": lambda t: census.random_census(
-        t, 64, seed=3, collect_records=True, record_limit=10),
+        t, 64, seed=3, records=10),
     "line_census": census.line_census,
 }
 

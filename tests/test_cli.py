@@ -110,6 +110,16 @@ def test_classify_past_line_list_budget_exits_4(capsys):
     assert "32 MiB line-list budget" in err and "PG(2,163)" in err
 
 
+def test_classify_past_point_budget_exits_4(capsys):
+    """PG(2,2371) is the first prime plane whose point array passes the
+    budget (PG(2,2357) fits); it is refused before any point is built."""
+    code = main(["classify", "--p", "2371", "--n", "1",
+                 "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "64 MiB point-array budget" in err and "PG(2,2371)" in err
+
+
 def test_census_csv_summary(tmp_path):
     out = tmp_path / "summary.csv"
     assert main(["census", "--p", "2", "--n", "2", "--m", "1", "--mode",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigmaconics import projective
 from sigmaconics.classify import lines_points_array
 from sigmaconics.fields import build_field
 from sigmaconics.linalg import normalize
@@ -109,6 +110,15 @@ def test_line_list_budget_checked_before_any_point(monkeypatch):
     with pytest.raises(CapExceeded, match="PG.2,163.*32 MiB line-list budget"):
         lines_points_array(sp)
     assert sp._lines_points is None
+
+
+def test_point_budget_checked_before_enumeration(monkeypatch):
+    def no_points(self):
+        raise AssertionError("the points were enumerated")
+    monkeypatch.setattr(projective, "POINTS_BUDGET", 1 << 10)
+    monkeypatch.setattr(ProjectiveSpace, "_enumerate", no_points)
+    with pytest.raises(CapExceeded, match="PG.2,27.*point-array budget"):
+        ProjectiveSpace(build_field(3, 1, 3, 1), 2)
 
 
 def test_index_rows_matches_scalar():
