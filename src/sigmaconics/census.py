@@ -35,10 +35,12 @@ N^(|S|-1) / prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is
 391,543 representatives for 19,173,961 nonzero scalar classes, at Q = 16
 20,363,925 for 4.58e9.  A violation names the failing representative.
 
-Form values outside the count kernel (the tangent test, the pencil blocks,
-the PG(1) forms) come from `forms.form_values`, the library's one
-vectorised x^T A y^sigma.  Ranks come from `linalg.vranks` on the entries
-reshaped to (K, 3, 3), radicals from `linalg.vcross`.
+The rank verifiers run the degenerate normal form of
+`classify.classify_plane_form` at K rows: `forms.radical_lines`,
+`forms.radical_points`, `cfsets.pencil_normal_form` and
+`classify.cone_blocks`.  The PG(1) forms are evaluated by
+`forms.form_values`, the one vectorised x^T A y^sigma; ranks come from
+`linalg.vranks`.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
@@ -75,11 +77,12 @@ import numpy as np
 
 from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
                        KIND_TWO_LINES, allowed_cardinalities,
-                       classify_plane_form, kestenband_profile,
+                       classify_plane_form, cone_blocks, kestenband_profile,
                        line_spectrum)
-from .cfsets import steiner_locus, steiner_matches_form
+from .cfsets import pencil_normal_form, steiner_locus, steiner_matches_form
 from .fields import FieldTower
-from .forms import SesquiForm, absolute_mask, form_values
+from .forms import (SesquiForm, absolute_mask, form_values, radical_lines,
+                    radical_points)
 from .linalg import vcross, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
@@ -295,19 +298,6 @@ def _kernel_rows(space: ProjectiveSpace) -> int:
     """Matrices per batch of a sampled census: 4096, fewer where their
     (K, N) count masks would pass 2^22 cells."""
     return max(1, min(4096, _KERNEL_CELLS // space.n_points))
-
-
-# -- vectorised helpers on entry columns -------------------------------------
-
-def _first_nonzero_rows(cands) -> np.ndarray:
-    """Row-wise first candidate vector that is not identically zero."""
-    out = cands[-1].copy()
-    taken = np.zeros(len(out), dtype=bool)
-    for c in cands:
-        nz = c.any(axis=1) & ~taken
-        out[nz] = c[nz]
-        taken |= nz
-    return out
 
 
 # -- census data structures ----------------------------------------------------
@@ -567,17 +557,20 @@ def exhaustive_invertible_census(tower: FieldTower,
 
 def diagonal_census(tower: FieldTower,
                     max_violations: int | None = None) -> CensusSummary:
-    """Absolute counts over invertible diagonal matrices up to scalars."""
+    """Absolute counts over invertible diagonal matrices up to scalars,
+    diag(1, a, b) in the order of (a, b), in batches of `_kernel_rows`."""
     Q = tower.order
+    space = projective_space(tower, 2)
+    kern = plane_kernel(space)
+    menu = _admissible(tower, True)
     summary = _summary(tower, "diagonal", max_violations)
-    units = np.arange(1, Q, dtype=np.uint32)
-    e = np.zeros(((Q - 1) ** 2, 9), dtype=np.uint32)
-    e[:, 0] = 1
-    e[:, 4] = np.repeat(units, Q - 1)
-    e[:, 8] = np.tile(units, Q - 1)
-    _verify_menu_batch(plane_kernel(projective_space(tower, 2)), e, summary,
-                       _admissible(tower, True),
-                       "diagonal cardinality outside the admissible menu")
+    total, rows = (Q - 1) ** 2, _kernel_rows(space)
+    for start in range(0, total, rows):
+        k = np.arange(start, min(start + rows, total))
+        e = np.zeros((len(k), 9), dtype=np.uint32)
+        e[:, 0], e[:, 4], e[:, 8] = 1, 1 + k // (Q - 1), 1 + k % (Q - 1)
+        _verify_menu_batch(kern, e, summary, menu,
+                           "diagonal cardinality outside the admissible menu")
     return summary
 
 
@@ -621,47 +614,31 @@ def _verify_rank1_batch(tower, space, e, summary, w=None):
     if not len(e):
         return
     w = _unit(e, w)
-    t = tower
     kern = plane_kernel(space)
-    cols = [e[:, i::3] for i in range(3)]          # column vectors
-    u = _first_nonzero_rows([cols[0], cols[1], cols[2]])
-    rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
-    w_tw = t.vfrobq(_first_nonzero_rows(rows), (t.n - t.m) % t.n)
-    # the absolute set must be the union of the lines u and w_tw
+    lines = radical_lines(space, e)
+    # the absolute set must be the union of the two radical lines
     expect = np.zeros((len(e), space.n_points), dtype=bool)
-    for line in (u, w_tw):
+    for line in lines:
         np.put_along_axis(expect, space.lines_points(line), True, axis=1)
     mask = kern.masks(*kern.row_encode(e))
     ok = (mask == expect).all(axis=1)
     summary.add_counts(mask.sum(axis=1), w)
     summary.bump(KIND_TWO_LINES, int(w.sum()))
-    same = ~vcross(t, u, w_tw).any(axis=1)
+    same = (lines[0] == lines[1]).all(axis=1)
     summary.bump("two_lines_coincident", int(w[same].sum()))
     summary.flag(e[~ok], "rank-1 set is not the union of its radical lines")
-
-
-_STD = np.eye(3, dtype=np.uint32)
 
 
 def _verify_rank2_batch(tower, space, e, summary, w=None):
     if not len(e):
         return
     w = _unit(e, w)
-    t = tower
     kern = plane_kernel(space)
     mask = kern.masks(*kern.row_encode(e))
     counts = mask.sum(axis=1)
     summary.add_counts(counts, w)
 
-    rows = [e[:, 3 * i:3 * i + 3] for i in range(3)]
-    cols = [e[:, i::3] for i in range(3)]
-    null_r = _first_nonzero_rows([vcross(t, rows[0], rows[1]),
-                                  vcross(t, rows[0], rows[2]),
-                                  vcross(t, rows[1], rows[2])])
-    v_r = space.normalize_rows(t.vfrobq(null_r, (t.n - t.m) % t.n))
-    v_l = space.normalize_rows(_first_nonzero_rows(
-        [vcross(t, cols[0], cols[1]), vcross(t, cols[0], cols[2]),
-         vcross(t, cols[1], cols[2])]))
+    v_r, v_l = radical_points(space, e)
     same = (v_r == v_l).all(axis=1)
 
     _verify_cone_batch(tower, e[same], v_r[same], counts[same], w[same], summary)
@@ -690,15 +667,7 @@ def _verify_cone_batch(tower, e, vert, counts, w, summary):
         return
     Q, q = tower.order, tower.q
     summary.bump(KIND_CONE, int(w.sum()))
-    # complement the vertex with two standard basis vectors; the block of
-    # the congruent matrix is then just a 2x2 submatrix of A
-    pair_idx = np.where(vert[:, 2] != 0, 0,
-                        np.where(vert[:, 1] != 0, 1, 2))
-    pairs = np.array([[0, 1], [0, 2], [1, 2]])[pair_idx]
-    i, j = pairs[:, 0], pairs[:, 1]
-    blocks = e[np.arange(len(e))[:, None],
-               np.stack([4 * i, 3 * i + j, 3 * j + i, 4 * j], axis=1)]
-    base_counts, subline = _line_form_counts(tower, blocks)
+    base_counts, subline = _line_form_counts(tower, cone_blocks(e, vert))
     ok_size = counts == 1 + base_counts.astype(np.int64) * Q
     ok_base = np.isin(base_counts, [0, 1, 2, q + 1])
     summary.flag(e[~(ok_size & ok_base)],
@@ -713,20 +682,13 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary):
         return
     t = tower
     Q = t.order
-    bval = form_values(t, e, v_r, v_l)
-    deg = bval == 0
+    mid, block = pencil_normal_form(t, e, v_r, v_l)
+    deg = block[:, 1] == 0          # the tangent value v_r A v_l^sigma
     summary.bump(KIND_DEGENERATE_CF, int(w[deg].sum()))
     summary.bump(KIND_CF, int(w[~deg].sum()))
     expect = np.where(deg, 2 * Q + 1, Q + 1)
     summary.flag(e[counts != expect],
                  "cf cardinality does not match the tangent-line split")
-    # the midpoint column and the pencil block in normal coordinates, as in
-    # cfsets.pencil_collineation_from_form
-    rl = vcross(t, v_r, v_l)
-    mid = _STD[np.where(rl[:, 0] != 0, 0, np.where(rl[:, 1] != 0, 1, 2))]
-    block = np.stack([form_values(t, e, v_r, mid), bval,
-                      form_values(t, e, mid, mid), form_values(t, e, mid, v_l)],
-                     axis=1)
     idx, whole_line = steiner_locus(space, v_r, mid, v_l, block, t.m)
     member = np.take_along_axis(mask, idx, axis=1)
     single = ~whole_line
@@ -739,8 +701,8 @@ def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary):
     n_single = single.sum(axis=1)
     has_line = whole_line.any(axis=1)
     if has_line.any():
-        on_line = np.take_along_axis(mask[has_line],
-                                     space.lines_points(rl[has_line]), axis=1)
+        rl = vcross(t, v_r[has_line], v_l[has_line])
+        on_line = np.take_along_axis(mask[has_line], space.lines_points(rl), axis=1)
         ok[has_line] &= on_line.all(axis=1)
     totals = n_single + np.where(has_line, Q + 1, 0)
     ok &= totals == counts

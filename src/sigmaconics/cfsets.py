@@ -10,6 +10,8 @@ vertices, into norm-class components C_a; replacing the components named
 by a subset T of F_q^* (containing 1) with the matching pieces J_a of the
 line RL produces an exterior set with respect to a PG(2,q) subgeometry
 inside C_1, which is the seed of the rank-metric code construction.
+`pencil_normal_form`, the pencil bases and blocks of K rank-2 forms, runs
+at K rows in the census and at K = 1 in `pencil_collineation_from_form`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .fields import FieldTower
-from .forms import SesquiForm, absolute_mask, radicals
-from .linalg import (cross3, mat_det, mat_mul, mat_sigma,
-                     mat_transpose, normalize, vcross, vdot)
+from .forms import SesquiForm, absolute_mask, form_values, radical_points
+from .linalg import mat_det, normalize, vcross, vdot, vranks
 from .projective import ProjectiveSpace, Subplane, projective_space
 
 
@@ -54,8 +55,32 @@ class PencilCollineation:
         return self.block[0][1] == 0
 
 
-def pencil_collineation(tower: FieldTower, r_vec, l_vec, block, qexp: int | None = None,
-                        mid=None) -> PencilCollineation:
+_STD = np.eye(3, dtype=np.uint32)
+
+
+def pencil_midpoints(t: FieldTower, r_vec: np.ndarray, l_vec: np.ndarray) -> np.ndarray:
+    """Midpoints (K, 3) of the bases (R, mid, L) of K pairs of distinct
+    points: e_k, k the first nonzero coordinate of R x L."""
+    rl = vcross(t, r_vec, l_vec)
+    return _STD[np.where(rl[:, 0] != 0, 0, np.where(rl[:, 1] != 0, 1, 2))]
+
+
+def pencil_normal_form(t: FieldTower, e: np.ndarray, r_vec: np.ndarray,
+                       l_vec: np.ndarray) -> tuple:
+    """Midpoints (K, 3) and row-major pencil blocks (K, 4) of K rank-2 forms
+    with (K, 9) entries and distinct right and left radical points r_vec
+    and l_vec.  In the basis (R, mid, L) the congruent matrix has a zero
+    first column and a zero last row; the block is its upper-right 2x2
+    corner (R A mid^sigma, R A L^sigma, mid A mid^sigma, mid A L^sigma)."""
+    mid = pencil_midpoints(t, r_vec, l_vec)
+    block = np.stack([form_values(t, e, r_vec, mid), form_values(t, e, r_vec, l_vec),
+                      form_values(t, e, mid, mid), form_values(t, e, mid, l_vec)],
+                     axis=1)
+    return mid, block
+
+
+def pencil_collineation(tower: FieldTower, r_vec, l_vec, block,
+                        qexp: int | None = None) -> PencilCollineation:
     """Build a pencil collineation with explicit vertices and block."""
     t = tower
     r_vec = normalize(t, r_vec)
@@ -64,43 +89,30 @@ def pencil_collineation(tower: FieldTower, r_vec, l_vec, block, qexp: int | None
         raise ValueError("vertices must be distinct")
     if mat_det(t, block) == 0:
         raise ValueError("block must be invertible")
-    if mid is None:
-        c = cross3(t, r_vec, l_vec)
-        k = next(i for i in range(3) if c[i] != 0)
-        mid = tuple(1 if i == k else 0 for i in range(3))
+    mid = pencil_midpoints(t, np.array([r_vec], dtype=np.uint32),
+                           np.array([l_vec], dtype=np.uint32))[0].tolist()
     basis = tuple(zip(r_vec, mid, l_vec))
-    if mat_det(t, basis) == 0:
-        raise ValueError("midpoint lies on the line RL")
     return PencilCollineation(tower=t, basis=basis,
                               block=tuple(tuple(int(x) for x in row) for row in block),
                               qexp=(tower.m if qexp is None else qexp) % tower.n)
 
 
 def pencil_collineation_from_form(form: SesquiForm) -> PencilCollineation:
-    """The pencil collineation attached to a rank-2 form with distinct radicals.
-
-    In coordinates where the right radical is (1,0,0) and the left radical
-    is (0,0,1), the matrix has zero first column and zero last row; the
-    collineation block is the upper-right 2x2 corner.
-    """
+    """The pencil collineation attached to a rank-2 form with distinct
+    radicals: its basis and block are those of `pencil_normal_form`."""
     t = form.tower
-    rad = radicals(form)
-    if rad.rank != 2:
+    e = form.entries[None]
+    if vranks(t, e.reshape(1, 3, 3))[0] != 2:
         raise ValueError("form must have rank 2")
-    v_r = normalize(t, rad.right[0])
-    v_l = normalize(t, rad.left[0])
-    if v_r == v_l:
+    v_r, v_l = radical_points(form.space(), e)
+    if (v_r == v_l).all():
         raise ValueError("radical points coincide; this form defines a cone")
-    c = cross3(t, v_r, v_l)
-    k = next(i for i in range(3) if c[i] != 0)
-    mid = tuple(1 if i == k else 0 for i in range(3))
-    basis = tuple(zip(v_r, mid, v_l))
-    b = mat_mul(t, mat_mul(t, mat_transpose(basis), form.matrix), mat_sigma(t, basis))
-    if any(b[i][0] != 0 for i in range(3)) or any(b[2][j] != 0 for j in range(3)):
+    # the normal form's zero first column and last row: A R^sigma = L^T A = 0
+    if form_values(t, e, _STD, v_r).any() or form_values(t, e, v_l, _STD).any():
         raise RuntimeError("the radical basis does not put the form in "
                            "pencil normal form")
-    block = ((b[0][1], b[0][2]), (b[1][1], b[1][2]))
-    return PencilCollineation(tower=t, basis=basis, block=block, qexp=t.m)
+    block = pencil_normal_form(t, e, v_r, v_l)[1].reshape(2, 2).tolist()
+    return pencil_collineation(t, v_r[0].tolist(), v_l[0].tolist(), block)
 
 
 def steiner_locus(space: ProjectiveSpace, r_vec: np.ndarray, mid: np.ndarray,

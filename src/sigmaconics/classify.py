@@ -8,20 +8,24 @@ lines, dispatched on the rank and the radical geometry; an invertible
 matrix yields one of the Kestenband point sets, whose cardinality must fall
 in a short menu determined by the field degree, the parity of q, and
 whether the matrix is diagonal.
+
+`classify_plane_form` runs the batch steps of the degenerate normal form at
+K = 1 (the census at K rows): `forms.radical_points`/`radical_lines`,
+`cfsets.pencil_normal_form` and `cone_blocks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .cfsets import pencil_collineation_from_form
+from .cfsets import pencil_normal_form
 from .fields import FieldTower
 from .forms import (SesquiForm, absolute_mask, collineation_images,
-                    induced_collineation, radicals)
-from .linalg import (cross3, dot, mat_det, mat_mul, mat_sigma, mat_transpose,
-                     normalize)
+                    induced_collineation, radical_lines, radical_points)
+from .linalg import cross3, dot, mat_det, vranks
 from .projective import ProjectiveSpace
 
 LINE_EMPTY = "empty"
@@ -92,11 +96,6 @@ class PlaneClassification:
     tangent_value: int | None = None
 
 
-def _radical_line(t: FieldTower, basis) -> tuple:
-    """Dual coordinates of the line whose points form a 2-dim radical."""
-    return normalize(t, cross3(t, basis[0], basis[1]))
-
-
 def classify_plane_form(form: SesquiForm, space: ProjectiveSpace | None = None,
                         mask: np.ndarray | None = None) -> PlaneClassification:
     """Kind, rank and absolute points of a 3x3 form; `mask` is its
@@ -105,50 +104,41 @@ def classify_plane_form(form: SesquiForm, space: ProjectiveSpace | None = None,
         raise ValueError("expected a form on the projective plane")
     space = space or form.space()
     t = form.tower
-    rad = radicals(form)
     if mask is None:
         mask = absolute_mask(form, space)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
-    count = len(ids)
+    found = partial(PlaneClassification, absolute_count=len(ids), point_ids=ids)
+    if mat_det(t, form.matrix) != 0:
+        return found(kind=KIND_KESTENBAND, rank=3)
 
-    if rad.rank == 0:
+    e = form.entries[None]
+    rank = int(vranks(t, e.reshape(1, 3, 3))[0])
+    if rank == 0:
         raise ValueError("the zero form is absolute everywhere and is not classified")
+    if rank == 1:
+        return found(kind=KIND_TWO_LINES, rank=1, radical_lines=tuple(
+            tuple(v[0].tolist()) for v in radical_lines(space, e)))
 
-    if rad.rank == 1:
-        r_line = _radical_line(t, rad.right)
-        l_line = _radical_line(t, rad.left)
-        return PlaneClassification(kind=KIND_TWO_LINES, rank=1, absolute_count=count,
-                                   point_ids=ids, radical_lines=(r_line, l_line))
-
-    if rad.rank == 2:
-        v_r = normalize(t, rad.right[0])
-        v_l = normalize(t, rad.left[0])
-        if v_r == v_l:
-            base = _cone_base(form, v_r)
-            return PlaneClassification(kind=KIND_CONE, rank=2, absolute_count=count,
-                                       point_ids=ids, vertex=v_r, base=base)
-        phi = pencil_collineation_from_form(form)
-        b = form.evaluate(v_r, v_l)
-        kind = KIND_DEGENERATE_CF if b == 0 else KIND_CF
-        return PlaneClassification(kind=kind, rank=2, absolute_count=count,
-                                   point_ids=ids, vertices=(v_r, v_l),
-                                   block=phi.block, tangent_value=b)
-
-    return PlaneClassification(kind=KIND_KESTENBAND, rank=3, absolute_count=count,
-                               point_ids=ids)
+    v_r, v_l = radical_points(space, e)
+    r, l = tuple(v_r[0].tolist()), tuple(v_l[0].tolist())
+    if r == l:
+        base = cone_blocks(e, v_r)[0].tolist()
+        return found(kind=KIND_CONE, rank=2, vertex=r,
+                     base=classify_line_form(SesquiForm(t, (base[:2], base[2:]))))
+    block = pencil_normal_form(t, e, v_r, v_l)[1][0].tolist()
+    return found(kind=KIND_DEGENERATE_CF if block[1] == 0 else KIND_CF, rank=2,
+                 vertices=(r, l), block=(tuple(block[:2]), tuple(block[2:])),
+                 tangent_value=block[1])
 
 
-def _cone_base(form: SesquiForm, vertex) -> LineClassification:
-    """Classify the base of a cone: the restriction of the form to a
-    complement of the common radical point."""
-    t = form.tower
-    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    pair = next((e1, e2) for i, e1 in enumerate(ident) for e2 in ident[i + 1:]
-                if mat_det(t, (vertex, e1, e2)) != 0)
-    basis = tuple(zip(vertex, *pair))
-    b = mat_mul(t, mat_mul(t, mat_transpose(basis), form.matrix), mat_sigma(t, basis))
-    block = ((b[1][1], b[1][2]), (b[2][1], b[2][2]))
-    return classify_line_form(SesquiForm(t, block))
+def cone_blocks(e: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Row-major base blocks (K, 4) of K cones with (K, 9) entries and
+    vertices (K, 3): in the basis (vertex, e_i, e_j), i < j leaving out the
+    vertex's last nonzero coordinate, the block is (a_ii, a_ij, a_ji, a_jj)."""
+    pair_idx = np.where(vertex[:, 2] != 0, 0, np.where(vertex[:, 1] != 0, 1, 2))
+    i, j = np.array([[0, 1], [0, 2], [1, 2]])[pair_idx].T
+    return np.take_along_axis(e, np.stack([4 * i, 3 * i + j, 3 * j + i, 4 * j], axis=1),
+                              axis=1)
 
 
 def line_spectrum(mask_or_form, space: ProjectiveSpace) -> np.ndarray:

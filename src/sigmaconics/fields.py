@@ -23,10 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_ORDER = 1 << 20  # fields beyond this are rejected, not silently slow
-
+MAX_ORDER = 1 << 20  # fields beyond this raise CapExceeded, not silently slow
 _MUL_TABLE_MAX = 2048  # dense Q x Q tables only below this order
 _SCALAR_LIST_MAX = 65536
+
+
+class CapExceeded(RuntimeError):
+    """A computation is beyond one of the stated resource budgets."""
 
 
 def _is_prime(x: int) -> bool:
@@ -167,7 +170,7 @@ class FieldTower:
         d = e * n
         order = p ** d
         if order > MAX_ORDER:
-            raise ValueError(f"field order {order} exceeds cap {MAX_ORDER}")
+            raise CapExceeded(f"field order {order} exceeds the order cap {MAX_ORDER}")
         self.p = p
         self.e = e
         self.n = n

@@ -9,18 +9,23 @@ the collineation obtained by applying the correlation twice.
 `form_values` is the one vectorised evaluator of x^T A y^sigma; the
 absolute sets, the reflexivity test and the census batch checks all go
 through it.  `SesquiForm.evaluate` is its scalar reference.
+
+The radicals have one batch routine per rank on (K, 9) entries,
+`radical_points` (rank 2) and `radical_lines` (rank 1), called at K = 1 by
+classify and cfsets and at K rows by census; `radicals` is their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .fields import FieldTower
-from .linalg import (dot, left_null_space, mat_inv, mat_mul, mat_rank,
-                     mat_sigma, mat_transpose, mat_vec, null_space, vdot,
-                     vec_frobq, vec_sigma)
+from .linalg import (dot, first_nonzero_rows, mat_inv, mat_mul, mat_rank,
+                     mat_sigma, mat_transpose, mat_vec, null_space, vcross,
+                     vdot, vec_frobq, vec_sigma)
 from .projective import ProjectiveSpace, projective_space
 
 
@@ -42,6 +47,11 @@ class SesquiForm:
                                      f"{j + 1} is outside 0..{Q - 1}, the "
                                      f"encodings of F_{Q}")
         object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The row-major entries as a (k*k,) array of encodings."""
+        return np.array(self.matrix, dtype=np.uint32).ravel()
 
     @property
     def d(self) -> int:
@@ -89,11 +99,37 @@ class RadicalPair:
 def radicals(form: SesquiForm) -> RadicalPair:
     t = form.tower
     a = form.matrix
-    left = left_null_space(t, a)
+    left = null_space(t, mat_transpose(a))
     # right radical: y with A y^sigma = 0, i.e. sigma-inverse of the null space
     right = tuple(vec_frobq(t, b, (t.n - t.m) % t.n) for b in null_space(t, a))
     rank = len(a) - len(left)
     return RadicalPair(left=left, right=right, rank=rank)
+
+
+def _radical_pair(space: ProjectiveSpace, e: np.ndarray, pick) -> tuple:
+    """Normalized (right, left) radicals of (K, 9) entries: sigma^-1 of
+    `pick` of the rows of A, and `pick` of its columns."""
+    t = space.tower
+    right = pick([e[:, 3 * i:3 * i + 3] for i in range(3)])
+    left = pick([e[:, i::3] for i in range(3)])
+    return (space.normalize_rows(t.vfrobq(right, (t.n - t.m) % t.n)),
+            space.normalize_rows(left))
+
+
+def radical_points(space: ProjectiveSpace, e: np.ndarray) -> tuple:
+    """Right (A y^sigma = 0) and left (x^T A = 0) radical points, each
+    (K, 3), of K rank-2 forms of the plane with (K, 9) entries: cross
+    products of two independent rows, and of two independent columns."""
+    t = space.tower
+    return _radical_pair(space, e, lambda vecs: first_nonzero_rows(
+        [vcross(t, u, v) for u, v in combinations(vecs, 2)]))
+
+
+def radical_lines(space: ProjectiveSpace, e: np.ndarray) -> tuple:
+    """Dual coordinates, each (K, 3), of the right and left radical lines of
+    K rank-1 forms of the plane with (K, 9) entries.  A rank-1 matrix is
+    c r^T: its radicals are the lines r^(sigma^-1) and c."""
+    return _radical_pair(space, e, first_nonzero_rows)
 
 
 @dataclass(frozen=True)
@@ -116,15 +152,11 @@ def form_values(t: FieldTower, entries: np.ndarray, x: np.ndarray,
     return vdot(t, x, vdot(t, a, t.vsigma(y)[..., None, :]))
 
 
-def _entries(form: SesquiForm) -> np.ndarray:
-    return np.array(form.matrix, dtype=np.uint32).ravel()
-
-
 def absolute_mask(form: SesquiForm, space: ProjectiveSpace | None = None) -> np.ndarray:
     """Boolean mask over the space's points: true where x^T A x^sigma = 0."""
     space = space or form.space()
     pts = space.points
-    return form_values(form.tower, _entries(form), pts, pts) == 0
+    return form_values(form.tower, form.entries, pts, pts) == 0
 
 
 def absolute_points(form: SesquiForm, space: ProjectiveSpace | None = None) -> AbsolutePointSet:
@@ -138,7 +170,7 @@ def is_reflexive(form: SesquiForm, space: ProjectiveSpace | None = None) -> bool
     """Exhaustive test: <x,y> = 0 implies <y,x> = 0 on all projective pairs."""
     space = space or form.space()
     pts = space.points
-    zero = form_values(form.tower, _entries(form), pts[:, None], pts[None, :]) == 0
+    zero = form_values(form.tower, form.entries, pts[:, None], pts[None, :]) == 0
     return bool(np.array_equal(zero, zero.T))
 
 
@@ -146,11 +178,10 @@ def is_polarity(form: SesquiForm) -> bool:
     """Invertible A induces a polarity iff A_t^{-1} A^sigma is scalar and
     sigma^2 = 1."""
     t = form.tower
-    a = form.matrix
-    m = mat_mul(t, mat_inv(t, mat_transpose(a)), mat_sigma(t, a))
+    m = induced_collineation(form).matrix
     if (2 * t.m) % t.n != 0:
         return False
-    k = len(a)
+    k = len(m)
     diag = m[0][0]
     return all(m[i][j] == (diag if i == j else 0)
                for i in range(k) for j in range(k)) and diag != 0

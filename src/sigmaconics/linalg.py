@@ -4,9 +4,9 @@ Vectors are tuples of element encodings, matrices are tuples of row tuples.
 Everything here is exact; elimination pivots on the first nonzero entry so
 reduced forms and null-space bases are deterministic.  The vectorised
 routines act on numpy arrays of encodings: `vdot` (the dot product),
-`vcross` (the cross product) and `vranks`, the library's one batch rank,
-built from the two.  `dot`, `cross3` and `mat_rank` are their scalar
-references.
+`vcross` (the cross product), `vranks`, the library's one batch rank,
+built from the two, and `first_nonzero_rows`, which the batch radicals of
+`forms` rest on.  `dot`, `cross3` and `mat_rank` are scalar references.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ def vcross(t: FieldTower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     def minor(i, j):
         return t.vsub(t.vmul(u[..., i], v[..., j]), t.vmul(u[..., j], v[..., i]))
     return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
+
+
+def first_nonzero_rows(cands) -> np.ndarray:
+    """Row-wise first of the (K, c) candidate arrays that is not a zero
+    vector (a zero vector where all are)."""
+    c = np.stack(cands, axis=1)
+    return c[np.arange(len(c)), c.any(axis=2).argmax(axis=1)]
 
 
 def vranks(t: FieldTower, m: np.ndarray) -> np.ndarray:
@@ -167,11 +174,6 @@ def null_space(t: FieldTower, a):
             v[pc] = t.neg(rref[r][fc])
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def left_null_space(t: FieldTower, a):
-    """Deterministic basis of {v : v^T a = 0}."""
-    return null_space(t, mat_transpose(a))
 
 
 def cross3(t: FieldTower, u, v):

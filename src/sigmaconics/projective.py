@@ -15,16 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldTower, build_field
+from .fields import CapExceeded, FieldTower, build_field
 from .linalg import cross3, dot, mat_det, normalize, vdot
 
 _INCIDENCE_MAX_CELLS = 64_000_000
 LINES_BUDGET = 32 << 20  # bytes of int64 point indices per call of lines_points
 POINTS_BUDGET = 64 << 20  # bytes of uint32 point coordinates, checked before they exist
-
-
-class CapExceeded(RuntimeError):
-    """A computation is beyond one of the stated resource budgets."""
 
 
 @dataclass(frozen=True)

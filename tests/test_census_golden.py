@@ -12,6 +12,7 @@ from sigmaconics import census
 from sigmaconics.cli import _summary_record
 from sigmaconics.fields import build_field
 from sigmaconics.linalg import vranks
+from sigmaconics.projective import projective_space
 
 FIELDS = {"T4": build_field(2, 1, 2, 1), "T9": build_field(3, 1, 2, 1)}
 
@@ -107,15 +108,38 @@ GOLDEN = {
 }
 
 
+def _golden_record(field_name, entry) -> dict:
+    mode, histogram, kinds, total, violations = GOLDEN[field_name, entry]
+    return {"record": "summary", "mode": mode,
+            "histogram": {str(k): v for k, v in histogram.items()},
+            "kinds": kinds, "total": total, "violations": violations}
+
+
 @pytest.mark.parametrize("field_name,entry", sorted(GOLDEN),
                          ids=[f"{f}-{e}" for f, e in sorted(GOLDEN)])
 def test_summary_record_pinned(field_name, entry):
-    mode, histogram, kinds, total, violations = GOLDEN[field_name, entry]
     summary = ENTRY_POINTS[entry](FIELDS[field_name])
-    assert _summary_record(summary) == {
-        "record": "summary", "mode": mode,
-        "histogram": {str(k): v for k, v in histogram.items()},
-        "kinds": kinds, "total": total, "violations": violations}
+    assert _summary_record(summary) == _golden_record(field_name, entry)
+
+
+def test_diagonal_census_in_kernel_batches(monkeypatch):
+    """The diagonal census counts (Q-1)^2 matrices in batches of at most
+    `_kernel_rows`, like the sampled censuses, and keeps its record."""
+    t = FIELDS["T9"]
+    space = projective_space(t, 2)
+    monkeypatch.setattr(census, "_KERNEL_CELLS", 10 * space.n_points)
+    batches = []
+    masks = census.PlaneKernel.masks
+
+    def recording_masks(self, *idx):
+        out = masks(self, *idx)
+        batches.append(len(out))
+        return out
+    monkeypatch.setattr(census.PlaneKernel, "masks", recording_masks)
+    summary = census.diagonal_census(t)
+    assert census._kernel_rows(space) == 10
+    assert max(batches) <= 10 and sum(batches) == (t.order - 1) ** 2
+    assert _summary_record(summary) == _golden_record("T9", "diagonal_census")
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -120,6 +120,13 @@ def test_classify_past_point_budget_exits_4(capsys):
     assert "64 MiB point-array budget" in err and "PG(2,2371)" in err
 
 
+def test_field_order_cap_exits_4(capsys):
+    code = main(["classify", "--p", "2", "--n", "21",
+                 "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "1"])
+    assert code == 4
+    assert "field order 2097152 exceeds the order cap" in capsys.readouterr().err
+
+
 def test_census_csv_summary(tmp_path):
     out = tmp_path / "summary.csv"
     assert main(["census", "--p", "2", "--n", "2", "--m", "1", "--mode",

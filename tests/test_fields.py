@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sigmaconics.fields import FieldTower, build_field
+import sigmaconics
+from sigmaconics import projective
+from sigmaconics.fields import CapExceeded, FieldTower, build_field
 
 
 def brute_least_irreducible(p, d):
@@ -55,9 +57,15 @@ def test_build_field_validation():
         build_field(4, 1, 2, 1)          # not prime
     with pytest.raises(ValueError):
         build_field(2, 1, 4, 2)          # gcd(m, n) = 2
-    with pytest.raises(ValueError):
-        build_field(2, 1, 25, 1)         # beyond the order cap
     build_field(2, 1, 3, 2)              # gcd(2, 3) = 1 accepted
+
+
+def test_order_cap_raises_cap_exceeded():
+    """2^21 is the first order of characteristic 2 past the 2^20 cap; like
+    every resource cap it raises the one CapExceeded class."""
+    with pytest.raises(CapExceeded, match="field order 2097152 exceeds the order cap"):
+        build_field(2, 1, 21, 1)
+    assert projective.CapExceeded is sigmaconics.CapExceeded is CapExceeded
 
 
 def test_f4_arithmetic_by_hand():
