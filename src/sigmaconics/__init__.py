@@ -23,8 +23,8 @@ from .classify import (KestenbandProfile, LineClassification,
                        classify_plane_form, count_trinomial_roots, is_arc,
                        kestenband_profile, line_spectrum)
 from .mrd import (RankCode, build_code, field_reduce, min_rank_distance,
-                  nonlinearity_witness, rank_fq, singleton_bound,
-                  subfield_coords)
+                  nonlinearity_witness, orbit_distance, orbit_linear, rank_fq,
+                  singleton_bound, subfield_coords)
 from .census import (CensusSummary, diagonal_census,
                      exhaustive_invertible_census, form_record, line_census,
                      plane_kernel, random_census, rank1_census,

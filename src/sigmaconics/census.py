@@ -79,14 +79,15 @@ from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
                        KIND_TWO_LINES, allowed_cardinalities,
                        classify_plane_form, cone_blocks, kestenband_profile,
                        line_spectrum)
-from .cfsets import pencil_normal_form, steiner_locus, steiner_matches_form
+from .cfsets import (pencil_collineation_from_form, pencil_normal_form,
+                     steiner_locus, steiner_matches_form)
 from .fields import FieldTower
 from .forms import (SesquiForm, absolute_mask, form_values, radical_lines,
                     radical_points)
 from .linalg import vcross, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
-EXHAUSTIVE_CAP = 100_000_000  # torus-orbit representatives per exhaustive 3x3 sweep
+EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep representatives; mrd orbit differences
 # rows (scalar classes or orbit representatives) per batch; 1 << 16 lifted the
 # rank <= 2 sweep of PG(2,8) from 42 MB to 58-66 MB peak RSS, by heap layout
 _ENUM_CHUNK = 1 << 14
@@ -839,8 +840,8 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
     if mask is None:
         mask = absolute_mask(form, space)
     cls = classify_plane_form(form, space, mask)
-    vals, freq = np.unique(line_spectrum(mask, space), return_counts=True)
-    spectrum = {int(v): int(f) for v, f in zip(vals, freq)}
+    freq = np.bincount(line_spectrum(mask, space))
+    spectrum = {v: int(f) for v, f in enumerate(freq) if f}
     rec = {
         "matrix": [x for row in form.matrix for x in row],
         "rank": cls.rank,
@@ -869,7 +870,8 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         if cls.absolute_count != expect:
             violations.append(f"expected {expect} absolute points, "
                               f"got {cls.absolute_count}")
-        if not steiner_matches_form(form, space):
+        phi = pencil_collineation_from_form(form, cls.vertices, cls.block)
+        if not steiner_matches_form(form, space, mask, phi):
             violations.append("steiner locus differs from the absolute set")
     rec["violations"] = violations
     return rec

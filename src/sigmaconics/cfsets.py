@@ -97,21 +97,29 @@ def pencil_collineation(tower: FieldTower, r_vec, l_vec, block,
                               qexp=(tower.m if qexp is None else qexp) % tower.n)
 
 
-def pencil_collineation_from_form(form: SesquiForm) -> PencilCollineation:
+def pencil_collineation_from_form(form: SesquiForm, vertices=None,
+                                  block=None) -> PencilCollineation:
     """The pencil collineation attached to a rank-2 form with distinct
-    radicals: its basis and block are those of `pencil_normal_form`."""
+    radicals: its basis and block are those of `pencil_normal_form`.
+    `vertices` (the right and left radical points) and `block` are those
+    of `classify_plane_form` when the caller already has them; the
+    normal-form check runs either way."""
     t = form.tower
     e = form.entries[None]
-    if vranks(t, e.reshape(1, 3, 3))[0] != 2:
-        raise ValueError("form must have rank 2")
-    v_r, v_l = radical_points(form.space(), e)
+    if vertices is None:
+        if vranks(t, e.reshape(1, 3, 3))[0] != 2:
+            raise ValueError("form must have rank 2")
+        v_r, v_l = radical_points(form.space(), e)
+    else:
+        v_r, v_l = (np.array([v], dtype=np.uint32) for v in vertices)
     if (v_r == v_l).all():
         raise ValueError("radical points coincide; this form defines a cone")
     # the normal form's zero first column and last row: A R^sigma = L^T A = 0
     if form_values(t, e, _STD, v_r).any() or form_values(t, e, v_l, _STD).any():
         raise RuntimeError("the radical basis does not put the form in "
                            "pencil normal form")
-    block = pencil_normal_form(t, e, v_r, v_l)[1].reshape(2, 2).tolist()
+    if block is None:
+        block = pencil_normal_form(t, e, v_r, v_l)[1].reshape(2, 2).tolist()
     return pencil_collineation(t, v_r[0].tolist(), v_l[0].tolist(), block)
 
 
@@ -167,16 +175,19 @@ def steiner_generate(phi: PencilCollineation,
     return frozenset(out)
 
 
-def steiner_matches_form(form: SesquiForm,
-                         space: ProjectiveSpace | None = None) -> bool:
+def steiner_matches_form(form: SesquiForm, space: ProjectiveSpace | None = None,
+                         mask: np.ndarray | None = None,
+                         phi: PencilCollineation | None = None) -> bool:
     """Cross-check: the Steiner locus of the pencil collineation attached to
-    a rank-2 form with distinct radicals equals its absolute point set."""
+    a rank-2 form with distinct radicals equals its absolute point set.
+    `mask` and `phi` are the form's absolute mask and pencil collineation
+    when the caller already has them."""
     space = space or form.space()
-    phi = pencil_collineation_from_form(form)
-    generated = steiner_generate(phi, space)
-    mask = absolute_mask(form, space)
-    ids = set(int(i) for i in np.nonzero(mask)[0])
-    return generated == ids
+    if phi is None:
+        phi = pencil_collineation_from_form(form)
+    if mask is None:
+        mask = absolute_mask(form, space)
+    return steiner_generate(phi, space) == set(np.nonzero(mask)[0].tolist())
 
 
 @dataclass(frozen=True)

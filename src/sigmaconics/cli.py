@@ -29,8 +29,8 @@ from .cfsets import (cf_canonical, embed_subplane_in_component, exterior_set,
 from .classify import LineTaxonomyError, classify_line_form
 from .fields import build_field
 from .forms import make_form
-from .mrd import (build_code, min_rank_distance, nonlinearity_witness,
-                  singleton_bound)
+from .mrd import (build_code, nonlinearity_witness, orbit_differences,
+                  orbit_distance, orbit_linear, singleton_bound)
 from .projective import CapExceeded, projective_space
 
 EXIT_OK = 0
@@ -192,15 +192,19 @@ def cmd_mrd(args) -> int:
     T = sorted(set(args.T))
     if 1 not in T:
         raise SystemExit("the replaced-component set T must contain 1")
+    # every exterior set has q^n + 1 points
+    orbit_differences(tower, tower.order + 1, args.scalars)
     space = projective_space(tower, 2)
     cf = cf_canonical(tower)
     sub = embed_subplane_in_component(cf)
     ext = exterior_set(cf, T)
     exterior_ok = verify_exterior(ext.point_ids, sub, space)
     code = build_code(ext, sub, args.scalars)
-    dist = min_rank_distance(code)
+    dist = orbit_distance(code)
     bound = singleton_bound(3, tower.n, tower.q, 2)
-    witness = nonlinearity_witness(code)
+    # the F_q^* orbit is not closed under field scalars: test its sums
+    linear = (orbit_linear(code) if args.scalars == "all"
+              else nonlinearity_witness(code) is None)
     # replacing every component turns the exterior set into the full line
     # joining the vertices, whose scalar orbit is a linear spread-set code
     proper_t = len(T) < tower.q - 1
@@ -214,7 +218,7 @@ def cmd_mrd(args) -> int:
         "min_rank_distance": dist,
         "singleton_bound": bound,
         "meets_bound": len(code) == bound,
-        "linear": witness is None,
+        "linear": linear,
         "nonlinearity_required": proper_t,
     }
     writer = _Writer(args.out, args.format)
@@ -230,7 +234,7 @@ def cmd_mrd(args) -> int:
                                 "entries": [int(x) for x in mat.ravel()]}) + "\n")
     ok = exterior_ok and dist == 2
     if proper_t:
-        ok = ok and witness is not None
+        ok = ok and not linear
     if args.scalars == "all":
         ok = ok and len(code) == bound
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -2,7 +2,7 @@
 non-linear rank-distance codes built from exterior sets.
 
 A vector of F_{q^n}^3 expands row-wise over the fixed polynomial basis of
-F_{q^n}/F_q into a 3 x n matrix over F_q; under this reduction the
+F_{q^n}/F_q into a 3 x n matrix Phi(v) over F_q; under this reduction the
 matrices of rank 1 come exactly from points with a representative whose
 coordinates all lie in F_q, i.e. from the canonical PG(2,q).  The exterior
 sets produced by cfsets avoid a *different* copy of PG(2,q) (the subplane
@@ -10,11 +10,25 @@ inside the component C_1), so the code construction first applies the
 projectivity carrying that subplane onto the canonical one and only then
 reduces; skipping this step collapses the minimum distance to 1.
 
-Distances and sums are checked in blocks of code matrices for every
-q = p^e: differences come from the tower's `vsub` on the subfield
-encodings, ranks from `linalg.vranks` (the minors of an F_q matrix are the
-same in F_{q^n}), and sums are looked up by integer key in the sorted keys
-of the code.  `rank_fq` is the scalar reference.
+The code is {0} and Phi(c u) for the aligned exterior points u and the
+scalars c of S (F_{q^n}^* or F_q^*), and both checks on the CLI path use
+that structure rather than pairs of codewords.  Phi is F_q-linear and
+Phi(c v) = Phi(v) M_c with M_c invertible, so the rank of Phi is a function
+of the projective point: `_rank_table` ranks every point of PG(2,q^n) once.
+A difference of two codewords is c1 u - c2 w = c1 (u - (c2/c1) w), with
+c2/c1 in S because S is a group, so `orbit_distance` is the least table
+rank over the points u (pairs with 0, and (c1 - c2) u) and over u - c w for
+the unordered pairs u != w and every c in S (u - c w and w - c^-1 u are the
+same point).  With S = F_{q^n}^* the set of representatives of the code is
+closed under field scalars, so the code is closed under addition exactly
+when that set is an F_{q^n}-subspace: `orbit_linear` tests that the points
+fill their span, a line for the q^n + 1 points of an exterior set.  The
+F_q^* code keeps the exhaustive `nonlinearity_witness`.
+
+The pairwise `min_rank_distance` and `rank_fq` are the references: the
+first ranks blocks of code-matrix differences through `linalg.vranks`
+(the minors of an F_q matrix are the same in F_{q^n}), the second is the
+scalar rank.
 """
 
 from __future__ import annotations
@@ -24,11 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .census import EXHAUSTIVE_CAP
 from .cfsets import ExteriorSet
 from .fields import FieldTower
 from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize, vdot, vranks
-from .projective import ProjectiveSpace, Subplane, projective_space
+from .projective import CapExceeded, ProjectiveSpace, Subplane, projective_space
 
+_DIFF_BLOCK = 1 << 18  # orbit differences u - c w ranked per block
 _PAIR_CHUNK = 512  # code matrices per side of one block of differences
 _WITNESS_ROWS = 64  # code matrices whose sums one witness block tests
 
@@ -42,7 +58,7 @@ def _coord_table(t: FieldTower) -> np.ndarray:
     c = sub[np.indices((t.q,) * t.n).reshape(t.n, -1).T]
     alpha = t.encode([0, 1]) if t.degree > 1 else 1
     x = vdot(t, c, np.array([t.pow(alpha, i) for i in range(t.n)], dtype=np.uint32))
-    if len(np.unique(x)) != t.order:
+    if (np.bincount(x, minlength=t.order) != 1).any():
         raise ValueError("the powers of alpha are not a basis over F_q")
     table = np.empty((t.order, t.n), dtype=np.uint32)
     table[x] = c
@@ -84,6 +100,8 @@ class RankCode:
     matrices: np.ndarray          # (size, 3, n) subfield encodings
     scalars: str
     claimed_distance: int
+    # (E, 3) aligned exterior points u: the code is {0} and Phi(c u), c in S
+    points: np.ndarray | None = None
 
     def __len__(self):
         return len(self.matrices)
@@ -134,22 +152,82 @@ def build_code(exterior: ExteriorSet, subplane: Subplane,
     t = exterior.cf.tower
     if t.q <= 2 or t.n < 3:
         raise ValueError("code construction requires q > 2 and n >= 3")
-    if scalars not in ("all", "subfield"):
-        raise ValueError("scalars must be 'all' or 'subfield'")
+    scalar_set = _scalar_set(t, scalars)
     space = space or projective_space(t, 2)
     g = np.array(subplane_alignment(space, subplane), dtype=np.uint32)
-    scalar_set = np.array(list(t.units()) if scalars == "all"
-                          else [a for a in t.subfield if a != 0], dtype=np.uint32)
     # the aligned points g v, point by point, each times every scalar
     pts = space.points[sorted(exterior.point_ids)]
     v = vdot(t, pts[:, None, :], g[None])
     w = t.vmul(scalar_set[None, :, None], v[:, None, :]).reshape(-1, 3)
     arr = np.concatenate([np.zeros((1, 3, t.n), dtype=np.int64),
                           field_reduce(t, w)])
-    code = RankCode(tower=t, matrices=arr, scalars=scalars, claimed_distance=2)
+    code = RankCode(tower=t, matrices=arr, scalars=scalars, claimed_distance=2,
+                    points=v)
     if len(code.keys()) != len(arr):
         raise RuntimeError("code contains duplicate matrices")
     return code
+
+
+def _scalar_set(t: FieldTower, scalars: str) -> np.ndarray:
+    """The scalars S of a code's orbit: F_{q^n}^* ("all") or F_q^*
+    ("subfield")."""
+    if scalars not in ("all", "subfield"):
+        raise ValueError("scalars must be 'all' or 'subfield'")
+    return np.array(list(t.units()) if scalars == "all"
+                    else [a for a in t.subfield if a != 0], dtype=np.uint32)
+
+
+def orbit_differences(t: FieldTower, size: int, scalars: str) -> int:
+    """Number of differences u - c w that `orbit_distance` ranks for
+    `size` exterior points, |ext| (|ext| - 1) / 2 |S|; raises CapExceeded
+    past EXHAUSTIVE_CAP."""
+    count = size * (size - 1) // 2 * len(_scalar_set(t, scalars))
+    if count > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"the distance check needs {count:.2e} orbit "
+                          f"differences, beyond the {EXHAUSTIVE_CAP:.0e} budget")
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_table(t: FieldTower) -> np.ndarray:
+    """rank Phi(P) for every point P of PG(2,q^n), by point index."""
+    table = vranks(t, field_reduce(t, projective_space(t, 2).points))
+    table.flags.writeable = False   # one table, shared by every caller
+    return table
+
+
+def orbit_distance(code: RankCode) -> int:
+    """Minimum rank distance of a code from `build_code`, exactly: the
+    least table rank over its aligned points u and over u - c w for the
+    pairs of points u != w and every c in S, in blocks of differences."""
+    if code.points is None:
+        raise ValueError("the orbit distance needs the code's aligned points")
+    t, pts = code.tower, code.points
+    orbit_differences(t, len(pts), code.scalars)
+    space = projective_space(t, 2)
+    table = _rank_table(t)
+    scalar_set = _scalar_set(t, code.scalars)
+    neg_cw = t.vneg(t.vmul(scalar_set[:, None], pts[:, None]))   # (E, |S|, 3)
+    best = int(table[space.index_rows(pts)].min())
+    first, second = np.triu_indices(len(pts), 1)
+    step = max(1, _DIFF_BLOCK // len(scalar_set))
+    for k in range(0, len(first), step):
+        diff = t.vadd(pts[first[k:k + step], None], neg_cw[second[k:k + step]])
+        best = min(best, int(table[space.index_rows(diff.reshape(-1, 3))].min()))
+    return best
+
+
+def orbit_linear(code: RankCode) -> bool:
+    """Closure under addition of a code from `build_code` with scalars
+    "all": its representatives, 0 and the multiples c u, form a set closed
+    under F_{q^n}^*, so it is additively closed iff it is an
+    F_{q^n}-subspace, i.e. iff the points are all the points of their span
+    (for the q^n + 1 points of an exterior set: iff they are collinear)."""
+    if code.points is None or code.scalars != "all":
+        raise ValueError("the orbit test needs a code over every field scalar")
+    t = code.tower
+    span = mat_rank(t, tuple(tuple(int(x) for x in u) for u in code.points))
+    return len(code.points) == (t.order ** span - 1) // (t.order - 1)
 
 
 def _vector_ranks_mod_p(diff: np.ndarray, tower: FieldTower) -> np.ndarray:
@@ -160,7 +238,8 @@ def _vector_ranks_mod_p(diff: np.ndarray, tower: FieldTower) -> np.ndarray:
 
 
 def min_rank_distance(code: RankCode) -> int:
-    """Exhaustive minimum rank of pairwise differences."""
+    """Exhaustive minimum rank of pairwise differences: the reference for
+    `orbit_distance`, and the check for codes given only as matrices."""
     k = len(code.matrices)
     if k < 2:
         raise ValueError("distance needs at least two matrices")

@@ -5,11 +5,13 @@ around shared sources and batch verifiers; any change to a histogram, a
 kind count, a total or a violation count is a regression.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sigmaconics import census
-from sigmaconics.cli import _summary_record
+from sigmaconics.cli import _summary_record, main
 from sigmaconics.fields import build_field
 from sigmaconics.linalg import vranks
 from sigmaconics.projective import projective_space
@@ -157,3 +159,14 @@ def test_sampler_independent_of_batch_size(monkeypatch, rank):
     # sample i is read from counters 9i..9i+8 of the one stream
     stream = census.sample_matrix_entries(t.order, 99, 0, 4000)
     assert np.array_equal(kept[37], stream[keep(stream)][:300])
+
+
+def test_any_rank_records_bytes_pinned(tmp_path):
+    # 500 full records of PG(2,27), among them 11 C_F^m-sets and one
+    # degenerate one, each with its Steiner cross-check
+    out = tmp_path / "records.jsonl"
+    assert main(["census", "--p", "3", "--n", "3", "--mode", "random",
+                 "--count", "500", "--seed", "11", "--records", "500",
+                 "--any-rank", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fb0ed58cdb0a7caa22ba5e59d487f59d7edc5d5d1e4d3fb4801cc7e3db17d635")

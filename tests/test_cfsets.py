@@ -8,7 +8,7 @@ from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
                                 pencil_collineation_from_form,
                                 steiner_generate, steiner_locus,
                                 steiner_matches_form, verify_exterior)
-from sigmaconics.classify import line_spectrum
+from sigmaconics.classify import classify_plane_form, line_spectrum
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
 from sigmaconics.linalg import vranks
@@ -197,10 +197,14 @@ def test_steiner_matches_absolute_set_extension_tower():
     for row in entries:
         form = make_form(T64, [int(x) for x in row])
         try:
-            pencil_collineation_from_form(form)
+            phi = pencil_collineation_from_form(form)
         except ValueError:
             continue
         assert steiner_matches_form(form)
+        # the record path hands over classify_plane_form's vertices and block
+        cls = classify_plane_form(form)
+        assert pencil_collineation_from_form(form, cls.vertices, cls.block) == phi
+        assert steiner_matches_form(form, mask=absolute_mask(form), phi=phi)
         hits += 1
         if hits >= 30:
             break

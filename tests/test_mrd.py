@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from sigmaconics.cfsets import (cf_canonical, embed_subplane_in_component,
-                                exterior_set)
+from sigmaconics.cfsets import (ExteriorSet, cf_canonical,
+                                embed_subplane_in_component, exterior_set)
+from sigmaconics.cli import main
 from sigmaconics.fields import build_field
 from sigmaconics.mrd import (RankCode, build_code, field_reduce,
-                             min_rank_distance, nonlinearity_witness, rank_fq,
+                             min_rank_distance, nonlinearity_witness,
+                             orbit_distance, orbit_linear, rank_fq,
                              singleton_bound, subfield_coords,
                              subplane_alignment)
 from sigmaconics.projective import projective_space
@@ -199,3 +203,53 @@ def test_witness_past_the_first_block(mrd_pipeline):
     got, expect = nonlinearity_witness(code), _first_escaping_pair(code)
     assert np.array_equal(expect[0], mats[729])
     assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+@pytest.mark.parametrize("scalars", ["all", "subfield"])
+@pytest.mark.parametrize("tower, T", [(T27, {1}), (T27, {1, 2}), (T64, {1})],
+                         ids=["q3-T1", "q3-T12", "q4-T1"])
+def test_orbit_checks_match_pairwise_references(tower, T, scalars):
+    cf = cf_canonical(tower)
+    code = build_code(exterior_set(cf, T), embed_subplane_in_component(cf),
+                      scalars)
+    assert orbit_distance(code) == min_rank_distance(code) == 2
+    if scalars == "all":
+        assert orbit_linear(code) == (nonlinearity_witness(code) is None)
+    else:
+        with pytest.raises(ValueError):
+            orbit_linear(code)
+
+
+@pytest.mark.parametrize("scalars", ["all", "subfield"])
+def test_orbit_distance_negative_control(mrd_pipeline, scalars):
+    # one subplane point joins the exterior set: its codewords have rank 1
+    sp, cf, sub, ext = mrd_pipeline
+    extra = min(sub.point_ids - ext.point_ids)
+    bad = ExteriorSet(point_ids=ext.point_ids | {extra}, T=ext.T,
+                      replaced=ext.replaced, cf=cf)
+    code = build_code(bad, sub, scalars)
+    assert orbit_distance(code) == min_rank_distance(code) == 1
+
+
+def test_orbit_checks_need_the_aligned_points():
+    code = RankCode(tower=T27, matrices=np.zeros((2, 3, 3), dtype=np.int64),
+                    scalars="all", claimed_distance=2)
+    with pytest.raises(ValueError):
+        orbit_distance(code)
+    with pytest.raises(ValueError):
+        orbit_linear(code)
+
+
+@pytest.mark.parametrize("field", [["--p", "5", "--n", "3"],
+                                   ["--p", "3", "--n", "4"]], ids=["q5", "q3n4"])
+def test_mrd_cli_larger_codes(field, capsys):
+    assert main(["mrd", *field, "--T", "1"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["code_size"] == summary["singleton_bound"]
+    assert summary["min_rank_distance"] == 2 and not summary["linear"]
+
+
+def test_mrd_cli_orbit_budget(capsys):
+    # 1332 * 1331 / 2 * 1330 = 1.18e9 differences: refused before the plane
+    assert main(["mrd", "--p", "11", "--n", "3", "--T", "1"]) == 4
+    assert "budget" in capsys.readouterr().err
