@@ -10,18 +10,17 @@ for the line, feeding shared batch verifiers:
   3x3 sweeps, the counter-based rejection sampler `_sample_entries`, the
   outer products of `rank1_census`, the radical-normal layouts of
   `rank2_normal_census` and the diagonal matrices;
-- verifiers: the menu check `_check_menu` on absolute counts, the rank-1
-  line-pair check `_verify_rank1_batch`, the rank-2 split into cones and
-  C_F^m-sets `_verify_rank2_batch` (with the Steiner cross-check, always
-  on, through `cfsets.steiner_locus`, the same construction as
-  `steiner_generate`), and the PG(1) form check `_line_form_counts`,
-  shared by the 2x2 sweep and the cone bases.  The menu check and the rank
-  verifiers take an int64 weight per row, the number of matrices the row
-  stands for (one unless given); histograms and kind counts add the
-  weights exactly.
+- verifiers: the menu check `_check_menu` on absolute counts and the one
+  check per kind, a batch function returning `forms.Verdicts`:
+  `classify.line_verdicts` (2x2 sweep, cone bases), `rank1_verdicts`,
+  `cone_verdicts` and `cfsets.cf_verdicts` (Steiner, always on), split by
+  `_degenerate_verdicts` and booked by `CensusSummary.book`.  Both take an
+  int64 weight per row, the number of matrices the row stands for (one
+  unless given); histograms and kind counts add the weights exactly.
 
-The records of a sampled census (`form_record`) reuse the sweep's masks
-and carry their rows' menu check, so each violation counts once.
+The records of a sampled census (`form_record`) reuse the sweep's masks,
+carry their rows' menu check and run the per-kind checks at K = 1, so
+each violation counts once, with the sweep's reason.
 
 Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
 one representative per orbit of the torus congruence a_ij -> lam d_i a_ij
@@ -34,13 +33,6 @@ in-house) lists the orbits by a mixed-radix counter, and each orbit weighs
 N^(|S|-1) / prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is
 391,543 representatives for 19,173,961 nonzero scalar classes, at Q = 16
 20,363,925 for 4.58e9.  A violation names the failing representative.
-
-The rank verifiers run the degenerate normal form of
-`classify.classify_plane_form` at K rows: `forms.radical_lines`,
-`forms.radical_points`, `cfsets.pencil_normal_form` and
-`classify.cone_blocks`.  The PG(1) forms are evaluated by
-`forms.form_values`, the one vectorised x^T A y^sigma; ranks come from
-`linalg.vranks`.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
@@ -75,16 +67,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (KIND_CF, KIND_CONE, KIND_DEGENERATE_CF,
-                       KIND_TWO_LINES, allowed_cardinalities,
-                       classify_plane_form, cone_blocks, kestenband_profile,
-                       line_spectrum)
-from .cfsets import (pencil_collineation_from_form, pencil_normal_form,
-                     steiner_locus, steiner_matches_form)
+from .classify import (allowed_cardinalities, classify_plane_form,
+                       cone_verdicts, kestenband_profile, line_spectrum,
+                       line_verdicts, rank1_verdicts)
+from .cfsets import cf_verdicts
 from .fields import FieldTower
-from .forms import (SesquiForm, absolute_mask, form_values, radical_lines,
+from .forms import (SesquiForm, absolute_mask, absolute_masks, make_form,
                     radical_points)
-from .linalg import vcross, vranks
+from .linalg import vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep representatives; mrd orbit differences
@@ -331,6 +321,18 @@ class CensusSummary:
     def bump(self, kind: str, k: int = 1):
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
 
+    def book(self, e: np.ndarray, verdicts, w: np.ndarray | None = None):
+        """Add the weights (w[k] for row k, one without weights) of a
+        check's kind counters and flag its failing rows of `e`, in order; a
+        check of no rows books nothing."""
+        if not len(e):
+            return
+        w = np.ones(len(e), dtype=np.int64) if w is None else w
+        for kind, rows in verdicts.kinds.items():
+            self.bump(kind, int(w[rows].sum()))
+        for reason, bad in verdicts.flags.items():
+            self.flag(e[bad], reason)
+
     def flag(self, matrices, reason: str):
         """Count one violation per matrix (a sequence of entry rows) and keep
         as many as the bound leaves room for."""
@@ -357,21 +359,12 @@ def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
                     dtype=np.int64)
 
 
-def _check_menu(summary, counts, menu, reason, entries, w=None):
-    """Histogram `counts` (row k standing for w[k] matrices, one without
-    weights) and flag each count outside `menu` (None: no check);
-    `entries(bad)` gives the matrices of the rows in mask `bad`."""
+def _check_menu(summary, e, counts, menu, reason=_MENU_REASON, w=None):
+    """Histogram the absolute `counts` of the rows `e` (row k standing for
+    w[k] matrices, one without weights) and flag those outside `menu`, if any."""
     summary.add_counts(counts, w)
-    if menu is None:
-        return
-    bad = ~np.isin(counts, menu)
-    if bad.any():
-        summary.flag(entries(bad), reason)
-
-
-def _verify_menu_batch(kern, e, summary, menu, reason=_MENU_REASON, w=None):
-    _check_menu(summary, kern.counts(*kern.row_encode(e)), menu, reason,
-                lambda bad: e[bad], w)
+    if menu is not None:
+        summary.flag(e[~np.isin(counts, menu)], reason)
 
 
 # -- sources -----------------------------------------------------------------------
@@ -552,7 +545,8 @@ def exhaustive_invertible_census(tower: FieldTower,
     summary = _summary(tower, "exhaustive-gl", max_violations)
     for e, w in batches:
         inv = vranks(tower, e.reshape(-1, 3, 3)) == 3
-        _verify_menu_batch(kern, e[inv], summary, menu, w=w[inv])
+        e = e[inv]
+        _check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu, w=w[inv])
     return summary
 
 
@@ -570,8 +564,8 @@ def diagonal_census(tower: FieldTower,
         k = np.arange(start, min(start + rows, total))
         e = np.zeros((len(k), 9), dtype=np.uint32)
         e[:, 0], e[:, 4], e[:, 8] = 1, 1 + k // (Q - 1), 1 + k % (Q - 1)
-        _verify_menu_batch(kern, e, summary, menu,
-                           "diagonal cardinality outside the admissible menu")
+        _check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu,
+                    "diagonal cardinality outside the admissible menu")
     return summary
 
 
@@ -600,134 +594,49 @@ def rank_le2_census(tower: FieldTower,
     summary = _summary(tower, "exhaustive-rank-le2", max_violations)
     for e, w in batches:
         ranks = vranks(tower, e.reshape(-1, 3, 3))
-        one, two = ranks == 1, ranks == 2
-        _verify_rank1_batch(tower, space, e[one], summary, w[one])
-        _verify_rank2_batch(tower, space, e[two], summary, w[two])
+        low = ranks < 3
+        _verify_degenerate_batch(space, e[low], ranks[low], summary, w[low])
     return summary
 
 
-def _unit(e, w):
-    """The weights of a batch: one matrix per row unless given."""
-    return np.ones(len(e), dtype=np.int64) if w is None else w
-
-
-def _verify_rank1_batch(tower, space, e, summary, w=None):
-    if not len(e):
-        return
-    w = _unit(e, w)
-    kern = plane_kernel(space)
-    lines = radical_lines(space, e)
-    # the absolute set must be the union of the two radical lines
-    expect = np.zeros((len(e), space.n_points), dtype=bool)
-    for line in lines:
-        np.put_along_axis(expect, space.lines_points(line), True, axis=1)
-    mask = kern.masks(*kern.row_encode(e))
-    ok = (mask == expect).all(axis=1)
-    summary.add_counts(mask.sum(axis=1), w)
-    summary.bump(KIND_TWO_LINES, int(w.sum()))
-    same = (lines[0] == lines[1]).all(axis=1)
-    summary.bump("two_lines_coincident", int(w[same].sum()))
-    summary.flag(e[~ok], "rank-1 set is not the union of its radical lines")
-
-
-def _verify_rank2_batch(tower, space, e, summary, w=None):
-    if not len(e):
-        return
-    w = _unit(e, w)
-    kern = plane_kernel(space)
-    mask = kern.masks(*kern.row_encode(e))
-    counts = mask.sum(axis=1)
-    summary.add_counts(counts, w)
-
-    v_r, v_l = radical_points(space, e)
+def _degenerate_verdicts(space, e, mask, ranks):
+    """Yield (rows, verdicts) of the per-kind checks of K forms of rank 1 or
+    2 (`ranks`: per row, or one for all) with (K, 9) entries and absolute
+    masks (K, N), in booking order."""
+    ranks = np.broadcast_to(ranks, len(e))
+    one, two = (np.nonzero(ranks == r)[0] for r in (1, 2))
+    v_r, v_l = radical_points(space, e[two])
     same = (v_r == v_l).all(axis=1)
-
-    _verify_cone_batch(tower, e[same], v_r[same], counts[same], w[same], summary)
-    sel = ~same
-    _verify_cf_batch(tower, space, e[sel], v_r[sel], v_l[sel], mask[sel],
-                     counts[sel], w[sel], summary)
-
-
-def _line_form_counts(tower: FieldTower, blocks: np.ndarray) -> tuple:
-    """Absolute counts on PG(1,q^n) of the 2x2 forms with (K, 4) entries
-    (a, b, c, d), and the mask of those whose absolute set is an F_q-subline
-    (which needs exactly q+1 points)."""
-    t = tower
-    line = projective_space(t, 1)
-    pts = line.points[None]
-    zero = form_values(t, blocks[:, None, :], pts, pts) == 0
-    counts = zero.sum(axis=1)
-    subline = np.zeros(len(blocks), dtype=bool)
-    for k in np.nonzero(counts == t.q + 1)[0]:
-        subline[k] = line.is_fq_subline(np.nonzero(zero[k])[0])
-    return counts, subline
+    checks = ((one, rank1_verdicts, ()),
+              (two[same], cone_verdicts, (v_r[same],)),
+              (two[~same], cf_verdicts, (v_r[~same], v_l[~same])))
+    for rows, check, radicals in checks:
+        if len(rows):
+            yield rows, check(space, e[rows], mask[rows], *radicals)
 
 
-def _verify_cone_batch(tower, e, vert, counts, w, summary):
+def _verify_degenerate_batch(space, e, ranks, summary, w=None):
+    """Histogram and check K rank-1 or rank-2 forms, row k for w[k] matrices."""
     if not len(e):
         return
-    Q, q = tower.order, tower.q
-    summary.bump(KIND_CONE, int(w.sum()))
-    base_counts, subline = _line_form_counts(tower, cone_blocks(e, vert))
-    ok_size = counts == 1 + base_counts.astype(np.int64) * Q
-    ok_base = np.isin(base_counts, [0, 1, 2, q + 1])
-    summary.flag(e[~(ok_size & ok_base)],
-                 "cone cardinality does not match its base shape")
-    full_base = base_counts == q + 1
-    summary.flag(e[full_base & ~subline], "cone base of size q+1 is not a subline")
-    summary.bump("cone_base_subline", int(w[full_base].sum()))
-
-
-def _verify_cf_batch(tower, space, e, v_r, v_l, mask, counts, w, summary):
-    if not len(e):
-        return
-    t = tower
-    Q = t.order
-    mid, block = pencil_normal_form(t, e, v_r, v_l)
-    deg = block[:, 1] == 0          # the tangent value v_r A v_l^sigma
-    summary.bump(KIND_DEGENERATE_CF, int(w[deg].sum()))
-    summary.bump(KIND_CF, int(w[~deg].sum()))
-    expect = np.where(deg, 2 * Q + 1, Q + 1)
-    summary.flag(e[counts != expect],
-                 "cf cardinality does not match the tangent-line split")
-    idx, whole_line = steiner_locus(space, v_r, mid, v_l, block, t.m)
-    member = np.take_along_axis(mask, idx, axis=1)
-    single = ~whole_line
-    ok = (member | whole_line).all(axis=1)
-    # distinctness of the single points
-    sort_idx = np.sort(np.where(whole_line, -1, idx), axis=1)
-    dup = (sort_idx[:, 1:] == sort_idx[:, :-1]) & (sort_idx[:, 1:] >= 0)
-    ok &= ~dup.any(axis=1)
-    # totals: singles plus (for the degenerate case) the full line RL
-    n_single = single.sum(axis=1)
-    has_line = whole_line.any(axis=1)
-    if has_line.any():
-        rl = vcross(t, v_r[has_line], v_l[has_line])
-        on_line = np.take_along_axis(mask[has_line], space.lines_points(rl), axis=1)
-        ok[has_line] &= on_line.all(axis=1)
-    totals = n_single + np.where(has_line, Q + 1, 0)
-    ok &= totals == counts
-    ok &= has_line == deg
-    summary.bump("steiner_checked", int(w.sum()))
-    summary.flag(e[~ok], "steiner locus differs from the absolute set")
+    kern = plane_kernel(space)
+    mask = kern.masks(*kern.row_encode(e))
+    summary.add_counts(np.count_nonzero(mask, axis=1), w)
+    for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
+        summary.book(e[rows], verdicts, None if w is None else w[rows])
 
 
 def line_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over all nonzero 2x2 matrices up to scalars: the
     absolute set on PG(1,q^n) must be empty, a point, two points, or an
-    F_q-subline (verified point set by point set via reparameterisation)."""
-    t = tower
-    summary = _summary(t, "line-2x2")
-    menu = np.array([0, 1, 2, t.q + 1], dtype=np.int64)
-    for blk in _enumerate_scalar_classes(t.order, 4, _ENUM_CHUNK):
-        counts, subline = _line_form_counts(t, blk)
-        _check_menu(summary, counts, menu,
-                    "line absolute count outside {0, 1, 2, q+1}",
-                    lambda bad: blk[bad])
-        if subline.any():
-            summary.bump("subline_verified", int(subline.sum()))
-        summary.flag(blk[(counts == t.q + 1) & ~subline],
-                     "q+1 absolute points do not form a subline")
+    F_q-subline (`line_verdicts`, each subline verified by
+    reparameterisation)."""
+    line = projective_space(tower, 1)
+    summary = _summary(tower, "line-2x2")
+    for blk in _enumerate_scalar_classes(tower.order, 4, _ENUM_CHUNK):
+        mask = absolute_masks(line, blk)
+        summary.add_counts(np.count_nonzero(mask, axis=1))
+        summary.book(blk, line_verdicts(line, blk, mask))
     return summary
 
 
@@ -746,7 +655,7 @@ def rank1_census(tower: FieldTower) -> CensusSummary:
     summary = _summary(t, "rank1")
     for u in pts:
         outer = t.vmul(u[None, :, None], pts[:, None, :]).reshape(-1, 9)
-        _verify_rank1_batch(t, space, outer, summary)
+        _verify_degenerate_batch(space, outer, 1, summary)
     return summary
 
 
@@ -765,8 +674,8 @@ def rank2_normal_census(tower: FieldTower) -> CensusSummary:
         for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
             e = np.zeros((len(blk), 9), dtype=np.uint32)
             e[:, layout] = blk
-            _verify_rank2_batch(tower, space, e[vranks(tower, e.reshape(-1, 3, 3)) == 2],
-                                summary)
+            _verify_degenerate_batch(
+                space, e[vranks(tower, e.reshape(-1, 3, 3)) == 2], 2, summary)
     return summary
 
 
@@ -779,7 +688,7 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int) -> CensusSumma
     entries = _sample_entries(t, count, seed, lambda e: vranks(t, e.reshape(-1, 3, 3)) == 2)
     rows = _kernel_rows(space)
     for start in range(0, len(entries), rows):
-        _verify_rank2_batch(t, space, entries[start:start + rows], summary)
+        _verify_degenerate_batch(space, entries[start:start + rows], 2, summary)
     return summary
 
 
@@ -812,28 +721,22 @@ def random_census(tower: FieldTower, count: int, seed: int,
         mask = kern.masks(*kern.row_encode(e))
         k = min(max(records - start, 0), len(e))   # the batch's record rows
         for i in range(k):
-            rec = form_record(SesquiForm(tower, _to_rows(e[i])), space, mask[i])
+            rec = form_record(make_form(tower, e[i].tolist()), space, mask[i])
             summary.records.append(rec)
             summary.bump(rec["kind"])
             for v in rec["violations"]:
                 summary.flag([rec["matrix"]], v)
         counts = np.count_nonzero(mask, axis=1)
         summary.add_counts(counts[:k])
-        _check_menu(summary, counts[k:], menu, _MENU_REASON,
-                    lambda bad: e[k:][bad])
+        _check_menu(summary, e[k:], counts[k:], menu)
     return summary
-
-
-def _to_rows(entries) -> tuple:
-    e = [int(x) for x in entries]
-    return tuple(tuple(e[3 * i:3 * i + 3]) for i in range(3))
 
 
 def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
                 mask: np.ndarray | None = None) -> dict:
-    """One census record: classification, cardinality, profile, line
-    spectrum and, for a C_F^m-set, the Steiner cross-check.  `mask` is the
-    form's absolute mask when the caller already has it."""
+    """One census record: classification, cardinality, line spectrum and
+    the profile (rank 3) or the sweep's per-kind check at K = 1.  `mask`
+    is the form's absolute mask when the caller already has it."""
     space = space or form.space()
     t = form.tower
     Q = t.order
@@ -865,13 +768,9 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
         rec.update(family=prof.family, epsilon=prof.epsilon,
                    fixed_in=prof.fixed_in, fixed_out=prof.fixed_out)
         violations.extend(prof.violations)
-    elif cls.rank == 2 and cls.kind in (KIND_CF, KIND_DEGENERATE_CF):
-        expect = 2 * Q + 1 if cls.kind == KIND_DEGENERATE_CF else Q + 1
-        if cls.absolute_count != expect:
-            violations.append(f"expected {expect} absolute points, "
-                              f"got {cls.absolute_count}")
-        phi = pencil_collineation_from_form(form, cls.vertices, cls.block)
-        if not steiner_matches_form(form, space, mask, phi):
-            violations.append("steiner locus differs from the absolute set")
+    elif cls.rank < 3:
+        for _, verdicts in _degenerate_verdicts(space, form.entries[None],
+                                                mask[None], cls.rank):
+            violations.extend(r for r, bad in verdicts.flags.items() if bad.any())
     rec["violations"] = violations
     return rec

@@ -10,8 +10,8 @@ vertices, into norm-class components C_a; replacing the components named
 by a subset T of F_q^* (containing 1) with the matching pieces J_a of the
 line RL produces an exterior set with respect to a PG(2,q) subgeometry
 inside C_1, which is the seed of the rank-metric code construction.
-`pencil_normal_form`, the pencil bases and blocks of K rank-2 forms, runs
-at K rows in the census and at K = 1 in `pencil_collineation_from_form`.
+The C_F^m kind has one check, `cf_verdicts`, run at K rows by the census
+and at K = 1 by records and `steiner_matches_form`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import FieldTower
-from .forms import SesquiForm, absolute_mask, form_values, radical_points
+from .forms import SesquiForm, Verdicts, absolute_mask, radical_points
 from .linalg import mat_det, normalize, vcross, vdot, vranks
 from .projective import ProjectiveSpace, Subplane, projective_space
 
@@ -55,6 +55,9 @@ class PencilCollineation:
         return self.block[0][1] == 0
 
 
+KIND_CF = "cf"
+KIND_DEGENERATE_CF = "degenerate_cf"
+
 _STD = np.eye(3, dtype=np.uint32)
 
 
@@ -67,16 +70,25 @@ def pencil_midpoints(t: FieldTower, r_vec: np.ndarray, l_vec: np.ndarray) -> np.
 
 def pencil_normal_form(t: FieldTower, e: np.ndarray, r_vec: np.ndarray,
                        l_vec: np.ndarray) -> tuple:
-    """Midpoints (K, 3) and row-major pencil blocks (K, 4) of K rank-2 forms
-    with (K, 9) entries and distinct right and left radical points r_vec
-    and l_vec.  In the basis (R, mid, L) the congruent matrix has a zero
-    first column and a zero last row; the block is its upper-right 2x2
-    corner (R A mid^sigma, R A L^sigma, mid A mid^sigma, mid A L^sigma)."""
+    """Midpoints (K, 3), row-major pencil blocks (K, 4) and normal-form mask
+    (K,) of K rank-2 forms with (K, 9) entries and distinct right and left
+    radical points r_vec and l_vec.  In the basis (R, mid = e_k, L) the
+    congruent matrix has a zero first column and last row where `normal`
+    holds; the block is its upper-right 2x2 corner (R A mid^sigma,
+    R A L^sigma, mid A mid^sigma, mid A L^sigma)."""
     mid = pencil_midpoints(t, r_vec, l_vec)
-    block = np.stack([form_values(t, e, r_vec, mid), form_values(t, e, r_vec, l_vec),
-                      form_values(t, e, mid, mid), form_values(t, e, mid, l_vec)],
-                     axis=1)
-    return mid, block
+    a = e.reshape(-1, 3, 3)
+    rows, k = np.arange(len(e)), mid.argmax(axis=1)
+    a_mid = a[rows, :, k]
+    a_l = vdot(t, a, t.vsigma(l_vec)[:, None])
+    block = np.stack([vdot(t, r_vec, a_mid), vdot(t, r_vec, a_l),
+                      a_mid[rows, k], a_l[rows, k]], axis=1)
+    normal = (vdot(t, l_vec, a_mid) == 0) & (vdot(t, l_vec, a_l) == 0)
+    # freed before A R^sigma is formed: in this order the check leaves the
+    # peak RSS of the rank <= 2 sweep of PG(2,8) where it was without it
+    del a_mid, a_l
+    normal &= ~vdot(t, a, t.vsigma(r_vec)[:, None]).any(axis=1)
+    return mid, block, normal
 
 
 def pencil_collineation(tower: FieldTower, r_vec, l_vec, block,
@@ -97,30 +109,27 @@ def pencil_collineation(tower: FieldTower, r_vec, l_vec, block,
                               qexp=(tower.m if qexp is None else qexp) % tower.n)
 
 
-def pencil_collineation_from_form(form: SesquiForm, vertices=None,
-                                  block=None) -> PencilCollineation:
+def pencil_collineation_from_form(form: SesquiForm) -> PencilCollineation:
     """The pencil collineation attached to a rank-2 form with distinct
-    radicals: its basis and block are those of `pencil_normal_form`.
-    `vertices` (the right and left radical points) and `block` are those
-    of `classify_plane_form` when the caller already has them; the
-    normal-form check runs either way."""
-    t = form.tower
+    radicals, from `pencil_normal_form`: the tests' reference object."""
     e = form.entries[None]
-    if vertices is None:
-        if vranks(t, e.reshape(1, 3, 3))[0] != 2:
-            raise ValueError("form must have rank 2")
-        v_r, v_l = radical_points(form.space(), e)
-    else:
-        v_r, v_l = (np.array([v], dtype=np.uint32) for v in vertices)
-    if (v_r == v_l).all():
-        raise ValueError("radical points coincide; this form defines a cone")
-    # the normal form's zero first column and last row: A R^sigma = L^T A = 0
-    if form_values(t, e, _STD, v_r).any() or form_values(t, e, v_l, _STD).any():
+    v_r, v_l = _pencil_radicals(form.space(), e)
+    _, block, normal = pencil_normal_form(form.tower, e, v_r, v_l)
+    if not normal[0]:
         raise RuntimeError("the radical basis does not put the form in "
                            "pencil normal form")
-    if block is None:
-        block = pencil_normal_form(t, e, v_r, v_l)[1].reshape(2, 2).tolist()
-    return pencil_collineation(t, v_r[0].tolist(), v_l[0].tolist(), block)
+    return pencil_collineation(form.tower, v_r[0].tolist(), v_l[0].tolist(),
+                               block.reshape(2, 2).tolist())
+
+
+def _pencil_radicals(space: ProjectiveSpace, e: np.ndarray) -> tuple:
+    """Radical points of a rank-2 form with (1, 9) entries; a cone raises."""
+    if vranks(space.tower, e.reshape(1, 3, 3))[0] != 2:
+        raise ValueError("form must have rank 2")
+    v_r, v_l = radical_points(space, e)
+    if (v_r == v_l).all():
+        raise ValueError("radical points coincide; this form defines a cone")
+    return v_r, v_l
 
 
 def steiner_locus(space: ProjectiveSpace, r_vec: np.ndarray, mid: np.ndarray,
@@ -175,19 +184,48 @@ def steiner_generate(phi: PencilCollineation,
     return frozenset(out)
 
 
-def steiner_matches_form(form: SesquiForm, space: ProjectiveSpace | None = None,
-                         mask: np.ndarray | None = None,
-                         phi: PencilCollineation | None = None) -> bool:
-    """Cross-check: the Steiner locus of the pencil collineation attached to
-    a rank-2 form with distinct radicals equals its absolute point set.
-    `mask` and `phi` are the form's absolute mask and pencil collineation
-    when the caller already has them."""
+def steiner_matches_form(form: SesquiForm,
+                         space: ProjectiveSpace | None = None) -> bool:
+    """`cf_verdicts` at K = 1: a rank-2 form with distinct radicals passes
+    it, the Steiner locus equal to its absolute set."""
     space = space or form.space()
-    if phi is None:
-        phi = pencil_collineation_from_form(form)
-    if mask is None:
-        mask = absolute_mask(form, space)
-    return steiner_generate(phi, space) == set(np.nonzero(mask)[0].tolist())
+    e = form.entries[None]
+    v_r, v_l = _pencil_radicals(space, e)
+    verdicts = cf_verdicts(space, e, absolute_mask(form, space)[None], v_r, v_l)
+    return not any(bad.any() for bad in verdicts.flags.values())
+
+
+def cf_verdicts(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
+                v_r: np.ndarray, v_l: np.ndarray) -> Verdicts:
+    """The C_F^m check of K rank-2 forms with (K, 9) entries, absolute masks
+    (K, N) and distinct radical points (K, 3): counts the degenerate sets
+    (R A L^sigma = 0) and the others, and flags a basis off the pencil
+    normal form, a size other than 2 q^n + 1 or q^n + 1, and a Steiner
+    locus other than the absolute set."""
+    t = space.tower
+    mid, block, normal = pencil_normal_form(t, e, v_r, v_l)
+    deg = block[:, 1] == 0
+    idx, whole_line = steiner_locus(space, v_r, mid, v_l, block, t.m)
+    # distinct absolute single points, plus the whole line RL where fixed
+    ok = (np.take_along_axis(mask, idx, axis=1) | whole_line).all(axis=1)
+    single = np.sort(np.where(whole_line, -1, idx), axis=1)
+    ok &= ~((single[:, 1:] == single[:, :-1]) & (single[:, 1:] >= 0)).any(axis=1)
+    has_line = whole_line.any(axis=1)
+    if has_line.any():
+        rl = vcross(t, v_r[has_line], v_l[has_line])
+        on_line = np.take_along_axis(mask[has_line], space.lines_points(rl), axis=1)
+        ok[has_line] &= on_line.all(axis=1)
+    counts = np.count_nonzero(mask, axis=1)
+    ok &= (~whole_line).sum(axis=1) + np.where(has_line, t.order + 1, 0) == counts
+    ok &= has_line == deg
+    return Verdicts(
+        kinds={KIND_DEGENERATE_CF: deg, KIND_CF: ~deg,
+               "steiner_checked": np.ones(len(e), dtype=bool)},
+        flags={"the radical basis does not put the form in pencil normal form":
+                   ~normal,
+               "cf cardinality does not match the tangent-line split":
+                   counts != np.where(deg, 2, 1) * t.order + 1,
+               "steiner locus differs from the absolute set": ~ok})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ whether the matrix is diagonal.
 
 `classify_plane_form` runs the batch steps of the degenerate normal form at
 K = 1 (the census at K rows): `forms.radical_points`/`radical_lines`,
-`cfsets.pencil_normal_form` and `cone_blocks`.
+`cfsets.pencil_normal_form` and `cone_blocks`.  Each kind has one check,
+run at K rows by the census and at K = 1 by records: `line_verdicts`,
+`rank1_verdicts`, `cone_verdicts` and `cfsets.cf_verdicts`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from functools import partial
 
 import numpy as np
 
-from .cfsets import pencil_normal_form
+from .cfsets import KIND_CF, KIND_DEGENERATE_CF, pencil_normal_form
 from .fields import FieldTower
-from .forms import (SesquiForm, absolute_mask, collineation_images,
-                    induced_collineation, radical_lines, radical_points)
+from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
+                    collineation_images, induced_collineation, radical_lines,
+                    radical_points)
 from .linalg import cross3, dot, mat_det, vranks
-from .projective import ProjectiveSpace
+from .projective import ProjectiveSpace, projective_space
 
 LINE_EMPTY = "empty"
 LINE_ONE_POINT = "one_point"
@@ -34,8 +37,6 @@ LINE_TWO_POINTS = "two_points"
 LINE_SUBLINE = "subline"
 
 KIND_CONE = "cone_over_sigma_quadric"
-KIND_DEGENERATE_CF = "degenerate_cf"
-KIND_CF = "cf"
 KIND_TWO_LINES = "union_two_lines"
 KIND_KESTENBAND = "kestenband_nondegenerate"
 
@@ -59,6 +60,7 @@ class LineClassification:
 
 def classify_line_form(form: SesquiForm,
                        space: ProjectiveSpace | None = None) -> LineClassification:
+    """Line shape of one 2x2 form: `line_verdicts` at K = 1."""
     if form.d != 1:
         raise ValueError("expected a form on the projective line")
     if not any(x for row in form.matrix for x in row):
@@ -66,20 +68,30 @@ def classify_line_form(form: SesquiForm,
     space = space or form.space()
     mask = absolute_mask(form, space)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
-    q = form.tower.q
-    size = len(ids)
-    if size == 0:
-        kind = LINE_EMPTY
-    elif size == 1:
-        kind = LINE_ONE_POINT
-    elif size == 2:
-        kind = LINE_TWO_POINTS
-    elif size == q + 1 and space.is_fq_subline(ids):
-        kind = LINE_SUBLINE
-    else:
+    if any(bad[0] for bad in line_verdicts(space, form.entries[None],
+                                           mask[None]).flags.values()):
         raise LineTaxonomyError(ids)
+    size = len(ids)
+    kind = (LINE_EMPTY, LINE_ONE_POINT, LINE_TWO_POINTS, LINE_SUBLINE)[min(size, 3)]
     return LineClassification(kind=kind, point_ids=ids,
-                              degenerate=size not in (0, 2, q + 1))
+                              degenerate=size not in (0, 2, form.tower.q + 1))
+
+
+def line_verdicts(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> Verdicts:
+    """The line-shape check of K forms of PG(1,q^n) with (K, 4) entries and
+    absolute masks (K, q^n + 1): counts the verified F_q-sublines and flags
+    a size outside {0, 1, 2, q+1}, then q+1 points off a subline."""
+    q = space.tower.q
+    counts = np.count_nonzero(mask, axis=1)
+    full = counts == q + 1
+    subline = np.zeros(len(e), dtype=bool)
+    for k in np.nonzero(full)[0]:
+        subline[k] = space.is_fq_subline(np.nonzero(mask[k])[0])
+    return Verdicts(
+        kinds={"subline_verified": subline},
+        flags={"line absolute count outside {0, 1, 2, q+1}":
+                   ~np.isin(counts, [0, 1, 2, q + 1]),
+               "q+1 absolute points do not form a subline": full & ~subline})
 
 
 @dataclass(frozen=True)
@@ -141,16 +153,48 @@ def cone_blocks(e: np.ndarray, vertex: np.ndarray) -> np.ndarray:
                               axis=1)
 
 
-def line_spectrum(mask_or_form, space: ProjectiveSpace) -> np.ndarray:
-    """Number of absolute points on each line of the plane."""
-    if isinstance(mask_or_form, SesquiForm):
-        mask = absolute_mask(mask_or_form, space)
-    else:
-        mask = np.asarray(mask_or_form)
-        if mask.dtype != bool:
-            full = np.zeros(space.n_points, dtype=bool)
-            full[np.asarray(sorted(mask_or_form), dtype=np.int64)] = True
-            mask = full
+def rank1_verdicts(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> Verdicts:
+    """The rank-1 check of K forms with (K, 9) entries and absolute masks
+    (K, N): counts the line pairs and the coincident ones, and flags a set
+    that is not the union of the two radical lines."""
+    lines = radical_lines(space, e)
+    expect = np.zeros(mask.shape, dtype=bool)
+    for line in lines:
+        np.put_along_axis(expect, space.lines_points(line), True, axis=1)
+    return Verdicts(
+        kinds={KIND_TWO_LINES: np.ones(len(e), dtype=bool),
+               "two_lines_coincident": (lines[0] == lines[1]).all(axis=1)},
+        flags={"rank-1 set is not the union of its radical lines":
+                   ~(mask == expect).all(axis=1)})
+
+
+def cone_verdicts(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
+                  vertex: np.ndarray) -> Verdicts:
+    """The cone check of K forms with (K, 9) entries, absolute masks (K, N)
+    and vertices (K, 3): counts the cones and those over q+1 base points,
+    and flags a base (`cone_blocks`) off the line shapes or a size other
+    than 1 + q^n |base|, then a q+1 base off a subline."""
+    t = space.tower
+    line = projective_space(t, 1)
+    blocks = cone_blocks(e, vertex)
+    base_mask = absolute_masks(line, blocks)
+    base = line_verdicts(line, blocks, base_mask)
+    base_counts = np.count_nonzero(base_mask, axis=1)
+    ok_size = np.count_nonzero(mask, axis=1) == 1 + base_counts * t.order
+    bad_shape, bad_subline = base.flags.values()
+    return Verdicts(
+        kinds={KIND_CONE: np.ones(len(e), dtype=bool),
+               "cone_base_subline": base_counts == t.q + 1},
+        flags={"cone cardinality does not match its base shape": ~ok_size | bad_shape,
+               "cone base of size q+1 is not a subline": bad_subline})
+
+
+def line_spectrum(points, space: ProjectiveSpace) -> np.ndarray:
+    """Number of absolute points on each line of the plane; `points` is a
+    boolean mask over the points or a collection of point indices."""
+    mask = np.asarray(points)
+    if mask.dtype != bool:
+        mask = np.isin(np.arange(space.n_points), np.fromiter(points, np.int64))
     return mask[lines_points_array(space)].sum(axis=1)
 
 

@@ -29,8 +29,8 @@ from .cfsets import (cf_canonical, embed_subplane_in_component, exterior_set,
 from .classify import LineTaxonomyError, classify_line_form
 from .fields import build_field
 from .forms import make_form
-from .mrd import (build_code, nonlinearity_witness, orbit_differences,
-                  orbit_distance, orbit_linear, singleton_bound)
+from .mrd import (build_code, orbit_differences, orbit_distance,
+                  orbit_linear, singleton_bound)
 from .projective import CapExceeded, projective_space
 
 EXIT_OK = 0
@@ -202,9 +202,7 @@ def cmd_mrd(args) -> int:
     code = build_code(ext, sub, args.scalars)
     dist = orbit_distance(code)
     bound = singleton_bound(3, tower.n, tower.q, 2)
-    # the F_q^* orbit is not closed under field scalars: test its sums
-    linear = (orbit_linear(code) if args.scalars == "all"
-              else nonlinearity_witness(code) is None)
+    linear = orbit_linear(code)
     # replacing every component turns the exterior set into the full line
     # joining the vertices, whose scalar orbit is a linear spread-set code
     proper_t = len(T) < tower.q - 1

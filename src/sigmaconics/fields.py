@@ -260,13 +260,19 @@ class FieldTower:
         self._inv = inv
 
         if order <= _MUL_TABLE_MAX:
-            lg = log[1:]
+            # no (Q, Q) int64 or (Q, Q, d) temporaries: products from int32
+            # log sums into a doubled exp, sums digit by digit in uint32
+            exp2 = np.concatenate([exp, exp])
+            lg = log[1:].astype(np.int32)
             tbl = np.zeros((order, order), dtype=np.uint32)
-            tbl[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % units]
+            for r in range(1, order, 256):
+                tbl[r:r + 256, 1:] = exp2[lg[r - 1:r + 255, None] + lg]
             self._mul_t = tbl
             if p > 2:
-                add = ((digits[:, None, :] + digits[None, :, :]) % p) @ self._pow_p
-                self._add_t = add.astype(np.uint32)
+                add = np.zeros((order, order), dtype=np.uint32)
+                for i, d in enumerate(digits.T.astype(np.uint32)):
+                    add += (d[:, None] + d) % p * np.uint32(p ** i)
+                self._add_t = add
             else:
                 self._add_t = None
         else:

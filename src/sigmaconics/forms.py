@@ -7,8 +7,9 @@ of absolute points of the induced (possibly degenerate) correlation, and
 the collineation obtained by applying the correlation twice.
 
 `form_values` is the one vectorised evaluator of x^T A y^sigma; the
-absolute sets, the reflexivity test and the census batch checks all go
-through it.  `SesquiForm.evaluate` is its scalar reference.
+absolute sets (`absolute_masks`, K forms at once) and the reflexivity test
+go through it, and `cfsets.pencil_normal_form` shares the products
+A y^sigma of its basis.  `SesquiForm.evaluate` is its scalar reference.
 
 The radicals have one batch routine per rank on (K, 9) entries,
 `radical_points` (rank 2) and `radical_lines` (rank 1), called at K = 1 by
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +134,14 @@ def radical_lines(space: ProjectiveSpace, e: np.ndarray) -> tuple:
     return _radical_pair(space, e, first_nonzero_rows)
 
 
+class Verdicts(NamedTuple):
+    """A per-kind batch check's findings on K forms, in booking order: each
+    kind counter's (K,) mask of rows counted, and each violation reason's
+    (K,) mask of failing rows."""
+    kinds: dict
+    flags: dict
+
+
 @dataclass(frozen=True)
 class AbsolutePointSet:
     form: SesquiForm
@@ -154,9 +164,13 @@ def form_values(t: FieldTower, entries: np.ndarray, x: np.ndarray,
 
 def absolute_mask(form: SesquiForm, space: ProjectiveSpace | None = None) -> np.ndarray:
     """Boolean mask over the space's points: true where x^T A x^sigma = 0."""
-    space = space or form.space()
-    pts = space.points
-    return form_values(form.tower, form.entries, pts, pts) == 0
+    return absolute_masks(space or form.space(), form.entries[None])[0]
+
+
+def absolute_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
+    """Absolute masks (K, N) of K forms of the space with (K, k*k) entries."""
+    pts = space.points[None]
+    return form_values(space.tower, e[:, None], pts, pts) == 0
 
 
 def absolute_points(form: SesquiForm, space: ProjectiveSpace | None = None) -> AbsolutePointSet:

@@ -19,16 +19,15 @@ A difference of two codewords is c1 u - c2 w = c1 (u - (c2/c1) w), with
 c2/c1 in S because S is a group, so `orbit_distance` is the least table
 rank over the points u (pairs with 0, and (c1 - c2) u) and over u - c w for
 the unordered pairs u != w and every c in S (u - c w and w - c^-1 u are the
-same point).  With S = F_{q^n}^* the set of representatives of the code is
-closed under field scalars, so the code is closed under addition exactly
-when that set is an F_{q^n}-subspace: `orbit_linear` tests that the points
-fill their span, a line for the q^n + 1 points of an exterior set.  The
-F_q^* code keeps the exhaustive `nonlinearity_witness`.
+same point).  One linearity rule covers both S: F = S + {0} is a field, so
+the code {0} + S U is additively closed iff it is an F-subspace, iff |U| =
+(|F|^k - 1) / (|F| - 1) for k the F-rank of the points (F_{q^n}) or of
+their rows Phi(u) (F_q): one `mat_rank` in `orbit_linear`.
 
-The pairwise `min_rank_distance` and `rank_fq` are the references: the
-first ranks blocks of code-matrix differences through `linalg.vranks`
-(the minors of an F_q matrix are the same in F_{q^n}), the second is the
-scalar rank.
+The pairwise `min_rank_distance`, the sum test `nonlinearity_witness` and
+`rank_fq` are the references: the first ranks blocks of code-matrix
+differences through `linalg.vranks` (the minors of an F_q matrix are the
+same in F_{q^n}), the last is the scalar rank.
 """
 
 from __future__ import annotations
@@ -218,16 +217,16 @@ def orbit_distance(code: RankCode) -> int:
 
 
 def orbit_linear(code: RankCode) -> bool:
-    """Closure under addition of a code from `build_code` with scalars
-    "all": its representatives, 0 and the multiples c u, form a set closed
-    under F_{q^n}^*, so it is additively closed iff it is an
-    F_{q^n}-subspace, i.e. iff the points are all the points of their span
-    (for the q^n + 1 points of an exterior set: iff they are collinear)."""
-    if code.points is None or code.scalars != "all":
-        raise ValueError("the orbit test needs a code over every field scalar")
-    t = code.tower
-    span = mat_rank(t, tuple(tuple(int(x) for x in u) for u in code.points))
-    return len(code.points) == (t.order ** span - 1) // (t.order - 1)
+    """Closure under addition of a code from `build_code`: its aligned
+    points U number (|F|^k - 1) / (|F| - 1), F = S + {0} and k the F-rank
+    of U over F_{q^n} or of the rows Phi(u) over F_q."""
+    t, pts = code.tower, code.points
+    if pts is None:
+        raise ValueError("the orbit test needs the code's aligned points")
+    size, reps = ((t.order, pts) if code.scalars == "all"
+                  else (t.q, field_reduce(t, pts).reshape(len(pts), -1)))
+    rank = mat_rank(t, tuple(map(tuple, reps.tolist())))
+    return len(pts) == (size ** rank - 1) // (size - 1)
 
 
 def _vector_ranks_mod_p(diff: np.ndarray, tower: FieldTower) -> np.ndarray:

@@ -11,7 +11,8 @@ from sigmaconics.census import (CapExceeded, diagonal_census,
                                 splitmix64)
 from sigmaconics.cli import _summary_record
 from sigmaconics.fields import build_field
-from sigmaconics.forms import SesquiForm, absolute_mask, make_form
+from sigmaconics.cfsets import cf_verdicts
+from sigmaconics.forms import SesquiForm, absolute_mask, make_form, radical_points
 from sigmaconics.linalg import mat_rank, vranks
 from sigmaconics.projective import ProjectiveSpace, projective_space
 
@@ -273,11 +274,62 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     assert s.total > 0 and not s.violations
     summary = census._summary(T27, "degenerate-cf")
     e = np.array([[0, 0, 1, 0, 0, 0, 0, T27.neg(1), 0]], dtype=np.uint32)
-    census._verify_rank2_batch(T27, space, e, summary)
+    census._verify_degenerate_batch(space, e, 2, summary)
     assert summary.kind_counts["degenerate_cf"] == 1
     assert summary.kind_counts["steiner_checked"] == 1
     assert not summary.violations
     assert space._incidence is None
+
+
+def _one_radical_line(space, mask):
+    """x0 x1^sigma = 0 without its line x1 = 0: only x0 = 0 is left."""
+    return mask & (space.points[:, 0] == 0)
+
+
+def _half_dropped(space, mask):
+    keep = mask.copy()
+    keep[np.nonzero(mask)[0][::2]] = False
+    return keep
+
+
+def _one_dropped(space, mask):
+    keep = mask.copy()
+    keep[np.nonzero(mask)[0][-1]] = False
+    return keep
+
+
+_CONE = "cone cardinality does not match its base shape"
+_CF = ["cf cardinality does not match the tangent-line split",
+       "steiner locus differs from the absolute set"]
+
+
+@pytest.mark.parametrize("entries, spoil, reasons", [
+    ((0, 1, 0, 0, 0, 0, 0, 0, 0), _one_radical_line,
+     ["rank-1 set is not the union of its radical lines"]),
+    ((0, 0, 0, 0, 1, 1, 0, 0, 1), _half_dropped, [_CONE]),
+    ((0, 0, 1, 0, 2, 0, 0, 0, 0), _one_dropped, _CF),
+    ((0, 0, 1, 0, 0, 0, 0, 2, 0), _one_dropped, _CF),
+], ids=["rank1", "cone", "cf", "degenerate-cf"])
+def test_records_run_the_sweep_checks(entries, spoil, reasons):
+    """A wrong absolute mask gives a record the reasons of the per-kind
+    batch check of the sweeps (the record adds its line-spectrum check)."""
+    space = projective_space(T27, 2)
+    form = make_form(T27, entries)
+    e = form.entries[None]
+    mask = spoil(space, absolute_mask(form, space))
+    rec = form_record(form, space, mask)
+    kind = [r for r in rec["violations"] if not r.startswith("line intersections")]
+    assert kind == reasons
+    if rec["rank"] == 1:
+        verdicts = classify.rank1_verdicts(space, e, mask[None])
+    else:
+        v_r, v_l = radical_points(space, e)
+        verdicts = (classify.cone_verdicts(space, e, mask[None], v_r)
+                    if rec["kind"] == "cone_over_sigma_quadric"
+                    else cf_verdicts(space, e, mask[None], v_r, v_l))
+    assert [r for r, bad in verdicts.flags.items() if bad[0]] == reasons
+    # the true mask passes both
+    assert not form_record(form, space)["violations"]
 
 
 def test_form_record_contents():
@@ -299,8 +351,7 @@ def _unreduced_rank_le2(t):
     summary = census._summary(t, "exhaustive-rank-le2")
     for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
         ranks = vranks(t, e.reshape(-1, 3, 3))
-        census._verify_rank1_batch(t, space, e[ranks == 1], summary)
-        census._verify_rank2_batch(t, space, e[ranks == 2], summary)
+        census._verify_degenerate_batch(space, e[ranks < 3], ranks[ranks < 3], summary)
     return summary
 
 
@@ -310,8 +361,8 @@ def _unreduced_gl(t):
     summary = census._summary(t, "exhaustive-gl")
     menu = census._admissible(t, False)
     for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
-        census._verify_menu_batch(kern, e[vranks(t, e.reshape(-1, 3, 3)) == 3],
-                                  summary, menu)
+        e = e[vranks(t, e.reshape(-1, 3, 3)) == 3]
+        census._check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu)
     return summary
 
 

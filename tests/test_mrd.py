@@ -213,11 +213,24 @@ def test_orbit_checks_match_pairwise_references(tower, T, scalars):
     code = build_code(exterior_set(cf, T), embed_subplane_in_component(cf),
                       scalars)
     assert orbit_distance(code) == min_rank_distance(code) == 2
-    if scalars == "all":
+    assert orbit_linear(code) == (nonlinearity_witness(code) is None)
+
+
+@pytest.mark.parametrize("tower", [T27, T64], ids=["q3", "q4"])
+def test_orbit_linear_subfield_positive_control(tower):
+    # the points of the canonical PG(2,q) under F_q^*: all of F_q^3 in the
+    # first column, an F_q-subspace; dropping one point breaks it
+    sp = projective_space(tower, 2)
+    pts = sp.points[sorted(sp.canonical_subplane().point_ids)]
+    sub = np.array([a for a in tower.subfield if a != 0], dtype=np.uint32)
+    for u in (pts, pts[1:]):
+        w = tower.vmul(sub[None, :, None], u[:, None, :]).reshape(-1, 3)
+        mats = np.concatenate([np.zeros((1, 3, tower.n), dtype=np.int64),
+                               field_reduce(tower, w)])
+        code = RankCode(tower=tower, matrices=mats, scalars="subfield",
+                        claimed_distance=1, points=u)
         assert orbit_linear(code) == (nonlinearity_witness(code) is None)
-    else:
-        with pytest.raises(ValueError):
-            orbit_linear(code)
+        assert orbit_linear(code) == (len(u) == len(pts))
 
 
 @pytest.mark.parametrize("scalars", ["all", "subfield"])

@@ -67,7 +67,11 @@ def test_radical_points_and_pencil_blocks_match_congruence(t):
     e = _of_rank(t, 2, 32)
     v_r, v_l = radical_points(projective_space(t, 2), e)
     distinct = ~(v_r == v_l).all(axis=1)
-    mid, block = pencil_normal_form(t, e[distinct], v_r[distinct], v_l[distinct])
+    mid, block, normal = pencil_normal_form(t, e[distinct], v_r[distinct],
+                                            v_l[distinct])
+    assert normal.all()
+    # the left radical is never a right one: the swapped basis is not normal
+    assert not pencil_normal_form(t, e[distinct], v_l[distinct], v_r[distinct])[2].any()
     for row, r, l in zip(e, v_r.tolist(), v_l.tolist()):
         rad = radicals(_form(t, row))
         assert tuple(r) == normalize(t, rad.right[0])
