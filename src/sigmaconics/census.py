@@ -6,8 +6,8 @@ Every sweep is a source of entry batches, (K, 9) for the plane or (K, 4)
 for the line, feeding shared batch verifiers:
 
 - sources: the scalar-class enumerator `_enumerate_scalar_classes`, the
-  torus-orbit representatives `_torus_representatives` of the exhaustive
-  3x3 sweeps, the counter-based rejection sampler `_sample_entries`, the
+  orbit representatives `_orbit_representatives` of the exhaustive 3x3
+  sweeps, the counter-based rejection sampler `_sample_entries`, the
   outer products of `rank1_census`, the radical-normal layouts of
   `rank2_normal_census` and the diagonal matrices;
 - verifiers: the menu check `_check_menu` on absolute counts and the one
@@ -23,16 +23,29 @@ carry their rows' menu check and run the per-kind checks at K = 1, so
 each violation counts once, with the sweep's reason.
 
 Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
-one representative per orbit of the torus congruence a_ij -> lam d_i a_ij
-d_j^sigma, a projectivity of the plane that keeps the rank, the absolute
-count and the kind; `_orbit_batches` is their one source and budget check.
-On the matrices with support S (the positions of the nonzero entries, 511
-in all) the torus acts in log coordinates mod Q-1 through an integer
-|S| x 4 matrix T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`,
-in-house) lists the orbits by a mixed-radix counter, and each orbit weighs
-N^(|S|-1) / prod gcd(d_k, N) scalar classes (N = Q-1).  At Q = 8 that is
-391,543 representatives for 19,173,961 nonzero scalar classes, at Q = 16
-20,363,925 for 4.58e9.  A violation names the failing representative.
+one representative per orbit of G = S3 x Gal x torus: the permutation
+congruences A -> P^T A P, the entrywise Frobenius A -> A^(p^j) (Gal, of
+order en) and the torus congruence a_ij -> lam d_i a_ij d_j^sigma.  Each is
+a collineation of the plane that keeps the rank, the absolute count and
+the kind; `_orbit_batches` is their one source and budget check.  On the
+matrices with support S (the positions of the nonzero entries, 511 in all)
+the torus acts in log coordinates mod N = Q-1 through an integer |S| x 4
+matrix T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`, in-house)
+lists its orbits by a mixed-radix index y, 0 <= y_k < gcd(d_k, N), and each
+torus orbit weighs N^(|S|-1) / prod gcd(d_k, N) scalar classes.  The
+source scans the torus indices of one support per S3-orbit of supports
+(103 of them), and H = Stab_S3(S) x Gal acts on those indices by y ->
+p^j U Pi U^-1 y mod gcd(d, N), Pi the permutation of the entries of S.  It
+keeps an index when no element of H maps it to a smaller one, the
+canonical representative of isomorph rejection (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998), and gives it the weight
+
+    torus weight x 6en / #{h in H : h y = y}
+
+scalar classes.  At Q = 8 that is 21,957 representatives out of 177,727
+indices scanned, for 19,173,961 nonzero scalar classes; at Q = 16,
+13,378,303 indices scanned for 4.58e9 classes.  The budget counts the
+indices scanned.  A violation names the failing representative.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
@@ -62,6 +75,7 @@ reproducible from (seed, counter) alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,7 +91,7 @@ from .forms import (SesquiForm, absolute_mask, absolute_masks, make_form,
 from .linalg import vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
-EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep representatives; mrd orbit differences
+EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices scanned; mrd orbit differences
 # rows (scalar classes or orbit representatives) per batch; 1 << 16 lifted the
 # rank <= 2 sweep of PG(2,8) from 42 MB to 58-66 MB peak RSS, by heap layout
 _ENUM_CHUNK = 1 << 14
@@ -389,26 +403,28 @@ def _enumerate_scalar_classes(Q: int, size: int, chunk: int):
 def _diagonalise(a: list) -> tuple:
     """A diagonal form of the integer matrix `a` (a list of s rows).
 
-    Returns (d, uinv): unimodular U and V with U a V = diag(d), where d is
-    padded with zeros to length s, and uinv = U^-1.  Repeatedly moves the
-    smallest nonzero entry of the remaining block to the pivot and reduces
-    its row and column by it; V is not tracked.
+    Returns (d, u, uinv): unimodular U and V with U a V = diag(d), where d
+    is padded with zeros to length s, U as exact integers and uinv = U^-1.
+    Repeatedly moves the smallest nonzero entry of the remaining block to
+    the pivot and reduces its row and column by it; V is not tracked.
     """
     a = [list(row) for row in a]
     s, c = len(a), len(a[0])
-    uinv = [[int(i == j) for j in range(s)] for i in range(s)]
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    uinv = [row[:] for row in u]
     d = [0] * s
     for t in range(min(s, c)):
         while True:
             nz = [(abs(a[i][j]), i, j) for i in range(t, s) for j in range(t, c)
                   if a[i][j]]
             if not nz:
-                return d, uinv
+                return d, u, uinv
             _, i, j = min(nz)
             # a row operation R turns U into R U and uinv into uinv R^-1: a
             # row swap swaps the same columns of uinv, and row_i -= f row_t
             # adds f times column i of uinv to its column t
             a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
             for row in uinv:
                 row[t], row[i] = row[i], row[t]
             for row in a:
@@ -417,6 +433,7 @@ def _diagonalise(a: list) -> tuple:
             for i in range(t + 1, s):
                 f = a[i][t] // piv
                 a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - f * y for x, y in zip(u[i], u[t])]
                 for row in uinv:
                     row[t] += f * row[i]
                 done &= a[i][t] == 0
@@ -428,7 +445,7 @@ def _diagonalise(a: list) -> tuple:
             if done:
                 break
         d[t] = a[t][t]
-    return d, uinv
+    return d, u, uinv
 
 
 @dataclass(frozen=True)
@@ -437,8 +454,10 @@ class _TorusSupport:
     the torus a_ij -> lam d_i a_ij d_j^sigma.  In log coordinates (mod N =
     Q-1) the orbits are the cosets of the image of T_S; orbit k has the
     representative uinv @ y mod N, y being k in the mixed radix `radices`,
-    and stands for `weight` scalar classes."""
+    and stands for `weight` scalar classes.  A log vector l lies in the
+    orbit with y = (u @ l mod N) mod radices."""
     positions: tuple
+    u: np.ndarray
     uinv: np.ndarray
     radices: tuple
     weight: int
@@ -458,54 +477,183 @@ class _TorusSupport:
         return (y @ self.uinv.T) % self.units
 
 
-def _torus_supports(tower: FieldTower) -> list:
-    """One `_TorusSupport` per nonempty support S of a 3x3 matrix (511 of
-    them).  In log coordinates the torus (lam, d_0, d_1, d_2) acts on the
-    entry (i, j) by adding lam + d_i + q^m d_j, the row of the |S| x 4
-    integer matrix T_S.  With U T_S V = diag(d_k), the cosets of im T_S in
-    (Z/N)^S are U^-1 y for 0 <= y_k < gcd(d_k, N) (d_k = 0 past the rank,
-    so gcd N); each holds |im T_S| = N^|S| / prod gcd(d_k, N) matrices, a
-    weight of |im T_S| / N scalar classes."""
+def _torus_support(tower: FieldTower, positions: tuple) -> _TorusSupport:
+    """The `_TorusSupport` of the support S = `positions`.  In log
+    coordinates the torus (lam, d_0, d_1, d_2) acts on the entry (i, j) by
+    adding lam + d_i + q^m d_j, the row of the |S| x 4 integer matrix T_S.
+    With U T_S V = diag(d_k), the cosets of im T_S in (Z/N)^S are U^-1 y
+    for 0 <= y_k < gcd(d_k, N) (d_k = 0 past the rank, so gcd N); each
+    holds |im T_S| = N^|S| / prod gcd(d_k, N) matrices, a weight of
+    |im T_S| / N scalar classes."""
     n_units = tower.order - 1
     qm = tower.q ** (tower.m % tower.n)
-    out = []
-    for bits in range(1, 1 << 9):
-        positions = tuple(k for k in range(9) if bits >> k & 1)
-        rows = []
-        for k in positions:
-            row = [1, 0, 0, 0]
-            row[1 + k // 3] += 1
-            row[1 + k % 3] += qm
-            rows.append(row)
-        d, uinv = _diagonalise(rows)
-        radices = tuple(math.gcd(x, n_units) for x in d)
-        out.append(_TorusSupport(
-            positions, np.array(uinv, dtype=np.int64) % n_units, radices,
-            n_units ** (len(positions) - 1) // math.prod(radices), n_units))
-    return out
+    rows = []
+    for k in positions:
+        row = [1, 0, 0, 0]
+        row[1 + k // 3] += 1
+        row[1 + k % 3] += qm
+        rows.append(row)
+    d, u, uinv = _diagonalise(rows)
+    radices = tuple(math.gcd(x, n_units) for x in d)
+    return _TorusSupport(
+        positions, np.array(u, dtype=np.int64) % n_units,
+        np.array(uinv, dtype=np.int64) % n_units, radices,
+        n_units ** (len(positions) - 1) // math.prod(radices), n_units)
+
+
+def _torus_supports(tower: FieldTower) -> list:
+    """One `_TorusSupport` per nonempty support of a 3x3 matrix (511 of
+    them); with `_torus_representatives`, the unreduced reference of the
+    orbit source."""
+    return [_torus_support(tower, tuple(k for k in range(9) if bits >> k & 1))
+            for bits in range(1, 1 << 9)]
 
 
 def _torus_representatives(tower: FieldTower, supports: list, chunk: int):
     """Yield (e, w): (K, 9) entries of torus-orbit representatives, K <=
     `chunk`, filled across supports, and their int64 weights in scalar
-    classes.  Representatives are generated by index, so a support is
-    never held whole."""
-    exp = tower._exp
-    pieces, size = [], 0
-    for sup in supports:
-        start = 0
-        while start < sup.count:
-            stop = min(sup.count, start + chunk - size)
-            e = np.zeros((stop - start, 9), dtype=np.uint32)
-            e[:, sup.positions] = exp[sup.logs(start, stop)]
-            pieces.append((e, np.full(stop - start, sup.weight, dtype=np.int64)))
-            size += stop - start
-            start = stop
+    classes."""
+    def pieces():
+        for sup in supports:
+            for start in range(0, sup.count, chunk):
+                logs = sup.logs(start, min(sup.count, start + chunk))
+                e = np.zeros((len(logs), 9), dtype=np.uint32)
+                e[:, sup.positions] = tower._exp[logs]
+                yield e, np.full(len(e), sup.weight, dtype=np.int64)
+    return _rebatch(pieces(), chunk)
+
+
+# entry k = 3i + j of P^T A P is entry pos[k] = 3 pi(i) + pi(j) of A, one
+# `pos` per permutation pi of the coordinates (the identity first)
+_PERM_POS = tuple(tuple(3 * pi[k // 3] + pi[k % 3] for k in range(9))
+                  for pi in itertools.permutations(range(3)))
+
+
+@dataclass(frozen=True)
+class _OrbitSupport:
+    """The torus orbits on a support S, one S per S3-orbit of supports, and
+    the action on them of H = Stab_S3(S) x Gal, where pi acts by P^T A P and
+    Frobenius by A -> A^(p^j).  Only the coordinates y_k of an orbit index
+    with radix above 1 vary; `radix` (a column) and `place` are theirs, in
+    the mixed radix of the index, and the orbit of index y has the log
+    coordinates `uinv` y mod N.  `images` holds, for each element h of H
+    but the identity, the integer matrix M_h = p^j U Pi U^-1 mod N on those
+    coordinates (Pi the permutation of the entries of S), so that h maps y
+    to M_h y mod radix.  `weight` is the torus weight times |S3 x Gal| =
+    6en.  `radix`, `place` and `images` are float64 for `canonical`."""
+    positions: tuple
+    uinv: np.ndarray
+    radix: np.ndarray
+    place: np.ndarray
+    images: tuple
+    weight: int
+    units: int
+    count: int
+
+    def canonical(self, start: int, stop: int) -> tuple:
+        """(y, fixed) of the canonical orbits among indices start..stop-1:
+        those whose index is <= the index of each image under H, and the
+        number of elements of H fixing each.  The images are taken one
+        element at a time, on the rows still kept.  The index digits are
+        the columns of y, in exact float64 arithmetic (`_mod`)."""
+        idx = np.arange(start, stop, dtype=np.float64)
+        y = _mod(_floor_div(idx, self.place[:, None]), self.radix)
+        fixed = np.ones(len(idx), dtype=np.int64)
+        for m in self.images:
+            # the leading digit of the image settles all rows but its ties,
+            # about one in radix[0], which take the whole image index; einsum,
+            # not matmul: a BLAS call here raised the peak RSS of GL(3,8) by
+            # 0.7 MB
+            lead = _mod(np.einsum("j,jk->k", m[0], y), self.radix[0])
+            keep = lead > y[0]
+            tie = np.nonzero(lead == y[0])[0]
+            img = np.einsum("i,ik->k", self.place, _mod(
+                np.einsum("ij,jk->ik", m, y[:, tie]), self.radix))
+            keep[tie] = img >= idx[tie]
+            fixed[tie] += img == idx[tie]
+            idx, y, fixed = idx[keep], y[:, keep], fixed[keep]
+        return y.T.astype(np.int64), fixed
+
+
+def _floor_div(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """v // d, exactly, for float64 arrays of integers 0 <= v < 2^50 and d
+    >= 1 (the cap keeps the orbit indices below 1e8): (v + 1/2) / d lies at
+    least 1/(2d) from any integer, and its rounding error, at most
+    2^-53 (v + 1) / d, is smaller, so its floor is v // d."""
+    return np.floor((v + 0.5) / d)
+
+
+def _mod(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return v - d * _floor_div(v, d)
+
+
+def _orbit_supports(tower: FieldTower) -> list:
+    """One `_OrbitSupport` per S3-orbit of the 511 supports (103 of them),
+    the one whose bit set is least."""
+    n_units = tower.order - 1
+    frobenius = [tower.p ** j % n_units for j in range(tower.e * tower.n)]
+    # the bit set of each support's image under each permutation
+    member = np.arange(1 << 9)[:, None] >> np.arange(9) & 1
+    permuted = (member[:, _PERM_POS] << np.arange(9)).sum(axis=2).tolist()
+    out = []
+    for bits in range(1, 1 << 9):
+        images = permuted[bits]
+        if min(images) != bits:
+            continue
+        positions = tuple(k for k in range(9) if bits >> k & 1)
+        sup = _torus_support(tower, positions)
+        # the coordinates with radix above 1 (one of radix 1 if none), the
+        # largest radix leading
+        free = sorted((k for k, r in enumerate(sup.radices) if r > 1),
+                      key=lambda k: -sup.radices[k]) or [0]
+        column = {k: a for a, k in enumerate(positions)}
+        mats = []
+        for pos, image in zip(_PERM_POS, images):
+            if image == bits:
+                # Pi U^-1 is U^-1 with its rows permuted
+                pi_uinv = sup.uinv[[column[pos[k]] for k in positions]]
+                m = (sup.u @ pi_uinv % n_units)[np.ix_(free, free)]
+                mats += [(f * m % n_units).astype(np.float64) for f in frobenius]
+        radices = [sup.radices[k] for k in free]
+        place = [math.prod(radices[a + 1:]) for a in range(len(free))]
+        # mats[0], of the identity permutation and j = 0, is the identity
+        out.append(_OrbitSupport(
+            positions, sup.uinv[:, free],
+            np.array(radices, dtype=np.float64)[:, None],
+            np.array(place, dtype=np.float64), tuple(mats[1:]),
+            sup.weight * len(_PERM_POS) * len(frobenius), n_units, sup.count))
+    return out
+
+
+def _orbit_representatives(tower: FieldTower, supports: list, chunk: int):
+    """Yield (e, w): (K, 9) entries of the canonical orbits of G = S3 x Gal
+    x torus, K <= `chunk`, filled across supports, and their int64 weights
+    in scalar classes, the support's weight over the order of the
+    stabiliser in H.  Each support is scanned `chunk` indices at a time and
+    only the canonical rows get log coordinates and entries."""
+    def pieces():
+        for sup in supports:
+            for start in range(0, sup.count, chunk):
+                y, fixed = sup.canonical(start, min(sup.count, start + chunk))
+                e = np.zeros((len(y), 9), dtype=np.uint32)
+                e[:, sup.positions] = tower._exp[y @ sup.uinv.T % sup.units]
+                yield e, sup.weight // fixed
+    return _rebatch(pieces(), chunk)
+
+
+def _rebatch(pieces, chunk: int):
+    """Regroup (e, w) pieces into batches of `chunk` rows, the last fewer."""
+    buf, size = [], 0
+    for e, w in pieces:
+        while len(e):
+            take = min(chunk - size, len(e))
+            buf.append((e[:take], w[:take]))
+            e, w, size = e[take:], w[take:], size + take
             if size == chunk:
-                yield _join(pieces)
-                pieces, size = [], 0
-    if pieces:
-        yield _join(pieces)
+                yield _join(buf)
+                buf, size = [], 0
+    if buf:
+        yield _join(buf)
 
 
 def _join(pieces: list) -> tuple:
@@ -514,14 +662,15 @@ def _join(pieces: list) -> tuple:
 
 
 def _orbit_batches(tower: FieldTower, what: str, chunk: int):
-    """The source of both exhaustive 3x3 sweeps: (e, w) batches of the
-    torus-orbit representatives of every nonzero matrix and their weights.
-    The budget is checked on the number of representatives when this is
-    called, before anything is allocated.  The callers rank a batch after
-    the loop has dropped the previous one, which keeps the peak RSS down."""
-    supports = _torus_supports(tower)
+    """The source of both exhaustive 3x3 sweeps: (e, w) batches of one
+    representative per orbit of G = S3 x Gal x torus on the nonzero
+    matrices, and their weights.  The budget is checked on the torus
+    indices to be scanned when this is called, before anything is
+    allocated.  The callers rank a batch after the loop has dropped the
+    previous one, which keeps the peak RSS down."""
+    supports = _orbit_supports(tower)
     _check_exhaustive_cap(sum(sup.count for sup in supports), what)
-    return _torus_representatives(tower, supports, chunk)
+    return _orbit_representatives(tower, supports, chunk)
 
 
 # -- invertible censuses -------------------------------------------------------
@@ -531,13 +680,13 @@ def exhaustive_invertible_census(tower: FieldTower,
     """Absolute-count histogram over all invertible matrices up to scalars.
 
     Like the rank <= 2 sweep, this verifies one representative per orbit of
-    the torus congruence a_ij -> lam d_i a_ij d_j^sigma (`_orbit_batches`),
-    keeps the representatives of rank 3, counts their absolute points
-    through the count kernel and adds each representative's weight, the
-    number of scalar classes in its orbit, to the histogram; every scalar
-    class of GL(3, q^n) is counted exactly once.  A violation names the
-    failing representative.  The budget counts representatives;
-    `max_violations` bounds the violations kept, not those counted.
+    S3 x Gal x torus (`_orbit_batches`), keeps the representatives of rank
+    3, counts their absolute points through the count kernel and adds each
+    representative's weight, the number of scalar classes in its orbit, to
+    the histogram; every scalar class of GL(3, q^n) is counted exactly
+    once.  A violation names the failing representative.  The budget
+    counts the torus indices scanned; `max_violations` bounds the
+    violations kept, not those counted.
     """
     batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
     kern = plane_kernel(projective_space(tower, 2))
@@ -580,14 +729,16 @@ def rank_le2_census(tower: FieldTower,
     cardinalities, cone base shapes, and that the Steiner locus of the
     attached pencil collineation reproduces the absolute set.
 
-    The congruence a_ij -> lam d_i a_ij d_j^sigma is a projectivity of the
-    plane, so the rank, the absolute count and the kind are constant on its
-    orbits.  The sweep therefore verifies one representative per orbit
-    (`_orbit_batches`, support by support) and adds its weight, the
+    The permutation congruences, the entrywise Frobenius and the torus
+    congruence a_ij -> lam d_i a_ij d_j^sigma are collineations of the
+    plane, so the rank, the absolute count and the kind are constant on the
+    orbits of the group they generate.  The sweep therefore verifies one
+    representative per orbit (`_orbit_batches`) and adds its weight, the
     number of scalar classes in the orbit, to the histogram and the kind
     counts; these equal those of the full scalar-class sweep.  A violation
-    names the failing representative.  The budget counts representatives;
-    `max_violations` bounds the violations kept, not those counted.
+    names the failing representative.  The budget counts the torus indices
+    scanned; `max_violations` bounds the violations kept, not those
+    counted.
     """
     batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)
     space = projective_space(tower, 2)
@@ -599,13 +750,14 @@ def rank_le2_census(tower: FieldTower,
     return summary
 
 
-def _degenerate_verdicts(space, e, mask, ranks):
+def _degenerate_verdicts(space, e, mask, ranks, radicals=None):
     """Yield (rows, verdicts) of the per-kind checks of K forms of rank 1 or
     2 (`ranks`: per row, or one for all) with (K, 9) entries and absolute
-    masks (K, N), in booking order."""
+    masks (K, N), in booking order.  `radicals` are the right and left
+    radical points of the rank-2 rows when the caller already has them."""
     ranks = np.broadcast_to(ranks, len(e))
     one, two = (np.nonzero(ranks == r)[0] for r in (1, 2))
-    v_r, v_l = radical_points(space, e[two])
+    v_r, v_l = radical_points(space, e[two]) if radicals is None else radicals
     same = (v_r == v_l).all(axis=1)
     checks = ((one, rank1_verdicts, ()),
               (two[same], cone_verdicts, (v_r[same],)),
@@ -769,8 +921,11 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
                    fixed_in=prof.fixed_in, fixed_out=prof.fixed_out)
         violations.extend(prof.violations)
     elif cls.rank < 3:
+        # the classification found the radical points of a rank-2 form
+        radicals = None if cls.rank == 1 else tuple(
+            np.array([v], dtype=np.uint32) for v in cls.vertices or (cls.vertex,) * 2)
         for _, verdicts in _degenerate_verdicts(space, form.entries[None],
-                                                mask[None], cls.rank):
+                                                mask[None], cls.rank, radicals):
             violations.extend(r for r, bad in verdicts.flags.items() if bad.any())
     rec["violations"] = violations
     return rec

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmaconics import census, classify
 from sigmaconics.census import (CapExceeded, diagonal_census,
@@ -81,18 +85,85 @@ def _gl_menu_violations(t, menu):
     return out
 
 
+def _frobenius(t, a, j):
+    """x -> x^(p^j) entrywise, by repeated multiplication."""
+    for _ in range(j):
+        x = a
+        for _ in range(t.p - 1):
+            x = t.vmul(x, a)
+        a = x
+    return a
+
+
+# -- the symmetries behind the orbit reduction of the exhaustive 3x3 sweeps --
+
+SYMMETRY_TOWERS = {"T4": T4, "T8": T8, "T8-m2": build_field(2, 1, 3, 2),
+                   "T9": T9, "T27": T27}
+
+
+@st.composite
+def _forms(draw, t):
+    """A nonzero 3x3 matrix of rank at most 3, 2 or 1, the sum of that many
+    outer products u v^T of vectors with frequent zero entries."""
+    entry = st.one_of(st.just(0), st.integers(1, t.order - 1))
+    vector = st.lists(entry, min_size=3, max_size=3)
+    a = np.zeros((3, 3), dtype=np.uint32)
+    for _ in range(draw(st.sampled_from((3, 2, 1)))):
+        u, v = (np.array(draw(vector), dtype=np.uint32) for _ in range(2))
+        a = t.vadd(a, t.vmul(u[:, None], v[None, :])).astype(np.uint32)
+    if not a.any():
+        a[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = 1
+    return a
+
+
+def _invariants(t, space, a):
+    cls = classify.classify_plane_form(make_form(t, a.ravel().tolist()), space)
+    return cls.rank, cls.absolute_count, cls.kind
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_TOWERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_orbit_maps_keep_rank_count_and_kind(name, data):
+    """Permutation congruence P^T A P, the entrywise Frobenius x -> x^(p^j),
+    a nonzero scalar and a torus congruence a_ij -> d_i a_ij d_j^sigma each
+    keep the rank, the number of absolute points and the kind of a form, so
+    the exhaustive sweeps may verify one form per orbit of the group they
+    generate."""
+    t = SYMMETRY_TOWERS[name]
+    space = projective_space(t, 2)
+    a = data.draw(_forms(t))
+    unit = st.integers(1, t.order - 1)
+    lam = data.draw(unit)
+    d = np.array([data.draw(unit) for _ in range(3)], dtype=np.uint32)
+    j = data.draw(st.integers(1, max(1, t.e * t.n - 1)))
+    images = [a[pi][:, pi] for pi in map(list, itertools.permutations(range(3)))]
+    images.append(_frobenius(t, a, j))
+    images.append(t.vmul(np.uint32(lam), a))
+    images.append(t.vmul(t.vmul(d[:, None], a), t.vsigma(d)[None, :]))
+    expect = _invariants(t, space, a)
+    for image in images:
+        assert _invariants(t, space, np.asarray(image, dtype=np.uint32)) == expect
+
+
 def _orbit_class_codes(t, matrices):
-    """For each matrix, the scalar classes in its torus orbit, computed by
-    field arithmetic as lam d_i a_ij d_j^sigma over every (lam, d) in
-    (F*)^4: an (M, (Q-1)^4) array of the base-Q codes of the orbit members
-    with leading entry 1, and -1 for the other members."""
+    """For each matrix, the scalar classes in its orbit under S3 x Gal x
+    torus, computed by field arithmetic: P^T A P for the six permutation
+    matrices P, then x -> x^(p^j) entrywise, then lam d_i a_ij d_j^sigma
+    over every (lam, d) in (F*)^4.  An (M, 6en(Q-1)^4) array of the base-Q
+    codes of the orbit members with leading entry 1, and -1 for the other
+    members."""
     units = np.arange(1, t.order, dtype=np.uint32)
     g = np.stack(np.meshgrid(*[units] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
     lam, d = g[:, 0], g[:, 1:]
-    a = np.array(matrices, dtype=np.uint32).reshape(-1, 1, 3, 3)
-    orbit = t.vmul(lam[None, :, None, None],
-                   t.vmul(t.vmul(d[None, :, :, None], a),
-                          t.vsigma(d)[None, :, None, :])).reshape(len(a), len(g), 9)
+    a = np.array(matrices, dtype=np.uint32).reshape(-1, 3, 3)
+    a = np.stack([_frobenius(t, a[:, pi][:, :, pi], j)
+                  for pi in map(list, itertools.permutations(range(3)))
+                  for j in range(t.e * t.n)], axis=1)[:, :, None]
+    orbit = t.vmul(lam[None, None, :, None, None],
+                   t.vmul(t.vmul(d[None, None, :, :, None], a),
+                          t.vsigma(d)[None, None, :, None, :])
+                   ).reshape(len(a), -1, 9)
     lead = np.take_along_axis(orbit, (orbit != 0).argmax(axis=2)[..., None], axis=2)
     codes = orbit.astype(np.int64) @ (t.order ** np.arange(8, -1, -1, dtype=np.int64))
     return np.where(lead[..., 0] == 1, codes, -1)
@@ -102,9 +173,10 @@ def _orbit_class_codes(t, matrices):
                                          (build_field(3, 1, 1, 1), [1, 7])],
                          ids=["T4", "T3"])
 def test_exhaustive_gl_violation_order(tower, menu, monkeypatch):
-    """The sweep reports one representative per violating torus orbit: the
-    orbits of the reported matrices are disjoint and their scalar classes
-    are exactly the violating classes of the per-class walk."""
+    """The sweep reports one representative per violating orbit of S3 x
+    Gal x torus: the orbits of the reported matrices are disjoint and their
+    scalar classes are exactly the violating classes of the per-class
+    walk."""
     monkeypatch.setattr(census, "_admissible",
                         lambda t, diagonal: np.array(menu, dtype=np.int64))
     s = exhaustive_invertible_census(tower)
@@ -135,17 +207,17 @@ def test_violation_store_keeps_the_first_and_counts_all(monkeypatch):
 
 
 @pytest.mark.parametrize("params, reps, within",
-                         [((2, 1, 4, 1), 20_363_925, True),
+                         [((2, 1, 4, 1), 13_378_303, True),
                           ((5, 1, 2, 1), None, False),
                           ((3, 1, 3, 1), None, False)],
                          ids=["Q16", "Q25", "Q27"])
 def test_orbit_batches_cap(params, reps, within):
-    """Both exhaustive 3x3 sweeps check one budget on the representatives
-    when their source is made, before a batch is produced."""
+    """Both exhaustive 3x3 sweeps check one budget on the torus indices
+    scanned when their source is made, before a batch is produced."""
     t = build_field(*params)
     if within:
         census._orbit_batches(t, "probe", 1)
-        assert sum(s.count for s in census._torus_supports(t)) == reps
+        assert sum(s.count for s in census._orbit_supports(t)) == reps
     else:
         with pytest.raises(CapExceeded, match="probe beyond the matrix budget"):
             census._orbit_batches(t, "probe", 1)
@@ -332,6 +404,31 @@ def test_records_run_the_sweep_checks(entries, spoil, reasons):
     assert not form_record(form, space)["violations"]
 
 
+def test_form_record_finds_radicals_once(monkeypatch):
+    """A rank-2 record finds its radical points once, for its kind, and its
+    check reuses them; other ranks do not look for them."""
+    calls = []
+    real = radical_points
+
+    def counted(space, e):
+        if len(e):
+            calls.append(len(e))
+        return real(space, e)
+    monkeypatch.setattr(census, "radical_points", counted)
+    monkeypatch.setattr(classify, "radical_points", counted)
+    space = projective_space(T27, 2)
+    forms = [(0, 0, 0, 0, 1, 1, 0, 0, 1), (0, 0, 1, 0, 2, 0, 0, 0, 0),
+             (0, 0, 1, 0, 0, 0, 0, 2, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0),
+             (1, 0, 0, 0, 1, 0, 0, 0, 1)]
+    recs = [form_record(make_form(T27, f), space) for f in forms]
+    assert [r["rank"] for r in recs] == [2, 2, 2, 1, 3]
+    assert not any(r["violations"] for r in recs)
+    assert calls == [1, 1, 1]
+    calls.clear()
+    s = random_census(T27, 400, seed=5, invertible_only=False, records=400)
+    assert len(calls) == sum(r["rank"] == 2 for r in s.records) > 0
+
+
 def test_form_record_contents():
     rec = form_record(SesquiForm(T8, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert rec["absolute"] == 9 and rec["epsilon"] == 0
@@ -366,24 +463,62 @@ def _unreduced_gl(t):
     return summary
 
 
+def _torus_sweep(sweep):
+    """`sweep` fed by the torus source, one representative per torus orbit
+    on each of the 511 supports."""
+    def run(t):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "_orbit_batches",
+                       lambda tower, what, chunk: census._torus_representatives(
+                           tower, census._torus_supports(tower), chunk))
+            return sweep(t)
+    return run
+
+
+# fields checked against the sweep over every scalar class, and (Q8, Q9)
+# against the torus source
 _SMALL_FIELDS = {"Q2": (2, 1, 1, 1), "Q3": (3, 1, 1, 1), "Q4-q2": (2, 1, 2, 1),
                  "Q4-q4": (2, 2, 1, 1), "Q5": (5, 1, 1, 1)}
+_TORUS_FIELDS = {"Q8": (2, 1, 3, 1), "Q9": (3, 1, 2, 1)}
 _SWEEPS = {"": (rank_le2_census, _unreduced_rank_le2),
            "-gl": (exhaustive_invertible_census, _unreduced_gl)}
 
 
-@pytest.mark.parametrize("params, sweep",
-                         [(p, sw) for sw in _SWEEPS.values()
-                          for p in _SMALL_FIELDS.values()],
-                         ids=[f + s for s in _SWEEPS for f in _SMALL_FIELDS])
-def test_rank_le2_reduced_matches_unreduced(params, sweep):
-    """Both torus-reduced sweeps (the rank <= 2 cases keep their plain ids)
-    reproduce the summary of their sweep over every scalar class."""
-    reduced_sweep, unreduced_sweep = sweep
+@pytest.mark.parametrize(
+    "params, reduced_sweep, reference",
+    [(p, sw, ref) for sw, unreduced in _SWEEPS.values()
+     for fields, ref in ((_SMALL_FIELDS, unreduced), (_TORUS_FIELDS, _torus_sweep(sw)))
+     for p in fields.values()],
+    ids=[f + s for s in _SWEEPS for f in (*_SMALL_FIELDS, *_TORUS_FIELDS)])
+def test_rank_le2_reduced_matches_unreduced(params, reduced_sweep, reference):
+    """Both reduced sweeps (the rank <= 2 cases keep their plain ids)
+    reproduce the summary of their sweep over every scalar class, or at Q =
+    8 and 9 over every torus orbit."""
     t = build_field(*params)
     reduced = _summary_record(reduced_sweep(t))
-    assert reduced == _summary_record(unreduced_sweep(t))
+    assert reduced == _summary_record(reference(t))
     assert reduced["violations"] == 0
+
+
+@pytest.mark.parametrize("params, reps", [
+    ((2, 1, 1, 1), 103), ((3, 1, 1, 1), 479), ((2, 1, 2, 1), 960),
+    ((2, 2, 1, 1), 941), ((5, 1, 1, 1), 5275), ((2, 1, 3, 1), 21_957),
+    ((3, 1, 2, 1), 63_979), ((2, 1, 3, 2), 21_957)],
+    ids=["Q2", "Q3", "Q4-q2", "Q4-q4", "Q5", "Q8", "Q9", "Q8-m2"])
+def test_orbit_weights_sum_to_scalar_classes(params, reps):
+    """The weights of the orbit representatives add up to every nonzero
+    scalar class, (Q^9 - 1)/(Q - 1), each a positive divisor of the
+    support's weight."""
+    t = build_field(*params)
+    supports = census._orbit_supports(t)
+    assert len(supports) == 103
+    rows = total = 0
+    for e, w in census._orbit_batches(t, "probe", 4096):
+        assert len(e) == len(w) <= 4096 and (w > 0).all() and e.any(axis=1).all()
+        rows += len(e)
+        total += int(w.sum())
+    assert rows == reps
+    assert total == (t.order ** 9 - 1) // (t.order - 1)
 
 
 def _torus_image(positions, qm, n_units):
@@ -425,11 +560,10 @@ def test_diagonal_form_invariants_match_smith():
             positions = [k for k in range(9) if bits >> k & 1]
             rows = [[1] + [int(k // 3 == c) + qm * int(k % 3 == c)
                            for c in range(3)] for k in positions]
-            d, uinv = census._diagonalise(rows)
+            d, u, uinv = census._diagonalise(rows)
             # U = uinv^-1 is integral and U T = diag(d) V^-1: row k of U T is
             # a multiple of d_k
-            u = np.rint(np.linalg.inv(np.array(uinv, dtype=float)))
-            u = u.astype(np.int64)
+            u = np.array(u, dtype=np.int64)
             assert np.array_equal(u @ np.array(uinv), np.eye(len(rows)))
             ut = u @ np.array(rows)
             for k, dk in enumerate(d):
@@ -442,13 +576,14 @@ def test_diagonal_form_invariants_match_smith():
                         == np.prod([np.gcd(x, n_units) for x in invariants]))
 
 
-@pytest.mark.parametrize("params, reps", [((2, 1, 4, 1), 20_363_925),
-                                          ((2, 2, 2, 1), 20_365_833)],
+@pytest.mark.parametrize("params, reps", [((2, 1, 4, 1), 13_378_303),
+                                          ((2, 2, 2, 1), 13_378_881)],
                          ids=["2-1-4-1", "2-2-2-1"])
 def test_rank_le2_cap_counts_representatives(params, reps, monkeypatch):
+    """The budget counts the torus indices scanned on the 103 supports."""
     t = build_field(*params)
     assert (t.order ** 9 - 1) // (t.order - 1) > census.EXHAUSTIVE_CAP
-    assert sum(s.count for s in census._torus_supports(t)) == reps
-    monkeypatch.setattr(census, "_torus_representatives",
+    assert sum(s.count for s in census._orbit_supports(t)) == reps
+    monkeypatch.setattr(census, "_orbit_representatives",
                         lambda tower, supports, chunk: iter(()))
     assert rank_le2_census(t).total == 0

@@ -18,6 +18,10 @@ REFERENCE_ONLY = {
     "steiner_generate": "cfsets.cf_verdicts checks the Steiner locus in batch",
     "pencil_collineation_from_form": "cfsets.pencil_normal_form gives the "
                                      "bases and blocks in batch",
+    "_torus_supports": "census._orbit_supports keeps one support per "
+                       "S3-orbit",
+    "_torus_representatives": "census._orbit_representatives yields one "
+                              "row per orbit of S3 x Gal x torus",
 }
 
 
