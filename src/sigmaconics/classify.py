@@ -12,22 +12,24 @@ whether the matrix is diagonal.
 `classify_plane_form` runs the batch steps of the degenerate normal form at
 K = 1 (the census at K rows): `forms.radical_points`/`radical_lines`,
 `cfsets.pencil_normal_form` and `cone_blocks`.  Each kind has one check,
-run at K rows by the census and at K = 1 by records: `line_verdicts`,
-`rank1_verdicts`, `cone_verdicts` and `cfsets.cf_verdicts`.
+run at K rows by the census sweeps and records and at K = 1 by a single
+record: `line_verdicts`, `rank1_verdicts`, `cone_verdicts` and
+`cfsets.cf_verdicts`.  The invertible forms have one profile,
+`kestenband_profiles`, with `kestenband_profile` its K = 1 caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .cfsets import KIND_CF, KIND_DEGENERATE_CF, pencil_normal_form
 from .fields import FieldTower
 from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
-                    collineation_images, induced_collineation, radical_lines,
-                    radical_points)
+                    fixed_point_masks, radical_lines, radical_points)
 from .linalg import cross3, dot, mat_det, vranks
 from .projective import ProjectiveSpace, projective_space
 
@@ -263,19 +265,73 @@ def allowed_cardinalities(tower: FieldTower, diagonal: bool) -> tuple:
     return frozenset(nondiag | diag_menu), "even-degree-nondiagonal"
 
 
-def is_diagonal(matrix) -> bool:
-    return all(matrix[i][j] == 0 for i in range(len(matrix))
-               for j in range(len(matrix)) if i != j)
+class KestenbandProfiles(NamedTuple):
+    """The profiles of K invertible forms, row by row: the family label,
+    epsilon (None where the count has no odd-degree form or the degree is
+    even), the (K, N) fixed-point masks of the induced collineations, the
+    fixed points on and off the absolute set, and the violation reasons of
+    each row in order."""
+    family: list
+    epsilon: list
+    fixed: np.ndarray
+    fixed_in: np.ndarray
+    fixed_out: np.ndarray
+    violations: list
+
+
+def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray,
+                        mask: np.ndarray) -> KestenbandProfiles:
+    """Cardinality and fixed-point profiles of K invertible forms with (K, 9)
+    entries and absolute masks (K, N), validated against the admissible
+    menu (even degree) or the odd-degree case tables: the fixed points come
+    from `forms.fixed_point_masks` and the case checks run as masks over
+    the rows; only rows with q+1 fixed points on the set take the scalar
+    collinear/arc test."""
+    t = space.tower
+    counts = np.count_nonzero(mask, axis=1)
+    fixed = fixed_point_masks(space, e)
+    fixed_in = np.count_nonzero(fixed & mask, axis=1)
+    fixed_out = np.count_nonzero(fixed, axis=1) - fixed_in
+    violations = [[] for _ in range(len(e))]
+    diagonal = ~e[:, [1, 2, 3, 5, 6, 7]].any(axis=1)
+    menus = {d: allowed_cardinalities(t, d) for d in (False, True)}
+    family = [menus[bool(d)][1] for d in diagonal]
+    epsilon = [None] * len(e)
+    if t.n % 2 == 0:
+        for d, (allowed, _) in menus.items():
+            _add_reasons(violations, (diagonal == d) & ~np.isin(counts, list(allowed)),
+                         lambda k: f"cardinality {counts[k]} not in menu "
+                                   f"{sorted(allowed)}")
+    else:
+        step = t.q ** ((t.n - 1) // 2 + 1)
+        eps, diff = np.divmod(counts - t.order - 1, step)
+        known = (diff == 0) & (abs(eps) <= 1)
+        _add_reasons(violations, ~known, lambda k: f"cardinality {counts[k]} not "
+                                                   f"of the form {t.order}+eps*{step}+1")
+        rows = np.nonzero(known)[0]
+        cases = _odd_degree_case_checks(space, mask[rows], fixed[rows], eps[rows],
+                                        fixed_in[rows], fixed_out[rows])
+        for k, reasons in zip(rows, cases):
+            epsilon[k] = int(eps[k])
+            violations[k].extend(reasons)
+    return KestenbandProfiles(family, epsilon, fixed, fixed_in, fixed_out, violations)
+
+
+def _add_reasons(violations: list, bad: np.ndarray, reason):
+    """Append `reason` (a string, or a function of the row) to the
+    violations of each row in `bad`."""
+    for k in np.nonzero(bad)[0]:
+        violations[k].append(reason if isinstance(reason, str) else reason(k))
 
 
 def kestenband_profile(form: SesquiForm, space: ProjectiveSpace | None = None,
                        mask: np.ndarray | None = None,
                        rank: int | None = None) -> KestenbandProfile:
     """Cardinality and fixed-point profile of an invertible form, validated
-    against the admissible cardinality menu.  Violations are reported, not
-    raised, so censuses can surface counterexample candidates.  `mask` and
-    `rank` are the form's absolute mask and rank when the caller already
-    has them."""
+    against the admissible cardinality menu: `kestenband_profiles` at K = 1.
+    Violations are reported, not raised, so censuses can surface
+    counterexample candidates.  `mask` and `rank` are the form's absolute
+    mask and rank when the caller already has them."""
     t = form.tower
     space = space or form.space()
     if (form.rank() if rank is None else rank) != 3:
@@ -284,79 +340,60 @@ def kestenband_profile(form: SesquiForm, space: ProjectiveSpace | None = None,
         raise ValueError("degree over F_q must be at least 2")
     if mask is None:
         mask = absolute_mask(form, space)
-    count = int(mask.sum())
-    img = collineation_images(induced_collineation(form), space)
-    fixed = img == np.arange(space.n_points)
-    fixed_ids = tuple(int(i) for i in np.nonzero(fixed)[0])
-    fixed_in = int((fixed & mask).sum())
-    fixed_out = len(fixed_ids) - fixed_in
-
-    violations = []
-    allowed, family = allowed_cardinalities(t, is_diagonal(form.matrix))
-    epsilon = None
-    q = t.q
-    if t.n % 2 == 1:
-        k = (t.n - 1) // 2
-        diff = count - t.order - 1
-        step = q ** (k + 1)
-        if diff % step == 0 and abs(diff // step) <= 1:
-            epsilon = diff // step
-        if epsilon is None:
-            violations.append(f"cardinality {count} not of the form "
-                              f"{t.order}+eps*{step}+1")
-        else:
-            violations.extend(_odd_degree_case_checks(
-                form, space, mask, fixed, epsilon, fixed_in, fixed_out))
-    elif count not in allowed:
-        violations.append(f"cardinality {count} not in menu {sorted(allowed)}")
-    return KestenbandProfile(absolute_count=count, family=family, epsilon=epsilon,
-                             fixed_in=fixed_in, fixed_out=fixed_out,
-                             fixed_ids=fixed_ids, violations=tuple(violations))
+    prof = kestenband_profiles(space, form.entries[None], mask[None])
+    return KestenbandProfile(
+        absolute_count=int(mask.sum()), family=prof.family[0],
+        epsilon=prof.epsilon[0], fixed_in=int(prof.fixed_in[0]),
+        fixed_out=int(prof.fixed_out[0]),
+        fixed_ids=tuple(np.nonzero(prof.fixed[0])[0].tolist()),
+        violations=tuple(prof.violations[0]))
 
 
-def _odd_degree_case_checks(form, space, mask, fixed, epsilon,
-                            fixed_in, fixed_out) -> list:
-    """Consistency of (fixed_in, fixed_out, epsilon) with the odd-degree
-    fixed-point case tables."""
-    q = form.tower.q
-    out = []
-    if fixed_out == 0:
-        if q % 2 == 1 and (epsilon != 0 or fixed_in != 1):
-            out.append("no fixed point off the set forces eps=0 and one "
-                       "fixed point on it")
-        if q % 2 == 0 and (epsilon == 0 or fixed_in != 1):
-            out.append("no fixed point off the set forces eps=+-1 and one "
-                       "fixed point on it")
-    elif fixed_out > 1 and q % 2 == 1:
-        if epsilon != 0 or fixed_in != q + 1 or fixed_out != q * q:
-            out.append("many fixed points off the set force the pointwise "
-                       "subplane profile")
-    elif q % 2 == 0:
-        if epsilon != 0:
-            out.append("a fixed point off the set forces eps=0 for even q")
-        if fixed_in not in (0, 2, q + 1):
-            out.append(f"fixed_in={fixed_in} not in {{0, 2, q+1}}")
-        if fixed_in == q + 1 and fixed_out != q * q:
-            out.append("a pointwise subplane should leave q^2 fixed points "
-                       "off the set")
-    else:  # q odd, exactly one fixed point off the set
-        if fixed_in in (0, 2, q + 1) and epsilon != 0:
-            out.append("fixed_in in {0,2,q+1} forces eps=0")
-        if fixed_in == 1 and epsilon == 0:
-            out.append("fixed_in=1 forces eps=+-1")
-        if fixed_in not in (0, 1, 2, q + 1):
-            out.append(f"fixed_in={fixed_in} not in {{0, 1, 2, q+1}}")
-    if fixed_in == q + 1:
-        ids = [i for i in np.nonzero(fixed & mask)[0]]
+def _odd_degree_case_checks(space: ProjectiveSpace, mask: np.ndarray,
+                            fixed: np.ndarray, epsilon: np.ndarray,
+                            fixed_in: np.ndarray, fixed_out: np.ndarray) -> list:
+    """The reasons, row by row, that K profiles with absolute masks and
+    fixed-point masks (K, N) contradict the odd-degree fixed-point case
+    tables.  Each row falls in one case, by its fixed points off the set
+    and the parity of q, whose checks run as masks over the rows; the rows
+    with q+1 fixed points on the set then take the scalar collinear/arc
+    test."""
+    q = space.tower.q
+    none, one, many = fixed_out == 0, fixed_out == 1, fixed_out > 1
+    if q % 2 == 1:
+        cases = [
+            (none & ((epsilon != 0) | (fixed_in != 1)),
+             "no fixed point off the set forces eps=0 and one fixed point on it"),
+            (many & ((epsilon != 0) | (fixed_in != q + 1) | (fixed_out != q * q)),
+             "many fixed points off the set force the pointwise subplane profile"),
+            (one & np.isin(fixed_in, (0, 2, q + 1)) & (epsilon != 0),
+             "fixed_in in {0,2,q+1} forces eps=0"),
+            (one & (fixed_in == 1) & (epsilon == 0), "fixed_in=1 forces eps=+-1"),
+            (one & ~np.isin(fixed_in, (0, 1, 2, q + 1)),
+             lambda k: f"fixed_in={fixed_in[k]} not in {{0, 1, 2, q+1}}")]
+    else:
+        cases = [
+            (none & ((epsilon == 0) | (fixed_in != 1)),
+             "no fixed point off the set forces eps=+-1 and one fixed point on it"),
+            (~none & (epsilon != 0), "a fixed point off the set forces eps=0 for even q"),
+            (~none & ~np.isin(fixed_in, (0, 2, q + 1)),
+             lambda k: f"fixed_in={fixed_in[k]} not in {{0, 2, q+1}}"),
+            (~none & (fixed_in == q + 1) & (fixed_out != q * q),
+             "a pointwise subplane should leave q^2 fixed points off the set")]
+    out = [[] for _ in range(len(mask))]
+    for bad, reason in cases:
+        _add_reasons(out, bad, reason)
+    for k in np.nonzero(fixed_in == q + 1)[0]:
+        ids = np.nonzero(fixed[k] & mask[k])[0].tolist()
         # for odd q in the pointwise-subplane profile these points are the
         # zero set of the form restricted to the fixed PG(2,q): a conic,
         # which is a line or an arc
-        conic = q % 2 == 1 and fixed_out == q * q
+        conic = q % 2 == 1 and fixed_out[k] == q * q
         if conic and not (_all_collinear(space, ids) or is_arc(ids, space)):
-            out.append("the q+1 fixed points on the set are neither "
-                       "collinear nor an arc")
+            out[k].append("the q+1 fixed points on the set are neither "
+                          "collinear nor an arc")
         elif not conic and not _all_collinear(space, ids):
-            out.append("the q+1 fixed points on the set are not collinear")
+            out[k].append("the q+1 fixed points on the set are not collinear")
     return out
 
 

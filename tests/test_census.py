@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sigmaconics import census, classify
 from sigmaconics.census import (CapExceeded, diagonal_census,
                                 exhaustive_invertible_census, form_record,
-                                line_census, plane_kernel,
+                                form_records, line_census, plane_kernel,
                                 random_census, rand_stream, rank1_census,
                                 rank2_normal_census, rank2_random_census,
                                 rank_le2_census, sample_matrix_entries,
@@ -16,7 +16,8 @@ from sigmaconics.census import (CapExceeded, diagonal_census,
 from sigmaconics.cli import _summary_record
 from sigmaconics.fields import build_field
 from sigmaconics.cfsets import cf_verdicts
-from sigmaconics.forms import SesquiForm, absolute_mask, make_form, radical_points
+from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_masks,
+                               make_form, radical_lines, radical_points)
 from sigmaconics.linalg import mat_rank, vranks
 from sigmaconics.projective import ProjectiveSpace, projective_space
 
@@ -406,7 +407,8 @@ def test_records_run_the_sweep_checks(entries, spoil, reasons):
 
 def test_form_record_finds_radicals_once(monkeypatch):
     """A rank-2 record finds its radical points once, for its kind, and its
-    check reuses them; other ranks do not look for them."""
+    check reuses them; other ranks do not look for them.  A sampled census
+    finds those of all its rank-2 records in one batch call."""
     calls = []
     real = radical_points
 
@@ -426,7 +428,71 @@ def test_form_record_finds_radicals_once(monkeypatch):
     assert calls == [1, 1, 1]
     calls.clear()
     s = random_census(T27, 400, seed=5, invertible_only=False, records=400)
-    assert len(calls) == sum(r["rank"] == 2 for r in s.records) > 0
+    assert calls == [sum(r["rank"] == 2 for r in s.records)] and calls[0] > 0
+
+
+def test_form_record_finds_radical_lines_once(monkeypatch):
+    """A rank-1 record finds its radical lines once, in its check; a batch of
+    records finds those of all its rank-1 rows in one call."""
+    calls = []
+    real = radical_lines
+
+    def counted(space, e):
+        if len(e):
+            calls.append(len(e))
+        return real(space, e)
+    monkeypatch.setattr(classify, "radical_lines", counted)
+    space = projective_space(T27, 2)
+    rec = form_record(make_form(T27, (0, 1, 0, 0, 0, 0, 0, 0, 0)), space)
+    assert rec["kind"] == "union_two_lines" and not rec["violations"]
+    assert calls == [1]
+    calls.clear()
+    e = np.array([[0, 1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                  [1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 2, 0, 0, 0]],
+                 dtype=np.uint32)
+    recs = form_records(space, e, absolute_masks(space, e))
+    assert [r["rank"] for r in recs] == [1, 3, 1, 1]
+    assert not any(r["violations"] for r in recs)
+    assert calls == [3]
+
+
+# rows of every kind: rank 1, a cone, C_F^m-sets, degenerate ones and the
+# identity, whose fixed points form a pointwise subplane in odd degree
+_KIND_ROWS = [(0, 1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 1, 0, 0, 0, 0),
+              (0, 0, 0, 0, 1, 1, 0, 0, 1), (0, 0, 1, 0, 2, 0, 0, 0, 0),
+              (0, 0, 1, 0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0, 0, 2, 0),
+              (1, 0, 0, 0, 1, 0, 0, 0, 1)]
+_KINDS = {"union_two_lines", "cone_over_sigma_quadric", "cf", "degenerate_cf",
+          "kestenband_nondegenerate"}
+
+
+@pytest.mark.parametrize("tower", [T27, T9, T8], ids=["F27", "F9", "F8"])
+def test_form_records_match_form_record(tower):
+    """The batch records of mixed rows equal the K = 1 records key for key,
+    violations in the same order; with one planted wrong mask per kind."""
+    space = projective_space(tower, 2)
+    sampled = sample_matrix_entries(tower.order, 21, 0, 60)
+    e = np.concatenate([np.array(_KIND_ROWS, dtype=np.uint32),
+                        sampled[sampled.any(axis=1)]])
+    mask = absolute_masks(space, e)
+    kinds = [form_record(make_form(tower, row.tolist()), space, m)["kind"]
+             for row, m in zip(e, mask)]
+    assert set(kinds) == _KINDS
+    # the first row of each kind again, under a wrong mask
+    first = [kinds.index(k) for k in sorted(_KINDS)]
+    e = np.concatenate([e, e[first], e[[kinds.index("cone_over_sigma_quadric")]]])
+    mask = np.concatenate([mask, [_one_dropped(space, mask[k]) for k in first],
+                           [_half_dropped(space, mask[kinds.index(
+                               "cone_over_sigma_quadric")])]])
+    batch = form_records(space, e, mask)
+    ref = [form_record(make_form(tower, row.tolist()), space, m)
+           for row, m in zip(e, mask)]
+    assert [list(r.items()) for r in batch] == [list(r.items()) for r in ref]
+    assert all(r["violations"] for r in batch[-len(first) - 1:])
+    assert not any(r["violations"] for r in batch[:-len(first) - 1])
+    identity = batch[len(_KIND_ROWS) - 1]
+    if tower.n % 2:
+        assert identity["fixed_in"] == tower.q + 1
 
 
 def test_form_record_contents():

@@ -170,3 +170,17 @@ def test_any_rank_records_bytes_pinned(tmp_path):
                  "--any-rank", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fb0ed58cdb0a7caa22ba5e59d487f59d7edc5d5d1e4d3fb4801cc7e3db17d635")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # odd degree: 1000 invertible records of PG(2,27)
+    (["--p", "3", "--n", "3", "--count", "20000", "--seed", "7", "--records", "1000"],
+     "4ec6c133777af75891bc439d89f7f7b3d574e53c0b45540a31cf49297df00575"),
+    # even degree: 500 invertible records of PG(2,9), the menu branch
+    (["--p", "3", "--n", "2", "--count", "2000", "--seed", "3", "--records", "500"],
+     "ea500facce8ac436ad6a38e775764ea785dd64d0ea9ea5fada907bdbc3ece4de"),
+], ids=["PG(2,27)", "PG(2,9)"])
+def test_invertible_records_bytes_pinned(tmp_path, argv, digest):
+    out = tmp_path / "records.jsonl"
+    assert main(["census", "--mode", "random", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -240,7 +240,8 @@ def _subplane_case_violations(tower, form, vecs, fixed_out):
     mask = np.zeros(sp.n_points, dtype=bool)
     mask[[sp.point_index(v) for v in vecs]] = True
     q = tower.q
-    return _odd_degree_case_checks(form, sp, mask, mask, 0, q + 1, fixed_out)
+    return _odd_degree_case_checks(sp, mask[None], mask[None], np.array([0]),
+                                   np.array([q + 1]), np.array([fixed_out]))[0]
 
 
 def test_fixed_points_on_set_shape_checks():

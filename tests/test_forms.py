@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmaconics import census
 from sigmaconics.census import PlaneKernel, sample_matrix_entries
 from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
-                               fixed_points, form_values, induced_collineation,
+                               fixed_point_masks, fixed_points, form_values,
+                               induced_collineation,
                                is_polarity, is_reflexive, make_form, radicals)
 from sigmaconics.linalg import (cross3, dot, mat_rank, mat_sigma, vcross, vdot,
                                 vranks)
@@ -330,3 +332,43 @@ def test_kernel_masks_match_form_values(tower, groups, kernels, data):
     expect = form_values(tower, e[:, None, :], pts[None], pts[None]) == 0
     assert np.array_equal(kern.masks(*kern.row_encode(e)), expect)
     assert np.array_equal(kern.counts(*kern.row_encode(e)), expect.sum(axis=1))
+
+
+@pytest.mark.parametrize("tower, groups", [KERNEL_TOWERS[k] for k in (0, 3, 6)],
+                         ids=["F8-xor", "F27-half-rows", "F81-entries"])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_kernel_row_blocks_match_form_values(tower, groups, rows, kernels,
+                                             monkeypatch):
+    """With the accumulator block cut to `rows` rows, 52 matrices (not a
+    multiple of it, the zero matrix among them) give the evaluator's masks
+    and counts; an index past a group table is refused."""
+    space = projective_space(tower, 2)
+    if tower.order not in kernels:
+        kernels[tower.order] = PlaneKernel(space)
+    kern = kernels[tower.order]
+    assert len(kern.h) == groups
+    monkeypatch.setattr(census, "_KERNEL_BLOCK",
+                        rows * space.n_points * kern.h[0].itemsize)
+    e = sample_matrix_entries(tower.order, 5, 0, 52)
+    e[3] = 0
+    pts = space.points
+    expect = form_values(tower, e[:, None, :], pts[None], pts[None]) == 0
+    assert np.array_equal(kern.masks(*kern.row_encode(e)), expect)
+    assert np.array_equal(kern.counts(*kern.row_encode(e)), expect.sum(axis=1))
+    idx = list(kern.row_encode(e[:2]))
+    idx[-1] = idx[-1] + len(kern.h[-1])
+    with pytest.raises(IndexError):
+        kern.masks(*idx)
+
+
+@pytest.mark.parametrize("tower", [T8, T27, build_field(3, 1, 2, 1),
+                                   build_field(2, 1, 3, 2)],
+                         ids=["F8", "F27", "F9", "F8-m2"])
+def test_fixed_point_masks_match_collineation_images(tower):
+    """The batch fixed points, through cof(A) A^sigma, are those of the scalar
+    collineation (A^T)^-1 A^sigma of each form."""
+    space = projective_space(tower, 2)
+    forms = [SesquiForm(tower, IDENT)] + list(rand_forms(tower, 30, 8, True))
+    got = fixed_point_masks(space, np.stack([f.entries for f in forms]))
+    assert [tuple(np.nonzero(row)[0].tolist()) for row in got] == [
+        fixed_points(induced_collineation(f), space) for f in forms]
