@@ -2,25 +2,26 @@
 matrices that verify the classification and cardinality statements at
 scale.
 
-Every sweep is a source of entry batches, (K, 9) for the plane or (K, 4)
-for the line, feeding shared batch verifiers:
+Every plane census is one driver, `_sweep`, fed by a source of batches
+(e, w, ranks): (K, 9) entries of nonzero forms, the int64 number of
+matrices each row stands for, and their ranks.  The sources are the orbit
+representatives of the exhaustive 3x3 sweeps (`_orbit_batches`, ranked
+once per batch by `_ranked`), the diagonal matrices, the outer products of
+`rank1_census`, the radical-normal layouts of `rank2_normal_census` and
+the counter-based rejection sampler `_sample_entries`, which keeps rows by
+rank and returns the ranks it computed.  The driver masks each batch once
+through the count kernel and histograms it with its weights; rank-3 rows
+are checked against the cardinality menu, if any, and rank-1 and rank-2
+rows take the one check per kind, a batch function returning
+`forms.Verdicts` (`classify.rank1_verdicts`, `cone_verdicts` and
+`cfsets.cf_verdicts`, Steiner always on), split by `_degenerate_verdicts`
+and booked by `CensusSummary.book`.  `line_census` keeps its own loop on
+PG(1), over the 2x2 scalar classes of `_enumerate_scalar_classes`, with
+`classify.line_verdicts` (also the check of cone bases).
 
-- sources: the scalar-class enumerator `_enumerate_scalar_classes`, the
-  orbit representatives `_orbit_representatives` of the exhaustive 3x3
-  sweeps, the counter-based rejection sampler `_sample_entries`, the
-  outer products of `rank1_census`, the radical-normal layouts of
-  `rank2_normal_census` and the diagonal matrices;
-- verifiers: the menu check `_check_menu` on absolute counts and the one
-  check per kind, a batch function returning `forms.Verdicts`:
-  `classify.line_verdicts` (2x2 sweep, cone bases), `rank1_verdicts`,
-  `cone_verdicts` and `cfsets.cf_verdicts` (Steiner, always on), split by
-  `_degenerate_verdicts` and booked by `CensusSummary.book`.  Both take an
-  int64 weight per row, the number of matrices the row stands for (one
-  unless given); histograms and kind counts add the weights exactly.
-
-The records of a sampled census are built in one pass per batch
-(`form_records`; `form_record` is its K = 1 caller).  They reuse the
-sweep's masks and carry their rows' menu check, so each violation counts
+The first `records` rows of a sweep get records instead, built in one pass
+per batch (`form_records`; `form_record` is its K = 1 caller).  They reuse
+the sweep's masks and carry their rows' checks, so each violation counts
 once, with the sweep's reason: the line spectra are one gather of the
 masks over the lines' point lists, the invertible rows get their
 Kestenband profiles from `classify.kestenband_profiles` (fixed points of
@@ -147,21 +148,23 @@ def sample_matrix_entries(order: int, seed: int, start: int, count: int) -> np.n
     return (vals % np.uint64(order)).astype(np.uint32).reshape(count, 9)
 
 
-def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> np.ndarray:
-    """The first `count` sampled (K, 9) entry arrays that pass `keep`, a
-    function from a batch to its keep mask.  Sample i consumes counters
-    9i..9i+8 whether or not it is kept, so the result does not depend on
-    the batch size.  A batch draws a quarter more than is still needed, so
-    one usually suffices when most samples are kept."""
-    out, got, start = [np.empty((0, 9), dtype=np.uint32)], 0, 0
+def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> tuple:
+    """(e, ranks): the first `count` sampled (K, 9) entry arrays whose
+    ranks pass `keep`, a function from a batch's ranks to its keep mask,
+    and those ranks.  Sample i consumes counters 9i..9i+8 whether or not it
+    is kept, so the result does not depend on the batch size.  Samples are
+    drawn and ranked `_SAMPLE_BATCH` at a time: one 250,000-sample draw
+    peaked at 51.5 MB (tracemalloc) for a 6.9 MB result."""
+    out, got, start = [(np.empty((0, 9), dtype=np.uint32),
+                        np.empty(0, dtype=np.int64))], 0, 0
     while got < count:
-        batch = max(_SAMPLE_BATCH, (count - got) * 5 // 4)
-        e = sample_matrix_entries(tower.order, seed, 9 * start, batch)
-        start += batch
-        e = e[keep(e)][:count - got]
-        out.append(e)
-        got += len(e)
-    return np.concatenate(out)
+        e = sample_matrix_entries(tower.order, seed, 9 * start, _SAMPLE_BATCH)
+        start += _SAMPLE_BATCH
+        ranks = vranks(tower, e.reshape(-1, 3, 3))
+        rows = np.nonzero(keep(ranks))[0][:count - got]
+        out.append((e[rows], ranks[rows]))
+        got += len(rows)
+    return _join(out)
 
 
 # -- the batched absolute-count kernel ----------------------------------------
@@ -330,6 +333,14 @@ def _kernel_rows(space: ProjectiveSpace) -> int:
     return max(1, min(4096, _KERNEL_CELLS // space.n_points))
 
 
+def _kernel_batches(space: ProjectiveSpace, e: np.ndarray, ranks: np.ndarray):
+    """Yield (e, w, ranks) batches of `_kernel_rows` rows, unit weights."""
+    step = _kernel_rows(space)
+    for start in range(0, len(e), step):
+        rows = slice(start, start + step)
+        yield e[rows], np.ones(len(e[rows]), dtype=np.int64), ranks[rows]
+
+
 # -- census data structures ----------------------------------------------------
 
 @dataclass
@@ -346,13 +357,12 @@ class CensusSummary:
     violation_count: int = 0
     max_violations: int | None = None
 
-    def add_counts(self, counts: np.ndarray, weights: np.ndarray | None = None):
-        """Histogram absolute counts; count k stands for weights[k] matrices
-        (one without weights), added exactly as int64."""
-        counts = counts.ravel()
+    def add_counts(self, counts: np.ndarray, weights: np.ndarray):
+        """Histogram absolute counts; count k stands for weights[k] matrices,
+        added exactly as int64."""
         if len(counts):
             hist = np.zeros(int(counts.max()) + 1, dtype=np.int64)
-            np.add.at(hist, counts, 1 if weights is None else weights)
+            np.add.at(hist, counts, weights)
             for v in np.nonzero(hist)[0]:
                 self.histogram[int(v)] = self.histogram.get(int(v), 0) + int(hist[v])
             self.total += int(hist.sum())
@@ -360,13 +370,9 @@ class CensusSummary:
     def bump(self, kind: str, k: int = 1):
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + k
 
-    def book(self, e: np.ndarray, verdicts, w: np.ndarray | None = None):
-        """Add the weights (w[k] for row k, one without weights) of a
-        check's kind counters and flag its failing rows of `e`, in order; a
-        check of no rows books nothing."""
-        if not len(e):
-            return
-        w = np.ones(len(e), dtype=np.int64) if w is None else w
+    def book(self, e: np.ndarray, verdicts, w: np.ndarray):
+        """Add the weights (w[k] for row k) of a check's kind counters and
+        flag its failing rows of `e`, in order."""
         for kind, rows in verdicts.kinds.items():
             self.bump(kind, int(w[rows].sum()))
         for reason, bad in verdicts.flags.items():
@@ -398,12 +404,35 @@ def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
                     dtype=np.int64)
 
 
-def _check_menu(summary, e, counts, menu, reason=_MENU_REASON, w=None):
-    """Histogram the absolute `counts` of the rows `e` (row k standing for
-    w[k] matrices, one without weights) and flag those outside `menu`, if any."""
-    summary.add_counts(counts, w)
-    if menu is not None:
-        summary.flag(e[~np.isin(counts, menu)], reason)
+def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
+           menu: np.ndarray | None = None, reason: str = _MENU_REASON,
+           records: int = 0) -> CensusSummary:
+    """The one loop over plane batches.  `batches` yields (e, w, ranks):
+    (K, 9) entries of nonzero forms, the int64 number of matrices each row
+    stands for and the ranks.  Each batch is masked once by the count
+    kernel and histogrammed with its weights.  The first `records` rows of
+    the sweep get a `form_records` record, whose checks are theirs, so each
+    violation counts once.  Of the other rows, those of rank 3 are checked
+    against `menu` (none without one) and those of rank 1 or 2 take the
+    per-kind checks, booked with their weights."""
+    kern = plane_kernel(space)
+    for e, w, ranks in batches:
+        mask = kern.masks(*kern.row_encode(e))
+        counts = np.count_nonzero(mask, axis=1)
+        summary.add_counts(counts, w)
+        k = min(records, len(e))    # the batch's record rows
+        records -= k
+        for rec in form_records(space, e[:k], mask[:k]):
+            summary.records.append(rec)
+            summary.bump(rec["kind"])
+            for v in rec["violations"]:
+                summary.flag([rec["matrix"]], v)
+        e, w, ranks, mask, counts = e[k:], w[k:], ranks[k:], mask[k:], counts[k:]
+        if menu is not None:
+            summary.flag(e[(ranks == 3) & ~np.isin(counts, menu)], reason)
+        for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
+            summary.book(e[rows], verdicts, w[rows])
+    return summary
 
 
 # -- sources -----------------------------------------------------------------------
@@ -691,11 +720,19 @@ def _orbit_batches(tower: FieldTower, what: str, chunk: int):
     representative per orbit of G = S3 x Gal x torus on the nonzero
     matrices, and their weights.  The budget is checked on the torus
     indices to be scanned when this is called, before anything is
-    allocated.  The callers rank a batch after the loop has dropped the
-    previous one, which keeps the peak RSS down."""
+    allocated."""
     supports = _orbit_supports(tower)
     _check_exhaustive_cap(sum(sup.count for sup in supports), what)
     return _orbit_representatives(tower, supports, chunk)
+
+
+def _ranked(tower: FieldTower, batches, keep):
+    """Yield (e, w, ranks) of the rows of the (e, w) `batches` whose ranks
+    pass `keep`, a function from a batch's ranks to its keep mask."""
+    for e, w in batches:
+        ranks = vranks(tower, e.reshape(-1, 3, 3))
+        rows = keep(ranks)
+        yield e[rows], w[rows], ranks[rows]
 
 
 # -- invertible censuses -------------------------------------------------------
@@ -714,14 +751,10 @@ def exhaustive_invertible_census(tower: FieldTower,
     violations kept, not those counted.
     """
     batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
-    kern = plane_kernel(projective_space(tower, 2))
-    menu = _admissible(tower, False)
-    summary = _summary(tower, "exhaustive-gl", max_violations)
-    for e, w in batches:
-        inv = vranks(tower, e.reshape(-1, 3, 3)) == 3
-        e = e[inv]
-        _check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu, w=w[inv])
-    return summary
+    return _sweep(_summary(tower, "exhaustive-gl", max_violations),
+                  projective_space(tower, 2),
+                  _ranked(tower, batches, lambda r: r == 3),
+                  _admissible(tower, False))
 
 
 def diagonal_census(tower: FieldTower,
@@ -730,17 +763,13 @@ def diagonal_census(tower: FieldTower,
     diag(1, a, b) in the order of (a, b), in batches of `_kernel_rows`."""
     Q = tower.order
     space = projective_space(tower, 2)
-    kern = plane_kernel(space)
-    menu = _admissible(tower, True)
-    summary = _summary(tower, "diagonal", max_violations)
-    total, rows = (Q - 1) ** 2, _kernel_rows(space)
-    for start in range(0, total, rows):
-        k = np.arange(start, min(start + rows, total))
-        e = np.zeros((len(k), 9), dtype=np.uint32)
-        e[:, 0], e[:, 4], e[:, 8] = 1, 1 + k // (Q - 1), 1 + k % (Q - 1)
-        _check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu,
-                    "diagonal cardinality outside the admissible menu")
-    return summary
+    k = np.arange((Q - 1) ** 2)
+    e = np.zeros((len(k), 9), dtype=np.uint32)
+    e[:, 0], e[:, 4], e[:, 8] = 1, 1 + k // (Q - 1), 1 + k % (Q - 1)
+    return _sweep(_summary(tower, "diagonal", max_violations), space,
+                  _kernel_batches(space, e, np.full(len(e), 3)),
+                  _admissible(tower, True),
+                  "diagonal cardinality outside the admissible menu")
 
 
 # -- rank <= 2 censuses ------------------------------------------------------------
@@ -766,41 +795,26 @@ def rank_le2_census(tower: FieldTower,
     counted.
     """
     batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)
-    space = projective_space(tower, 2)
-    summary = _summary(tower, "exhaustive-rank-le2", max_violations)
-    for e, w in batches:
-        ranks = vranks(tower, e.reshape(-1, 3, 3))
-        low = ranks < 3
-        _verify_degenerate_batch(space, e[low], ranks[low], summary, w[low])
-    return summary
+    return _sweep(_summary(tower, "exhaustive-rank-le2", max_violations),
+                  projective_space(tower, 2),
+                  _ranked(tower, batches, lambda r: r < 3))
 
 
 def _degenerate_verdicts(space, e, mask, ranks):
-    """Yield (rows, verdicts) of the per-kind checks of K forms of rank 1 or
-    2 (`ranks`: per row, or one for all) with (K, 9) entries and absolute
-    masks (K, N), in booking order; the radical points of the rank-2 rows
+    """Yield (rows, verdicts) of the per-kind checks of the rank-1 and
+    rank-2 rows among K forms with (K, 9) entries, absolute masks (K, N)
+    and `ranks`, in booking order; the radical points of the rank-2 rows
     are found once, for the split and the checks."""
-    ranks = np.broadcast_to(ranks, len(e))
     one, two = (np.nonzero(ranks == r)[0] for r in (1, 2))
-    v_r, v_l = radical_points(space, e[two])
-    same = (v_r == v_l).all(axis=1)
-    checks = ((one, rank1_verdicts, ()),
-              (two[same], cone_verdicts, (v_r[same],)),
-              (two[~same], cf_verdicts, (v_r[~same], v_l[~same])))
-    for rows, check, radicals in checks:
-        if len(rows):
-            yield rows, check(space, e[rows], mask[rows], *radicals)
-
-
-def _verify_degenerate_batch(space, e, ranks, summary, w=None):
-    """Histogram and check K rank-1 or rank-2 forms, row k for w[k] matrices."""
-    if not len(e):
-        return
-    kern = plane_kernel(space)
-    mask = kern.masks(*kern.row_encode(e))
-    summary.add_counts(np.count_nonzero(mask, axis=1), w)
-    for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
-        summary.book(e[rows], verdicts, None if w is None else w[rows])
+    if len(one):
+        yield one, rank1_verdicts(space, e[one], mask[one])
+    if len(two):
+        v_r, v_l = radical_points(space, e[two])
+        same = (v_r == v_l).all(axis=1)
+        for rows, check, radicals in ((two[same], cone_verdicts, (v_r[same],)),
+                                      (two[~same], cf_verdicts, (v_r[~same], v_l[~same]))):
+            if len(rows):
+                yield rows, check(space, e[rows], mask[rows], *radicals)
 
 
 def line_census(tower: FieldTower) -> CensusSummary:
@@ -812,8 +826,9 @@ def line_census(tower: FieldTower) -> CensusSummary:
     summary = _summary(tower, "line-2x2")
     for blk in _enumerate_scalar_classes(tower.order, 4, _ENUM_CHUNK):
         mask = absolute_masks(line, blk)
-        summary.add_counts(np.count_nonzero(mask, axis=1))
-        summary.book(blk, line_verdicts(line, blk, mask))
+        w = np.ones(len(blk), dtype=np.int64)
+        summary.add_counts(np.count_nonzero(mask, axis=1), w)
+        summary.book(blk, line_verdicts(line, blk, mask), w)
     return summary
 
 
@@ -827,13 +842,12 @@ def rank1_census(tower: FieldTower) -> CensusSummary:
     enumeration does not.
     """
     space = projective_space(tower, 2)
-    t = tower
     pts = space.points
-    summary = _summary(t, "rank1")
-    for u in pts:
-        outer = t.vmul(u[None, :, None], pts[:, None, :]).reshape(-1, 9)
-        _verify_degenerate_batch(space, outer, 1, summary)
-    return summary
+    ones = np.ones(len(pts), dtype=np.int64)   # each row: one matrix, rank 1
+    outer = (tower.vmul(u[None, :, None], pts[:, None, :]).reshape(-1, 9)
+             for u in pts)
+    return _sweep(_summary(tower, "rank1"), space,
+                  ((e, ones, ones) for e in outer))
 
 
 # entry positions of an invertible 2x2 block in the two radical-normal
@@ -845,28 +859,23 @@ def rank2_normal_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over the rank-2 matrices in the two radical-normal
     layouts: distinct radicals at (1,0,0)/(0,0,1) and the coincident-radical
     cone layout, each over all invertible blocks up to scalars."""
-    space = projective_space(tower, 2)
-    summary = _summary(tower, "rank2-normal")
-    for layout in _NORMAL_LAYOUTS:
-        for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
-            e = np.zeros((len(blk), 9), dtype=np.uint32)
-            e[:, layout] = blk
-            _verify_degenerate_batch(
-                space, e[vranks(tower, e.reshape(-1, 3, 3)) == 2], 2, summary)
-    return summary
+    def layouts():
+        for layout in _NORMAL_LAYOUTS:
+            for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
+                e = np.zeros((len(blk), 9), dtype=np.uint32)
+                e[:, layout] = blk
+                yield e, np.ones(len(e), dtype=np.int64)
+    return _sweep(_summary(tower, "rank2-normal"), projective_space(tower, 2),
+                  _ranked(tower, layouts(), lambda r: r == 2))
 
 
 def rank2_random_census(tower: FieldTower, count: int, seed: int) -> CensusSummary:
     """Full verification of `count` sampled rank-2 matrices in general
     position (deterministic rejection sampling)."""
     space = projective_space(tower, 2)
-    t = tower
-    summary = _summary(t, f"rank2-random(seed={seed}, count={count})")
-    entries = _sample_entries(t, count, seed, lambda e: vranks(t, e.reshape(-1, 3, 3)) == 2)
-    rows = _kernel_rows(space)
-    for start in range(0, len(entries), rows):
-        _verify_degenerate_batch(space, entries[start:start + rows], 2, summary)
-    return summary
+    e, ranks = _sample_entries(tower, count, seed, lambda r: r == 2)
+    return _sweep(_summary(tower, f"rank2-random(seed={seed}, count={count})"),
+                  space, _kernel_batches(space, e, ranks))
 
 
 # -- random censuses --------------------------------------------------------------
@@ -875,37 +884,23 @@ def random_census(tower: FieldTower, count: int, seed: int,
                   invertible_only: bool = True, records: int = 0,
                   max_violations: int | None = None) -> CensusSummary:
     """Sampled census: histogram the absolute counts of `count` sampled
-    matrices, checked against the menu with `invertible_only`.  The first
-    `records` samples also get a full `form_record`, from the sweep's
-    masks; its checks (the menu, the stricter diagonal one or the
-    odd-degree epsilon form, and the Steiner cross-check, always on)
-    replace the sweep's menu check on that row, so each violation counts
-    once.  `max_violations` bounds the violations kept, not those counted."""
+    matrices, invertible ones with `invertible_only` (checked against the
+    menu) or any nonzero ones (rank 1 and 2 rows take their per-kind checks,
+    rank-3 rows no menu check).  The first `records` samples also get a
+    full `form_record`, from the sweep's masks; its checks (the menu, the
+    stricter diagonal one or the odd-degree epsilon form, and the Steiner
+    cross-check, always on) replace the sweep's check on that row, so each
+    violation counts once.  `max_violations` bounds the violations kept,
+    not those counted."""
     space = projective_space(tower, 2)
-    kern = plane_kernel(space)
-    summary = _summary(tower, f"random(seed={seed}, count={count})",
-                       max_violations)
-    if invertible_only:
-        entries = _sample_entries(tower, count, seed,
-                                  lambda e: vranks(tower, e.reshape(-1, 3, 3)) == 3)
-        menu = _admissible(tower, False)
-    else:
-        entries = _sample_entries(tower, count, seed, lambda e: e.any(axis=1))
-        menu = None
-    rows = _kernel_rows(space)
-    for start in range(0, len(entries), rows):
-        e = entries[start:start + rows]
-        mask = kern.masks(*kern.row_encode(e))
-        k = min(max(records - start, 0), len(e))   # the batch's record rows
-        for rec in form_records(space, e[:k], mask[:k]):
-            summary.records.append(rec)
-            summary.bump(rec["kind"])
-            for v in rec["violations"]:
-                summary.flag([rec["matrix"]], v)
-        counts = np.count_nonzero(mask, axis=1)
-        summary.add_counts(counts[:k])
-        _check_menu(summary, e[k:], counts[k:], menu)
-    return summary
+    e, ranks = _sample_entries(tower, count, seed,
+                               (lambda r: r == 3) if invertible_only else
+                               (lambda r: r > 0))
+    return _sweep(_summary(tower, f"random(seed={seed}, count={count})",
+                           max_violations),
+                  space, _kernel_batches(space, e, ranks),
+                  _admissible(tower, False) if invertible_only else None,
+                  records=records)
 
 
 def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
@@ -975,9 +970,8 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> lis
                            fixed_in=int(prof.fixed_in[j]),
                            fixed_out=int(prof.fixed_out[j]))
             recs[k]["violations"].extend(prof.violations[j])
-    low = np.nonzero(ranks < 3)[0]
-    for rows, verdicts in _degenerate_verdicts(space, e[low], mask[low], ranks[low]):
-        for j, k in enumerate(low[rows]):
+    for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
+        for j, k in enumerate(rows):
             recs[k]["kind"] = next(kind for kind, on in verdicts.kinds.items() if on[j])
             recs[k]["violations"].extend(r for r, bad in verdicts.flags.items() if bad[j])
     return recs

@@ -10,8 +10,8 @@ coordinates of the deterministic tower modulus; matrices are row-major.
 Reports are JSON lines (or a CSV summary) with no timestamps, so a given
 command line and seed always reproduce identical bytes.
 
-Exit codes: 0 success, 2 bad usage/parameters, 3 a theorem check failed,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 bad usage/parameters (an unwritable output path
+included), 3 a theorem check failed, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -151,6 +151,11 @@ def _summary_record(summary) -> dict:
 
 
 def cmd_census(args) -> int:
+    if args.mode == "random" and args.scope != "gl":
+        raise SystemExit("--scope applies to exhaustive mode only")
+    if args.mode == "exhaustive" and (args.any_rank or args.records):
+        flag = "--any-rank" if args.any_rank else "--records"
+        raise SystemExit(f"{flag} applies to random mode only")
     tower = _tower_from_args(args)
     writer = _Writer(args.out, args.format)
     params = {"mode": args.mode, "scope": args.scope, "count": args.count,
@@ -284,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random sample size")
     c.add_argument("--seed", type=int, help="random mode requires a seed")
     c.add_argument("--records", type=_int_at_least(0), default=0,
-                   help="emit fully classified records for this many samples")
+                   help="random mode: emit fully classified records for "
+                        "this many samples")
     c.add_argument("--any-rank", action="store_true",
                    help="random mode: sample all nonzero matrices, not only "
                         "invertible ones")
@@ -327,7 +333,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # OSError: a report or code path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

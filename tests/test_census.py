@@ -347,7 +347,7 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     assert s.total > 0 and not s.violations
     summary = census._summary(T27, "degenerate-cf")
     e = np.array([[0, 0, 1, 0, 0, 0, 0, T27.neg(1), 0]], dtype=np.uint32)
-    census._verify_degenerate_batch(space, e, 2, summary)
+    census._sweep(summary, space, [(e, np.ones(1, dtype=np.int64), np.array([2]))])
     assert summary.kind_counts["degenerate_cf"] == 1
     assert summary.kind_counts["steiner_checked"] == 1
     assert not summary.violations
@@ -403,6 +403,27 @@ def test_records_run_the_sweep_checks(entries, spoil, reasons):
     assert [r for r, bad in verdicts.flags.items() if bad[0]] == reasons
     # the true mask passes both
     assert not form_record(form, space)["violations"]
+
+
+def test_any_rank_samples_take_the_kind_checks(monkeypatch):
+    """Past its records, an any-rank census checks its rank-1 and rank-2
+    samples by kind: with one absolute point dropped from every mask, each
+    of them is flagged and no rank-3 sample is (there is no menu)."""
+    masks = census.PlaneKernel.masks
+
+    def spoiled(self, *idx):
+        out = masks(self, *idx)
+        for row in out:
+            row[np.nonzero(row)[0][-1:]] = False
+        return out
+    monkeypatch.setattr(census.PlaneKernel, "masks", spoiled)
+    s = random_census(T9, 400, seed=8, invertible_only=False, records=10)
+    e, ranks = census._sample_entries(T9, 400, 8, lambda r: r > 0)
+    low = {tuple(int(x) for x in row) for row in e[10:][ranks[10:] < 3]}
+    assert len(low) > 5
+    flagged = {tuple(v["matrix"]) for v in s.violations}
+    assert all(r["violations"] for r in s.records)
+    assert flagged == low | {tuple(r["matrix"]) for r in s.records}
 
 
 def test_form_record_finds_radicals_once(monkeypatch):
@@ -508,25 +529,23 @@ def test_form_record_contents():
 
 # -- the torus-reduced rank <= 2 sweep ------------------------------------------
 
+def _unreduced(t, mode, keep, menu=None):
+    """The sweep driver fed by every scalar class whose rank passes `keep`,
+    with unit weights."""
+    batches = ((e, np.ones(len(e), dtype=np.int64))
+               for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK))
+    return census._sweep(census._summary(t, mode), projective_space(t, 2),
+                         census._ranked(t, batches, keep), menu)
+
+
 def _unreduced_rank_le2(t):
     """The rank <= 2 sweep over every scalar class, with unit weights."""
-    space = projective_space(t, 2)
-    summary = census._summary(t, "exhaustive-rank-le2")
-    for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
-        ranks = vranks(t, e.reshape(-1, 3, 3))
-        census._verify_degenerate_batch(space, e[ranks < 3], ranks[ranks < 3], summary)
-    return summary
+    return _unreduced(t, "exhaustive-rank-le2", lambda r: r < 3)
 
 
 def _unreduced_gl(t):
     """The GL sweep over every scalar class, with unit weights."""
-    kern = plane_kernel(projective_space(t, 2))
-    summary = census._summary(t, "exhaustive-gl")
-    menu = census._admissible(t, False)
-    for e in census._enumerate_scalar_classes(t.order, 9, census._ENUM_CHUNK):
-        e = e[vranks(t, e.reshape(-1, 3, 3)) == 3]
-        census._check_menu(summary, e, kern.counts(*kern.row_encode(e)), menu)
-    return summary
+    return _unreduced(t, "exhaustive-gl", lambda r: r == 3, census._admissible(t, False))
 
 
 def _torus_sweep(sweep):

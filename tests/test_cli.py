@@ -256,3 +256,47 @@ def test_classify_line_taxonomy_escape_exits_3(capsys, monkeypatch):
     rec = recs[1]
     assert rec["kind"] is None and rec["absolute"] == 3
     assert rec["violations"] == ["absolute set of size 3 escapes the line taxonomy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--p", "2", "--n", "2", "--scope", "diagonal",
+     "--out", "{missing}"],
+    ["census", "--p", "2", "--n", "2", "--scope", "diagonal", "--out", "{dir}"],
+    ["mrd", "--p", "3", "--n", "3", "--code-out", "{missing}"],
+], ids=["census-missing-dir", "census-directory", "mrd-code-out"])
+def test_unwritable_report_path_exits_2(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "absent" / "x", dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "random", "--seed", "1", "--scope", "rank-le2"],
+     "--scope applies to exhaustive mode only"),
+    (["--mode", "random", "--seed", "1", "--scope", "all"],
+     "--scope applies to exhaustive mode only"),
+    (["--scope", "diagonal", "--any-rank"], "--any-rank applies to random mode only"),
+    (["--scope", "diagonal", "--records", "3"], "--records applies to random mode only"),
+])
+def test_flags_of_the_other_mode_exit_2(capsys, flags, message):
+    assert main(["census", "--p", "2", "--n", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_default_scope_and_zero_records_keep_their_bytes(capsys):
+    """`--scope gl` in random mode and `--records 0` in exhaustive mode are
+    the defaults written out; they are accepted with the same report."""
+    base = ["census", "--p", "2", "--n", "2"]
+    reports = []
+    for argv in ([*base, "--mode", "random", "--seed", "1", "--count", "50"],
+                 [*base, "--mode", "random", "--seed", "1", "--count", "50",
+                  "--scope", "gl"],
+                 [*base, "--scope", "diagonal"],
+                 [*base, "--scope", "diagonal", "--records", "0"]):
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and reports[2] == reports[3]

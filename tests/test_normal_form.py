@@ -43,8 +43,7 @@ def _congruent(t, row, columns) -> tuple:
 
 
 def _of_rank(t, rank, seed):
-    return _sample_entries(t, ROWS, seed,
-                           lambda e: vranks(t, e.reshape(-1, 3, 3)) == rank)
+    return _sample_entries(t, ROWS, seed, lambda ranks: ranks == rank)[0]
 
 
 @pytest.mark.parametrize("t", TOWERS, ids=_ids)
