@@ -9,10 +9,11 @@ representatives of the exhaustive 3x3 sweeps (`_orbit_batches`, ranked
 once per batch by `_ranked`), the diagonal matrices, the outer products of
 `rank1_census`, the radical-normal layouts of `rank2_normal_census` and
 the counter-based rejection sampler `_sample_entries`, which keeps rows by
-rank and returns the ranks it computed.  The driver masks each batch once
-through the count kernel and histograms it with its weights; rank-3 rows
-are checked against the cardinality menu, if any, and rank-1 and rank-2
-rows take the one check per kind, a batch function returning
+rank and returns the ranks it computed.  The driver counts each batch
+once, through one of two count kernels (below), and histograms it with
+its weights; rank-3 rows are checked against the cardinality menu, if
+any, and rank-1 and rank-2 rows take the one check per kind, a batch
+function returning
 `forms.Verdicts` (`classify.rank1_verdicts`, `cone_verdicts` and
 `cfsets.cf_verdicts`, Steiner always on), split by `_degenerate_verdicts`
 and booked by `CensusSummary.book`.  `line_census` keeps its own loop on
@@ -78,6 +79,36 @@ blocks of about _KERNEL_BLOCK (1 MiB) of accumulator, gathered and added
 in place, so that the g gathered rows of a block stay in cache; at
 PG(2,27) that took the 2e5-sample census's count from about 0.9 to 0.6 s.
 
+Most rows need their count only, and a count needs no point mask.  The
+lines through R = (0,0,1), l_y = span((1,y,0), R) for y in F_Q and l_inf =
+span((0,1,0), R), meet only in R, and the form restricts to l_y as the
+2x2 form b on PG(1) with b00 = a00 + a01 y^sigma + a10 y + a11
+y^(sigma+1), b01 = a02 + a12 y, b10 = a20 + a21 y^sigma and b11 = a22 (to
+l_inf as b = (a11, a12, a21, a22)).  Hence
+
+    |Gamma(A)| = sum_l n(b_l) - Q [a22 = 0],
+
+n(b) the absolute count of b on PG(1): Q+1 table lookups per form instead
+of a zero test at each of the Q^2+Q+1 points.  `LineKernel` scales a row
+by a22^-1 when a22 != 0, so that b11 is 0 or 1, and tabulates n for all
+2Q^3 (b11, b01, b10, b00) by enumerating the points of PG(1), not from
+the line taxonomy that the census checks.  It reads b01, b10 and the two
+parts of b00 by row gathers from (Q^2, Q+1) tables keyed by entry pairs,
+joins the parts of b00 by XOR (p = 2) or a Q^2 add table (odd p) and makes
+one lookup per line.  The driver masks through `PlaneKernel` only the
+rows whose checks read the absolute set, the record rows and the rank-1
+and rank-2 rows; every other row, all of the GL, diagonal and invertible
+random censuses, is counted by `LineKernel`.  The record rows are counted
+by both, and a record whose counts differ is flagged with its own reason,
+a standing cross-check between two independent count paths.  The line
+tables (about 18 Q^3 bytes for odd p, 62 MB at PG(2,151)) are held to the
+same KERNEL_BUDGET, checked with the point kernel's before the first batch
+of a sweep; each kernel is built on the first batch that needs it, so the
+rank <= 2 sweeps never build the line tables and the GL sweep never
+builds the point kernel.  At PG(2,27) the 2e5-sample census counts its
+non-record rows in about 0.05 s, against about 0.6 s through the point
+kernel.
+
 Random sampling uses a counter-based SplitMix64 stream so any run is
 reproducible from (seed, counter) alone.
 """
@@ -104,14 +135,17 @@ EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices scanned; mrd orbit diffe
 # rows (scalar classes or orbit representatives) per batch; 1 << 16 lifted the
 # rank <= 2 sweep of PG(2,8) from 42 MB to 58-66 MB peak RSS, by heap layout
 _ENUM_CHUNK = 1 << 14
-# orbit representatives per batch of the GL sweep; at 1 << 16 its (K, N)
-# count masks raised the peak RSS of GL(3,8) from 36 to 58 MB
+# orbit representatives per batch of the GL sweep, which masks none of them;
+# at _ENUM_CHUNK GL(3,8) ran 12% faster but peaked at 42.3 MB instead of
+# 37.7 MB, by the per-batch arrays of the orbit scan, vranks and the line
+# kernel (6.7 instead of 1.9 MB traced)
 _GL_CHUNK = 1 << 12
 _KERNEL_CELLS = 1 << 22  # (matrix, point) cells per batch of a sampled census
 # bytes of count-kernel accumulator per row block, a cache-sized part of a
 # batch: 2^19 uint16 cells (690 rows of PG(2,27)) or 2^18 uint32 cells
 _KERNEL_BLOCK = 1 << 20
 _MENU_REASON = "cardinality outside the admissible menu"
+_LINE_REASON = "line-kernel count differs from the point-kernel count"
 
 
 def _check_exhaustive_cap(classes: int, what: str):
@@ -327,6 +361,139 @@ def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
     return space._kernel
 
 
+def _line_plan(tower: FieldTower) -> tuple:
+    """(part dtype, index dtype, count dtype) of the line-count tables.
+    Raises CapExceeded, before anything is allocated, when the tables do
+    not fit KERNEL_BUDGET."""
+    Q = tower.order
+    idx = np.min_scalar_type(2 * Q ** 3 - 1)
+    # the two parts of b00: codes for p = 2, add-table keys m Q + n for odd p
+    part = np.min_scalar_type(Q - 1 if tower.p == 2 else Q * Q - 1)
+    count = np.min_scalar_type(Q + 1)
+    # m and n, b01 (twice) and b10, the count table, the add table (odd p)
+    # and the intp product table
+    need = (Q * Q * (Q + 1) * (2 * part.itemsize + 3 * idx.itemsize)
+            + 2 * Q ** 3 * count.itemsize
+            + (0 if tower.p == 2 else Q * Q * idx.itemsize) + Q * Q * 8)
+    if need > KERNEL_BUDGET:
+        raise CapExceeded(f"line-count tables for PG(2,{Q}) need "
+                          f"{need / 2**20:.0f} MiB, beyond the "
+                          f"{KERNEL_BUDGET >> 20} MiB kernel budget")
+    return part, idx, count
+
+
+class LineKernel:
+    """Absolute counts of 3x3 forms, summed over the Q+1 lines through
+    R = (0,0,1): l_y = {(1,y,t)} + R for y in F_Q and l_inf = {(0,1,t)} + R.
+
+    On l_y the form restricts to the 2x2 form b with b00 = a00 + a01 y^s +
+    a10 y + a11 y^(s+1), b01 = a02 + a12 y, b10 = a20 + a21 y^s and b11 =
+    a22 (s = sigma); on l_inf to b = (a11, a12, a21, a22).  Every point but
+    R lies on one of these lines, so |Gamma(A)| = sum_l n(b_l) - Q [a22 =
+    0], n(b) the absolute count of b on PG(1).  A row is scaled by a22^-1
+    when a22 != 0, through the Q^2 product table `_mul`, which keeps its
+    absolute set and makes b11 0 or 1.
+
+    `count` is the table of n over the index ((b11 Q + b01) Q + b10) Q +
+    b00, built by enumerating the points of PG(1).  The other tables have
+    one row per pair of entries, a Q + b, and one column per line, the
+    last for l_inf.  `b01`, whose rows for b11 = 1 follow those for b11 =
+    0, and `b10` hold their part of the index; b00 is the field sum of
+    the parts in `m` (a00, a01) and `n` (a10, a11): an XOR of codes for
+    p = 2, for odd p a lookup of m Q + n in the Q^2 add table `_add`."""
+
+    def __init__(self, tower: FieldTower):
+        t, Q = tower, tower.order
+        part, idx, count = _line_plan(t)
+        self.tower, self.Q = t, Q
+        y = np.arange(Q, dtype=np.uint32)
+        first = np.repeat(y, Q)[:, None]    # the pair (a, b) has row a Q + b
+        second = np.tile(y, Q)[:, None]
+
+        def table(values, at_inf, scale, dtype):
+            out = np.empty((Q * Q, Q + 1), dtype=dtype)
+            out[:, :Q] = values
+            out[:, Q] = at_inf.ravel()
+            out *= dtype.type(scale)
+            return out
+
+        a_bys = t.vadd(first, t.vmul(second, t.vsigma(y)))    # a + b y^s
+        zero = np.zeros(Q * Q, dtype=np.uint32)
+        b01 = table(t.vadd(first, t.vmul(second, y)), second, Q * Q, idx)
+        self.b01 = np.concatenate([b01, b01 + idx.type(Q ** 3)])
+        self.b10 = table(a_bys, second, Q, idx)
+        self.m = table(a_bys, zero, 1 if t.p == 2 else Q, part)
+        self.n = table(t.vmul(a_bys, y), second, 1, part)
+        self._add = None if t.p == 2 else t.vadd(first, second).ravel().astype(idx)
+        self._mul = t.vmul(first, second).ravel().astype(np.intp)
+        self.count = self._count_table(count)
+
+    def _count_table(self, dtype) -> np.ndarray:
+        """n(b) for b11 in {0, 1} and every b00, b01, b10: for each point
+        (1, t) of PG(1) and each (b11, b01, b10) exactly one b00 makes it
+        absolute, -(b01 t^s + b10 t + b11 t^(s+1)); (0, 1) is absolute when
+        b11 = 0.  One bincount per (b11, b01) slab of Q^2 entries."""
+        t, Q = self.tower, self.Q
+        ts = np.arange(Q, dtype=np.uint32)
+        tsig = t.vsigma(ts)
+        b10_t = t.vmul(ts[:, None], ts[None])          # [b10, t]
+        out = np.zeros((2, Q, Q * Q), dtype=dtype)
+        out[0] += 1
+        for b11 in (0, 1):
+            rest = t.vadd(b10_t, t.vmul(np.uint32(b11), t.vmul(ts, tsig))[None])
+            for b01 in range(Q):
+                b00 = t.vneg(t.vadd(rest, t.vmul(np.uint32(b01), tsig)[None]))
+                cell = (ts[:, None].astype(np.int64) * Q + b00).ravel()
+                out[b11, b01] += np.bincount(cell, minlength=Q * Q).astype(dtype)
+        return out.ravel()
+
+    def counts(self, entries: np.ndarray) -> np.ndarray:
+        """Absolute counts of K forms with (K, 9) entries, in row blocks of
+        about _KERNEL_BLOCK bytes of index each.  Scaling looks the entries
+        up in the Q^2 product table `_mul`, which refuses any outside F_Q,
+        so every key below is in range and the gathers skip numpy's
+        buffered bounds check."""
+        t, Q = self.tower, self.Q
+        a22 = entries[:, 8]
+        scale = np.where(a22 == 0, np.uint32(1), t.vinv(a22))
+        a = entries.astype(np.intp)
+        a *= Q
+        a += scale[:, None]
+        a = self._mul.take(a)
+        keys = ((a[:, 8] * Q + a[:, 2]) * Q + a[:, 5], a[:, 6] * Q + a[:, 7],
+                a[:, 0] * Q + a[:, 1], a[:, 3] * Q + a[:, 4])
+        out = np.empty(len(a), dtype=np.int64)
+        step = max(1, _KERNEL_BLOCK // ((Q + 1) * self.b01.itemsize))
+        size = (min(step, len(a)), Q + 1)
+        m, n = np.empty((2, *size), dtype=self.m.dtype)
+        acc, v = np.empty((2, *size), dtype=self.b01.dtype)
+        c = np.empty(size, dtype=self.count.dtype)
+        total = np.min_scalar_type((Q + 1) ** 2)
+        for start in range(0, len(a), step):
+            k01, k10, km, kn = (x[start:start + step] for x in keys)
+            rows = slice(0, len(k01))
+            np.take(self.m, km, axis=0, out=m[rows], mode="clip")
+            np.take(self.n, kn, axis=0, out=n[rows], mode="clip")
+            if self._add is None:
+                np.bitwise_xor(m[rows], n[rows], out=acc[rows])
+            else:
+                m[rows] += n[rows]
+                np.take(self._add, m[rows], out=acc[rows], mode="clip")
+            acc[rows] += np.take(self.b01, k01, axis=0, out=v[rows], mode="clip")
+            acc[rows] += np.take(self.b10, k10, axis=0, out=v[rows], mode="clip")
+            np.take(self.count, acc[rows], out=c[rows], mode="clip")
+            # einsum sums the short rows 2-3x faster than sum(axis=1)
+            out[start:start + step] = np.einsum("ij->i", c[rows].astype(total))
+        out -= Q * (a[:, 8] == 0)
+        return out
+
+
+def line_kernel(space: ProjectiveSpace) -> LineKernel:
+    if space._line_kernel is None:
+        space._line_kernel = LineKernel(space.tower)
+    return space._line_kernel
+
+
 def _kernel_rows(space: ProjectiveSpace) -> int:
     """Matrices per batch of a sampled census: 4096, fewer where their
     (K, N) count masks would pass 2^22 cells."""
@@ -404,34 +571,61 @@ def _admissible(tower: FieldTower, diagonal: bool) -> np.ndarray | None:
                     dtype=np.int64)
 
 
+def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a[keep], without a copy when every row is kept."""
+    return a if keep.all() else a[keep]
+
+
 def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
            menu: np.ndarray | None = None, reason: str = _MENU_REASON,
            records: int = 0) -> CensusSummary:
     """The one loop over plane batches.  `batches` yields (e, w, ranks):
     (K, 9) entries of nonzero forms, the int64 number of matrices each row
-    stands for and the ranks.  Each batch is masked once by the count
-    kernel and histogrammed with its weights.  The first `records` rows of
-    the sweep get a `form_records` record, whose checks are theirs, so each
-    violation counts once.  Of the other rows, those of rank 3 are checked
-    against `menu` (none without one) and those of rank 1 or 2 take the
-    per-kind checks, booked with their weights."""
-    kern = plane_kernel(space)
+    stands for and the ranks.  Each batch is histogrammed with its weights.
+    The first `records` rows of the sweep get a `form_records` record,
+    whose checks are theirs, so each violation counts once.  Of the other
+    rows, those of rank 3 are checked against `menu` (none without one) and
+    those of rank 1 or 2 take the per-kind checks, booked with their
+    weights.  Only the record rows and the rank-1 and rank-2 rows, whose
+    checks read the absolute set, are masked by the point kernel; every
+    other row is counted by the line kernel, and the record rows by both,
+    a mismatch flagged on the record.  Each kernel is built on the first
+    batch that needs it; both budgets are checked before the first."""
+    _kernel_plan(space.tower, space.n_points)
+    _line_plan(space.tower)
     for e, w, ranks in batches:
-        mask = kern.masks(*kern.row_encode(e))
-        counts = np.count_nonzero(mask, axis=1)
-        summary.add_counts(counts, w)
         k = min(records, len(e))    # the batch's record rows
         records -= k
-        for rec in form_records(space, e[:k], mask[:k]):
+        degenerate = ranks < 3
+        degenerate[:k] = False
+        # the record rows are masked and lined; em holds them first, then
+        # the degenerate rows
+        masked, lined = degenerate.copy(), ~degenerate
+        masked[:k] = True
+        em = _rows(e, masked)
+        counts = np.empty(len(e), dtype=np.int64)
+        mask = np.empty((0, space.n_points), dtype=bool)
+        if len(em):
+            kern = plane_kernel(space)
+            mask = kern.masks(*kern.row_encode(em))
+            counts[masked] = np.count_nonzero(mask, axis=1)
+        line = np.empty(0, dtype=np.int64)
+        if lined.any():
+            line = line_kernel(space).counts(_rows(e, lined))
+            counts[k:][lined[k:]] = line[k:]
+        summary.add_counts(counts, w)
+        for rec, own in zip(form_records(space, e[:k], mask[:k]), line[:k].tolist()):
+            if rec["absolute"] != own:
+                rec["violations"].append(_LINE_REASON)
             summary.records.append(rec)
             summary.bump(rec["kind"])
             for v in rec["violations"]:
                 summary.flag([rec["matrix"]], v)
-        e, w, ranks, mask, counts = e[k:], w[k:], ranks[k:], mask[k:], counts[k:]
         if menu is not None:
-            summary.flag(e[(ranks == 3) & ~np.isin(counts, menu)], reason)
-        for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
-            summary.book(e[rows], verdicts, w[rows])
+            summary.flag(e[k:][(ranks[k:] == 3) & ~np.isin(counts[k:], menu)], reason)
+        for rows, verdicts in _degenerate_verdicts(space, em[k:], mask[k:],
+                                                   _rows(ranks, degenerate)):
+            summary.book(em[k:][rows], verdicts, _rows(w, degenerate)[rows])
     return summary
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -58,8 +59,20 @@ def _header(tower, command: str, params: dict) -> dict:
     }
 
 
+def _check_writable(path: str | None):
+    """Raise OSError now, not after the work, if `path` cannot be written.
+    Nothing is left behind: an existing file keeps its bytes until the
+    report replaces them, and a new one is removed again."""
+    if path:
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 class _Writer:
     def __init__(self, path: str | None, fmt: str):
+        _check_writable(path)
         self.fmt = fmt
         self.lines = []
         self.path = path
@@ -197,6 +210,8 @@ def cmd_mrd(args) -> int:
     T = sorted(set(args.T))
     if 1 not in T:
         raise SystemExit("the replaced-component set T must contain 1")
+    writer = _Writer(args.out, args.format)
+    _check_writable(args.code_out)
     # every exterior set has q^n + 1 points
     orbit_differences(tower, tower.order + 1, args.scalars)
     space = projective_space(tower, 2)
@@ -224,7 +239,6 @@ def cmd_mrd(args) -> int:
         "linear": linear,
         "nonlinearity_required": proper_t,
     }
-    writer = _Writer(args.out, args.format)
     writer.add(_header(tower, "mrd", {"T": T, "scalars": args.scalars}))
     writer.add(report)
     writer.flush()

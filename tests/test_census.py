@@ -13,7 +13,7 @@ from sigmaconics.census import (CapExceeded, diagonal_census,
                                 rank2_normal_census, rank2_random_census,
                                 rank_le2_census, sample_matrix_entries,
                                 splitmix64)
-from sigmaconics.cli import _summary_record
+from sigmaconics.cli import _summary_record, main
 from sigmaconics.fields import build_field
 from sigmaconics.cfsets import cf_verdicts
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_masks,
@@ -294,6 +294,73 @@ def test_record_rows_counted_once(monkeypatch, records):
     assert s.violation_count == 194
     assert s.total == 500 and s.histogram == random_census(T9, 500, seed=12).histogram
     assert s.histogram[10] == 194
+
+
+def _masked_rows(monkeypatch) -> list:
+    """Record the number of rows of each `PlaneKernel.masks` call."""
+    rows, masks = [], census.PlaneKernel.masks
+
+    def recording(self, *idx):
+        out = masks(self, *idx)
+        rows.append(len(out))
+        return out
+    monkeypatch.setattr(census.PlaneKernel, "masks", recording)
+    return rows
+
+
+def test_planted_count_table_fault_is_flagged(monkeypatch, capsys):
+    """One wrong entry of the line kernel's count table, on the line l_inf
+    of the first record row, is caught by the record's cross-check with
+    the point kernel: the row is flagged and the CLI exits 3."""
+    e0 = census._sample_entries(T9, 1, 4, lambda r: r == 3)[0][0]
+    a = T9.vmul(e0, T9.vinv(e0[8])) if e0[8] else e0
+    Q = T9.order
+    # l_inf restricts to b = (a11, a12, a21, a22)
+    hit = ((int(a[8]) * Q + int(a[5])) * Q + int(a[7])) * Q + int(a[4])
+    table = census.LineKernel._count_table
+
+    def planted(self, dtype):
+        out = table(self, dtype)
+        out[hit] += 1
+        return out
+    monkeypatch.setattr(census.LineKernel, "_count_table", planted)
+    monkeypatch.setattr(projective_space(T9, 2), "_line_kernel", None)
+    s = random_census(T9, 50, seed=4, records=5)
+    assert s.records[0]["matrix"] == e0.tolist()
+    assert census._LINE_REASON in s.records[0]["violations"]
+    assert {"matrix": e0.tolist(), "reason": census._LINE_REASON} in s.violations
+    assert main(["census", "--p", "3", "--n", "2", "--mode", "random",
+                 "--count", "50", "--seed", "4", "--records", "5"]) == 3
+    assert census._LINE_REASON in capsys.readouterr().out
+
+
+def test_gl_sweep_masks_no_row(monkeypatch):
+    rows = _masked_rows(monkeypatch)
+    s = exhaustive_invertible_census(T8)
+    assert s.total == 16_482_816 and sum(rows) == 0
+
+
+def test_random_census_masks_its_record_rows_only(monkeypatch, capsys):
+    rows = _masked_rows(monkeypatch)
+    assert main(["census", "--p", "3", "--n", "3", "--mode", "random",
+                 "--count", "3000", "--seed", "2", "--records", "10"]) == 0
+    assert capsys.readouterr().out.count('"record":"matrix"') == 10
+    assert sum(rows) == 10
+
+
+def test_rank_le2_sweep_masks_every_row(monkeypatch):
+    """Every row of the rank <= 2 sweep is masked, once, and the line
+    tables are never built."""
+    rows = _masked_rows(monkeypatch)
+
+    def no_line_tables(*args):
+        raise AssertionError("the line tables were built")
+    monkeypatch.setattr(census, "LineKernel", no_line_tables)
+    monkeypatch.setattr(projective_space(T8, 2), "_line_kernel", None)
+    rank_le2_census(T8)
+    reps = census._ranked(T8, census._orbit_batches(T8, "sweep", census._ENUM_CHUNK),
+                          lambda r: r < 3)
+    assert sum(rows) == sum(len(e) for e, _, _ in reps) > 0
 
 
 def test_random_census_any_rank():

@@ -133,21 +133,29 @@ def test_summary_record_pinned(field_name, entry):
 
 def test_diagonal_census_in_kernel_batches(monkeypatch):
     """The diagonal census counts (Q-1)^2 matrices in batches of at most
-    `_kernel_rows`, like the sampled censuses, and keeps its record."""
+    `_kernel_rows`, like the sampled censuses, and keeps its record.  Its
+    rows are all invertible and carry no record, so the line kernel counts
+    them and none is masked."""
     t = FIELDS["T9"]
     space = projective_space(t, 2)
     monkeypatch.setattr(census, "_KERNEL_CELLS", 10 * space.n_points)
-    batches = []
-    masks = census.PlaneKernel.masks
+    batches, masked = [], []
+    counts, masks = census.LineKernel.counts, census.PlaneKernel.masks
+
+    def recording_counts(self, e):
+        batches.append(len(e))
+        return counts(self, e)
 
     def recording_masks(self, *idx):
         out = masks(self, *idx)
-        batches.append(len(out))
+        masked.append(len(out))
         return out
+    monkeypatch.setattr(census.LineKernel, "counts", recording_counts)
     monkeypatch.setattr(census.PlaneKernel, "masks", recording_masks)
     summary = census.diagonal_census(t)
     assert census._kernel_rows(space) == 10
     assert max(batches) <= 10 and sum(batches) == (t.order - 1) ** 2
+    assert not masked
     assert _summary_record(summary) == _golden_record("T9", "diagonal_census")
 
 

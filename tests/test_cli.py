@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sigmaconics import census, cli
 from sigmaconics.cli import main
 from sigmaconics.projective import ProjectiveSpace
 
@@ -270,6 +271,49 @@ def test_unwritable_report_path_exits_2(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--p", "2", "--n", "3", "--scope", "rank-le2", "--out", "{missing}"],
+    ["census", "--p", "3", "--n", "3", "--mode", "random", "--seed", "1",
+     "--out", "{dir}"],
+    ["mrd", "--p", "3", "--n", "3", "--code-out", "{missing}"],
+    ["mrd", "--p", "3", "--n", "3", "--out", "{dir}", "--code-out", "{code}"],
+], ids=["census-rank-le2", "census-random", "mrd-code-out", "mrd-out"])
+def test_unwritable_path_fails_before_the_work(capsys, tmp_path, monkeypatch, argv):
+    """An output path that cannot be written exits 2 before any sweep or
+    code is built, with nothing on stdout and no other file written."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the paths were checked")
+    monkeypatch.setattr(census, "_sweep", no_work)
+    monkeypatch.setattr(cli, "orbit_differences", no_work)
+    argv = [a.format(missing=tmp_path / "absent" / "x", dir=tmp_path,
+                     code=tmp_path / "code.jsonl") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "code.jsonl").exists()
+
+
+def test_failed_census_leaves_no_report_file(capsys, tmp_path):
+    """The path check before the work creates no file: a census that
+    exits 4 writes nothing, as before."""
+    out = tmp_path / "r.jsonl"
+    assert main(["census", "--p", "3", "--n", "3", "--scope", "gl",
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_report_replaces_an_existing_file(capsys, tmp_path):
+    """A writable --out keeps the report's bytes, whatever the file held."""
+    argv = ["census", "--p", "2", "--n", "2", "--scope", "diagonal"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "r.jsonl"
+    out.write_text("x" * 10 * len(report))
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == report and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flags, message", [

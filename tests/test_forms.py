@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmaconics import census
-from sigmaconics.census import PlaneKernel, sample_matrix_entries
+from sigmaconics.census import LineKernel, PlaneKernel, sample_matrix_entries
 from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
@@ -359,6 +359,82 @@ def test_kernel_row_blocks_match_form_values(tower, groups, rows, kernels,
     idx[-1] = idx[-1] + len(kern.h[-1])
     with pytest.raises(IndexError):
         kern.masks(*idx)
+
+
+# -- the line-count kernel against the point kernel and the PG(1) forms ------
+
+def _line_rows(tower, count, seed):
+    """(count, 9) sampled rows of every rank with the cases the line kernel
+    treats apart: a22 = 0; a whole line through R = (0,0,1) absolute, its
+    restricted 2x2 form zero (l_0, l_inf and l_1); outer products of rank
+    1 and sums of two of rank <= 2; the zero form."""
+    t = tower
+    e = sample_matrix_entries(t.order, seed, 0, count)
+    uv = sample_matrix_entries(t.order, seed + 1, 0, count)
+    outer = t.vmul(uv[:, :3, None], uv[:, None, 3:6]).reshape(-1, 9)
+    pair = t.vadd(outer, t.vmul(uv[:, 6:, None], uv[:, None, :3]).reshape(-1, 9))
+    part = np.array_split(np.arange(count), 7)
+    e[part[0], 8] = 0
+    e[np.ix_(part[1], [0, 2, 6, 8])] = 0        # l_0 restricts to (a00, a02, a20, a22)
+    e[np.ix_(part[2], [4, 5, 7, 8])] = 0        # l_inf to (a11, a12, a21, a22)
+    one = part[3]                               # l_1: b00 = a00+a01+a10+a11, ...
+    e[one, 8] = 0
+    e[one, 2] = t.vneg(e[one, 5])
+    e[one, 6] = t.vneg(e[one, 7])
+    e[one, 0] = t.vneg(t.vadd(t.vadd(e[one, 1], e[one, 3]), e[one, 4]))
+    e[part[4]] = outer[part[4]]
+    e[part[5]] = pair[part[5]]
+    e[part[6][0]] = 0
+    return e
+
+
+def _point_counts(kernels, tower, e):
+    space = projective_space(tower, 2)
+    if tower.order not in kernels:
+        kernels[tower.order] = PlaneKernel(space)
+    kern = kernels[tower.order]
+    return kern.counts(*kern.row_encode(e))
+
+
+@pytest.mark.parametrize("tower, groups", KERNEL_TOWERS,
+                         ids=[f"F{t.order}" for t, _ in KERNEL_TOWERS])
+def test_line_counts_match_point_kernel(tower, groups, kernels):
+    e = _line_rows(tower, 350, seed=61)
+    ranks = vranks(tower, e.reshape(-1, 3, 3))
+    assert set(ranks.tolist()) == {0, 1, 2, 3}
+    assert np.array_equal(LineKernel(tower).counts(e), _point_counts(kernels, tower, e))
+
+
+# (p, e, n, m): Q = 2, 3, 4, 5, 25, 32 and 125, and sigma = x^(q^2) on F_8
+LINE_TOWERS = [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (5, 1, 1, 1),
+               (5, 1, 2, 1), (2, 1, 5, 1), (5, 1, 3, 1), (2, 1, 3, 2)]
+
+
+@pytest.mark.parametrize("params", LINE_TOWERS, ids=lambda a: "F%d^%d-m%d" % (
+    a[0], a[1] * a[2], a[3]))
+def test_line_counts_match_point_kernel_sampled(params):
+    tower = build_field(*params)
+    e = _line_rows(tower, 140, seed=62)
+    assert np.array_equal(LineKernel(tower).counts(e), _point_counts({}, tower, e))
+
+
+@pytest.mark.parametrize("params", LINE_TOWERS + [(3, 1, 2, 1), (3, 1, 3, 1)],
+                         ids=lambda a: "F%d^%d-m%d" % (a[0], a[1] * a[2], a[3]))
+def test_line_count_table_matches_pg1_forms(params):
+    """The count table against the scalar evaluation of each 2x2 form b
+    on the points of PG(1): every entry for Q <= 9, 300 sampled above."""
+    tower = build_field(*params)
+    Q = tower.order
+    table = LineKernel(tower).count
+    assert table.shape == (2 * Q ** 3,)
+    idx = np.arange(2 * Q ** 3)
+    if Q > 9:
+        idx = sample_matrix_entries(len(idx), 63, 0, 300)[:, 0].astype(np.int64)
+    pts = projective_space(tower, 1).points
+    for i in idx.tolist():
+        b11, b01, b10, b00 = i // Q ** 3, i // Q ** 2 % Q, i // Q % Q, i % Q
+        b = (b00, b01, b10, b11)
+        assert table[i] == sum(_evaluate(tower, b, x, x) == 0 for x in pts), b
 
 
 @pytest.mark.parametrize("tower", [T8, T27, build_field(3, 1, 2, 1),

@@ -1,6 +1,7 @@
 """One sweep driver: `census._sweep` is the only loop over plane batches, so
-it alone masks them through the count kernel.  `PlaneKernel.counts` is the
-kernel's own shorthand for its masks and may call them."""
+it alone masks them through the point kernel and counts them through the
+line kernel.  `PlaneKernel.counts` is the point kernel's own shorthand for
+its masks and may call them."""
 
 import ast
 import pathlib
@@ -8,7 +9,7 @@ import pathlib
 import sigmaconics
 
 CENSUS = pathlib.Path(sigmaconics.__file__).parent / "census.py"
-KERNEL_CALLS = ("masks", "row_encode")
+KERNEL_CALLS = ("masks", "row_encode", "counts")
 
 
 def _kernel_calls_by_owner() -> dict:
@@ -27,5 +28,6 @@ def _kernel_calls_by_owner() -> dict:
 def test_only_the_driver_masks_plane_batches():
     calls = _kernel_calls_by_owner()
     assert set(calls) <= {"_sweep", "PlaneKernel"}, calls
-    assert sorted(c.split(":")[0] for c in calls["_sweep"]) == ["masks", "row_encode"]
+    assert sorted(c.split(":")[0] for c in calls["_sweep"]) == [
+        "counts", "masks", "row_encode"]
     assert [c.split(":")[0] for c in calls.get("PlaneKernel", [])] == ["masks"]
