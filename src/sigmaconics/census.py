@@ -57,27 +57,21 @@ indices scanned.  A violation names the failing representative.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
-count kernel `PlaneKernel` splits the nine entries into g groups, each a
-set of entries of one row i, and tabulates per group G the value
-P_i * sum_{j in G} a_ij P_j^sigma for every combination of the group's
-entries and every point P.  The absolute mask of a matrix is then g row
-gathers, g - 1 additions and one zero test over the full point set, which
-batches cleanly over millions of matrices.  The grouping is the coarsest
-whose tables fit KERNEL_BUDGET (64 MiB), checked before any table is built:
-rows (3 tables of Q^3 x N; Q = 8, 9, 16, 25), half-rows ((a_i0, a_i1) in a
-Q^2 x N table and a_i2 in a Q x N one, 6 tables; Q = 27, 32, 49, 64) or
-single entries (9 tables of Q x N; Q = 81, 121, 125, 128).  The largest
-plane within the budget is PG(2,151); past it the census raises
-CapExceeded.  In characteristic 2 the additions are XOR.  For odd p they
-are reduced lazily, as in the delayed modular reduction of Dumas, Giorgi
-and Pernet (FFLAS-FFPACK, ACM TOMS 2008): each value is stored as its F_p
-digits in base B = g(p-1)+1, so g values add as plain integers with no
-carry between digits, and one lookup in a B^d zero table (d the degree
-over F_p) tests the sum.  Under the rows grouping the group index of
-(a,b,c) is the row encoding a*Q^2 + b*Q + c.  A batch is counted in row
-blocks of about _KERNEL_BLOCK (1 MiB) of accumulator, gathered and added
-in place, so that the g gathered rows of a block stay in cache; at
-PG(2,27) that took the 2e5-sample census's count from about 0.9 to 0.6 s.
+count kernel `PlaneKernel` holds one table per entry, h[3i+j][a, P] =
+a P_i P_j^sigma for every a in F_Q and every point P, nine tables of Q x
+N.  The absolute mask of a matrix is then nine row gathers, eight
+additions and one zero test over the full point set, which batches
+cleanly over millions of matrices.  The tables must fit KERNEL_BUDGET (64
+MiB), checked before any is built; the largest plane within it is
+PG(2,151), and past it the census raises CapExceeded.  In characteristic
+2 the additions are XOR.  For odd p they are reduced lazily, as in the
+delayed modular reduction of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM
+TOMS 2008): each value is stored as its F_p digits in base B = 9(p-1)+1,
+so the nine values add as plain integers with no carry between digits,
+and one lookup in a B^d zero table (d the degree over F_p) tests the
+sum.  A batch is masked in row blocks of about _KERNEL_BLOCK (1 MiB) of
+accumulator, gathered and added in place, so that the gathered rows of a
+block stay in cache.
 
 Most rows need their count only, and a count needs no point mask.  The
 lines through R = (0,0,1), l_y = span((1,y,0), R) for y in F_Q and l_inf =
@@ -204,44 +198,35 @@ def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> tuple:
 # -- the batched absolute-count kernel ----------------------------------------
 
 KERNEL_BUDGET = 64 << 20  # bytes of count-kernel tables, checked before any is built
-# the groupings of each row's columns, coarsest first: rows, half-rows and
-# single entries
-_GROUPINGS = (((0, 1, 2),), ((0, 1), (2,)), ((0,), (1,), (2,)))
 
 
 def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
-    """(grouping, base, dtype) of the coarsest grouping whose tables fit
-    KERNEL_BUDGET.  For p = 2 the tables hold field encodings (base None);
-    for odd p they hold each value's F_p digits in base g(p-1)+1, g the
-    number of groups, and the base^d zero table counts too.  Raises
-    CapExceeded, before anything is allocated, when even single entries do
-    not fit."""
+    """(base, dtype) of the nine (Q, N) entry tables.  For p = 2 they hold
+    field encodings (base None); for odd p each value's F_p digits in base
+    9(p-1)+1, so that nine values add with no carry between digits, and
+    the base^d zero table counts too.  Raises CapExceeded, before anything
+    is allocated, when they do not fit KERNEL_BUDGET."""
     t, Q = tower, tower.order
-    for grouping in _GROUPINGS:
-        if t.p == 2:
-            base, dtype, zero_bytes = None, np.min_scalar_type(Q - 1), 0
-        else:
-            base = 3 * len(grouping) * (t.p - 1) + 1
-            zero_bytes = base ** t.degree
-            dtype = np.min_scalar_type(zero_bytes - 1)
-        need = (3 * sum(Q ** len(c) for c in grouping) * n_points * dtype.itemsize
-                + zero_bytes)
-        if need <= KERNEL_BUDGET:
-            return grouping, base, dtype
-    raise CapExceeded(f"count-kernel tables for PG(2,{Q}) need {need / 2**20:.0f} "
-                      f"MiB even as single entries, beyond the "
-                      f"{KERNEL_BUDGET >> 20} MiB kernel budget")
+    if t.p == 2:
+        base, dtype, zero_bytes = None, np.min_scalar_type(Q - 1), 0
+    else:
+        base = 9 * (t.p - 1) + 1
+        zero_bytes = base ** t.degree
+        dtype = np.min_scalar_type(zero_bytes - 1)
+    need = 9 * Q * n_points * dtype.itemsize + zero_bytes
+    if need > KERNEL_BUDGET:
+        raise CapExceeded(f"count-kernel tables for PG(2,{Q}) need {need / 2**20:.0f} "
+                          f"MiB, beyond the {KERNEL_BUDGET >> 20} MiB kernel budget")
+    return base, dtype
 
 
 class PlaneKernel:
-    """Grouped coefficient tables for the absolute counts of 3x3 forms.
+    """One coefficient table per entry for the absolute counts of 3x3 forms.
 
-    A group is a tuple of columns j of one row i of A; its table is
-    h[G][idx, P] = P_i * sum_{j in G} a_ij P_j^sigma, idx the base-Q code
-    of the group's entries (first entry most significant).  The point P is
-    absolute for A exactly when the g group values sum to zero.  The groups
-    run row by row; under the rows grouping the group indices are the row
-    encodings a*Q^2 + b*Q + c."""
+    The table of entry k = 3i + j is h[k][a, P] = a P_i P_j^sigma, for
+    every a in F_Q and every point P; P is absolute for A exactly when the
+    nine values h[k][a_k, P] sum to zero.  The kernel indices of a matrix
+    are therefore its nine entries (`row_encode`)."""
 
     def __init__(self, space: ProjectiveSpace):
         t = space.tower
@@ -249,43 +234,31 @@ class PlaneKernel:
         self.space = space
         self.tower = t
         self.Q = Q
-        self.grouping, base, dtype = _kernel_plan(t, space.n_points)
-        pts, n_points = space.points, space.n_points
+        base, dtype = _kernel_plan(t, space.n_points)
+        pts = space.points
         if t.p == 2:
-            encode, red = (lambda v: v.astype(dtype)), None
+            lazy, self._zero = np.arange(Q).astype(dtype), None
         else:
-            # value x -> its F_p digits in base `base`; red maps a vector of
-            # base-`base` digits below `base` to the same digits mod p
+            # value x -> its F_p digits in base `base`; a sum of nine has
+            # every digit below `base`, no carries, and is zero when every
+            # digit is 0 mod p
             lazy = (t._digits.astype(np.int64) @ base ** np.arange(t.degree)
                     ).astype(dtype)
-            encode = lazy.__getitem__
-            sums = np.arange(base ** t.degree, dtype=np.int64)
-            red = np.zeros(len(sums), dtype=dtype)
+            sums = np.arange(base ** t.degree)
+            self._zero = np.ones(len(sums), dtype=bool)
             for k in range(t.degree):
-                red += (sums // base ** k % base % t.p * base ** k).astype(dtype)
-        # a group's table sums its columns' (Q, N) tables of a * P_i P_j^sigma
-        # over every combination of entries; for odd p the sum is plain
-        # integer addition of digit vectors and one `red` lookup reduces it
+                self._zero &= sums // base ** k % base % t.p == 0
         units = np.arange(Q, dtype=np.uint32)[:, None]
         ps = t.vsigma(pts)
-        self.h = []
-        for i in range(3):
-            for cols in self.grouping:
-                tbl, *rest = [encode(t.vmul(units, t.vmul(pts[:, i], ps[:, j])[None]))
-                              for j in cols]
-                for m in rest:
-                    tbl = (tbl[:, None] ^ m[None] if red is None
-                           else tbl[:, None] + m[None]).reshape(-1, n_points)
-                self.h.append(red[tbl] if rest and red is not None else tbl)
-        # a point is absolute when the sum of the g values is zero; for odd p
-        # that sum has every digit below `base`, no carries, so red reduces it
-        self._zero = None if red is None else red == 0
+        self.h = [lazy[t.vmul(units, t.vmul(pts[:, i], ps[:, j])[None])]
+                  for i in range(3) for j in range(3)]
 
     @functools.cached_property
     def smul(self) -> np.ndarray:
-        """(Q, Q^3) scalar multiples of every row vector, as row encodings.
-        No sweep uses them or `renc_add`; they are the per-class reference
-        of the tests (rows off a span), built on first use."""
+        """(Q, Q^3) scalar multiples of every row vector, as row encodings
+        a Q^2 + b Q + c, which are not kernel indices.  No sweep uses them
+        or `renc_add`; they are the per-class reference of the tests (rows
+        off a span), built on first use."""
         t, Q = self.tower, self.Q
         renc = np.arange(Q ** 3, dtype=np.int64)
         lam = np.arange(Q, dtype=np.uint32)[:, None]
@@ -296,17 +269,9 @@ class PlaneKernel:
         return out
 
     def row_encode(self, entries: np.ndarray) -> tuple:
-        """Group indices for (K, 9) matrix entry arrays, group by group; the
-        row encodings (r1, r2, r3) under the rows grouping."""
-        e = entries.astype(np.int64)
-        out = []
-        for i in range(3):
-            for cols in self.grouping:
-                idx = e[:, 3 * i + cols[0]]
-                for j in cols[1:]:
-                    idx = idx * self.Q + e[:, 3 * i + j]
-                out.append(idx)
-        return tuple(out)
+        """The nine kernel indices of (K, 9) matrix entry arrays: their
+        entry columns, contiguous."""
+        return tuple(entries.T.astype(np.intp, order="C"))
 
     def renc_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinate-wise field addition of row encodings."""
@@ -321,14 +286,14 @@ class PlaneKernel:
         return out
 
     def masks(self, *idx) -> np.ndarray:
-        """Absolute-point masks, (K, N), from the g group indices of K
+        """Absolute-point masks, (K, N), from the nine entry indices of K
         matrices (they broadcast), in row blocks of about _KERNEL_BLOCK bytes
         of accumulator each, so that the gathered rows stay in cache."""
         idx = np.broadcast_arrays(*idx)
         n_points = self.space.n_points
         for tbl, i in zip(self.h, idx):
             if len(i) and not 0 <= i.min() <= i.max() < len(tbl):
-                raise IndexError(f"group index outside 0..{len(tbl) - 1}")
+                raise IndexError(f"entry index outside 0..{len(tbl) - 1}")
         out = np.empty((len(idx[0]), n_points), dtype=bool)
         step = max(1, _KERNEL_BLOCK // (n_points * self.h[0].itemsize))
         buf = np.empty((2, min(step, len(out)), n_points), dtype=self.h[0].dtype)
@@ -1154,7 +1119,11 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> lis
             recs[k]["violations"].append(
                 f"line intersections {[v for v in values if illegal[v]]} "
                 "outside {0, 1, 2, q+1, full}")
-        if freq[k, Q + 1] and ranks[k] == 3:
+        # a line in Gamma(A) restricts A to a 2x2 form with all Q+1 points
+        # absolute, which for n >= 2 (Q+1 > q+1) is zero, impossible for
+        # invertible A; at n = 1 sigma is the identity and x^T A x a
+        # quadratic form, which may contain a line
+        if freq[k, Q + 1] and ranks[k] == 3 and t.n > 1:
             recs[k]["violations"].append("an invertible form may not contain a line")
     full = np.nonzero(ranks == 3)[0]
     if t.n > 1 and len(full):

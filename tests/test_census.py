@@ -79,10 +79,13 @@ def _gl_menu_violations(t, menu):
             span = set(kern.renc_add(kern.smul[:, r1][:, None],
                                      kern.smul[:, r2][None, :]).ravel().tolist())
             r3s = np.array([r for r in range(Q ** 3) if r not in span])
-            for r3, c in zip(r3s, kern.counts(r1, r2, r3s)):
+            # the row encodings decoded into (K, 9) entries, the kernel's
+            # indices
+            renc = np.stack(np.broadcast_arrays(r1, r2, r3s), axis=1)
+            e = (renc[:, :, None] // np.array([Q * Q, Q, 1]) % Q).reshape(-1, 9)
+            for row, c in zip(e.tolist(), kern.counts(*kern.row_encode(e))):
                 if c not in menu:
-                    out.append([d for r in (r1, r2, r3)
-                                for d in (r // (Q * Q), (r // Q) % Q, r % Q)])
+                    out.append(row)
     return out
 
 
@@ -386,8 +389,8 @@ def test_exhaustive_cap():
 
 
 def test_kernel_budget_checked_before_any_table(monkeypatch):
-    """PG(2,169) needs more than the kernel budget even as single entries;
-    the kernel refuses it before it computes any table."""
+    """PG(2,169) needs more than the kernel budget; the kernel refuses it
+    before it computes any table."""
     t = build_field(13, 1, 2, 1)
     space = projective_space(t, 2)
 
@@ -398,6 +401,34 @@ def test_kernel_budget_checked_before_any_table(monkeypatch):
     with pytest.raises(CapExceeded, match="beyond the 64 MiB kernel budget"):
         plane_kernel(space)
     assert space._kernel is None
+
+
+def test_kernel_budget_boundary():
+    """The nine entry tables of PG(2,151) fit the budget (59.5 MiB); those
+    of PG(2,157) (66.9 MiB) do not, and the plan, which `plane_kernel`
+    checks before it computes any table, refuses them."""
+    n_points = 151 * 151 + 151 + 1
+    base, dtype = census._kernel_plan(build_field(151, 1, 1, 1), n_points)
+    need = 9 * 151 * n_points * dtype.itemsize + base
+    assert base == 9 * 150 + 1 and need <= census.KERNEL_BUDGET
+    assert round(need / 2 ** 20, 1) == 59.5
+    with pytest.raises(CapExceeded, match=r"PG\(2,157\) need 67 MiB"):
+        census._kernel_plan(build_field(157, 1, 1, 1), 157 * 157 + 157 + 1)
+
+
+def test_invertible_form_with_a_line_is_flagged():
+    """At n >= 2 a line of absolute points is impossible for an invertible
+    form; a mask planted with one is flagged on an invertible n = 3 row."""
+    space = projective_space(T8, 2)
+    form = make_form(T8, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+    line = classify.lines_points_array(space)[0]
+    mask = absolute_mask(form, space)
+    assert not mask[line].all()
+    mask[line] = True
+    rec = form_records(space, form.entries[None], mask[None])[0]
+    assert rec["rank"] == 3
+    assert "an invertible form may not contain a line" in rec["violations"]
+    assert not form_record(form, space)["violations"]
 
 
 def test_line_paths_leave_incidence_unbuilt(monkeypatch):

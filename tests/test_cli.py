@@ -78,12 +78,38 @@ def test_census_cap_exits_4(capsys):
     assert code == 4
 
 
-def test_census_random_beyond_row_tables(capsys):
-    """PG(2,49) counts on half-row tables; it exited 4 on row tables."""
+def test_census_random_pg2_49(capsys):
+    """A random census of PG(2,49), an odd-p plane over an extension, runs
+    clean within the kernel budget."""
     code, recs = run_cli(["census", "--p", "7", "--n", "2", "--mode", "random",
                           "--count", "200", "--seed", "1"], capsys)
     assert code == 0
     assert recs[-1]["total"] == 200 and recs[-1]["violations"] == 0
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["classify", "--p", "2", "--n", "1", "--matrix", "1", "1", "0", "0", "0",
+      "1", "0", "1", "0"], 2),
+    (["classify", "--p", "3", "--n", "1", "--matrix", "1", "0", "0", "0", "0",
+      "1", "0", "2", "0"], 1),
+], ids=["x0(x0+x1)", "x0^2"])
+def test_classify_invertible_conic_with_lines_at_n1(args, lines, capsys):
+    """At n = 1 sigma is the identity, so an invertible form may have a
+    quadratic form x^T A x that is a product of lines: no violation."""
+    code, recs = run_cli(args, capsys)
+    assert code == 0
+    rec = recs[1]
+    assert rec["rank"] == 3 and rec["violations"] == []
+    assert rec["spectrum"][str(int(args[2]) + 1)] == lines
+
+
+def test_census_records_at_n1_flag_no_line(capsys):
+    code, recs = run_cli(["census", "--p", "2", "--n", "1", "--mode", "random",
+                          "--count", "5", "--seed", "1", "--records", "5"], capsys)
+    assert code == 0
+    assert recs[-1]["total"] == 5 and recs[-1]["violations"] == 0
+    # full lines of PG(1,2), 3 points each, in some invertible records
+    assert any("3" in rec["spectrum"] for rec in recs if rec["record"] == "matrix")
 
 
 def test_census_random_past_kernel_budget_exits_4(capsys):

@@ -298,14 +298,13 @@ def test_vcross_matches_cross3(tower, data):
                             for a in u.tolist()]
 
 
-# -- the count kernel's grouped tables against the evaluator -----------------
+# -- the count kernel's entry tables against the evaluator -------------------
 
-# (tower, number of groups): rows for p = 2 and odd p, half-rows at F_27,
-# F_49 and F_64 = (2, 2, 3) over the extension subfield, single entries at
-# F_81; F_16 = (2, 2, 2) is the extension-subfield case of the rows
-KERNEL_TOWERS = [(T8, 3), (build_field(3, 1, 2, 1), 3), (build_field(2, 2, 2, 1), 3),
-                 (T27, 6), (build_field(7, 1, 2, 1), 6), (build_field(2, 2, 3, 1), 6),
-                 (build_field(3, 1, 4, 1), 9)]
+# p = 2 at F_8, odd p at F_9, F_27, F_49 and F_81 (degree 4 over F_3), and
+# F_16 = (2, 2, 2) and F_64 = (2, 2, 3) over the extension subfield F_4
+KERNEL_TOWERS = [T8, build_field(3, 1, 2, 1), build_field(2, 2, 2, 1), T27,
+                 build_field(7, 1, 2, 1), build_field(2, 2, 3, 1),
+                 build_field(3, 1, 4, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -315,11 +314,10 @@ def kernels():
     return {}
 
 
-@pytest.mark.parametrize("tower, groups", KERNEL_TOWERS,
-                         ids=[f"F{t.order}" for t, _ in KERNEL_TOWERS])
+@pytest.mark.parametrize("tower", KERNEL_TOWERS, ids=lambda t: f"F{t.order}")
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_kernel_masks_match_form_values(tower, groups, kernels, data):
+def test_kernel_masks_match_form_values(tower, kernels, data):
     # for odd p a slip in the lazy digit sums or the zero table shows up here
     mats, _ = data.draw(_planted_batches(tower, widths=(3,)))
     e = mats.reshape(-1, 9)
@@ -327,26 +325,25 @@ def test_kernel_masks_match_form_values(tower, groups, kernels, data):
     if tower.order not in kernels:
         kernels[tower.order] = PlaneKernel(space)
     kern = kernels[tower.order]
-    assert len(kern.h) == groups and "smul" not in vars(kern)
+    assert len(kern.h) == 9 and "smul" not in vars(kern)
     pts = space.points
     expect = form_values(tower, e[:, None, :], pts[None], pts[None]) == 0
     assert np.array_equal(kern.masks(*kern.row_encode(e)), expect)
     assert np.array_equal(kern.counts(*kern.row_encode(e)), expect.sum(axis=1))
 
 
-@pytest.mark.parametrize("tower, groups", [KERNEL_TOWERS[k] for k in (0, 3, 6)],
-                         ids=["F8-xor", "F27-half-rows", "F81-entries"])
+@pytest.mark.parametrize("tower", [KERNEL_TOWERS[k] for k in (0, 3, 6)],
+                         ids=["F8-xor", "F27-digits", "F81-degree4"])
 @pytest.mark.parametrize("rows", [1, 7])
-def test_kernel_row_blocks_match_form_values(tower, groups, rows, kernels,
-                                             monkeypatch):
+def test_kernel_row_blocks_match_form_values(tower, rows, kernels, monkeypatch):
     """With the accumulator block cut to `rows` rows, 52 matrices (not a
     multiple of it, the zero matrix among them) give the evaluator's masks
-    and counts; an index past a group table is refused."""
+    and counts; an index past an entry table is refused."""
     space = projective_space(tower, 2)
     if tower.order not in kernels:
         kernels[tower.order] = PlaneKernel(space)
     kern = kernels[tower.order]
-    assert len(kern.h) == groups
+    assert len(kern.h) == 9
     monkeypatch.setattr(census, "_KERNEL_BLOCK",
                         rows * space.n_points * kern.h[0].itemsize)
     e = sample_matrix_entries(tower.order, 5, 0, 52)
@@ -396,9 +393,8 @@ def _point_counts(kernels, tower, e):
     return kern.counts(*kern.row_encode(e))
 
 
-@pytest.mark.parametrize("tower, groups", KERNEL_TOWERS,
-                         ids=[f"F{t.order}" for t, _ in KERNEL_TOWERS])
-def test_line_counts_match_point_kernel(tower, groups, kernels):
+@pytest.mark.parametrize("tower", KERNEL_TOWERS, ids=lambda t: f"F{t.order}")
+def test_line_counts_match_point_kernel(tower, kernels):
     e = _line_rows(tower, 350, seed=61)
     ranks = vranks(tower, e.reshape(-1, 3, 3))
     assert set(ranks.tolist()) == {0, 1, 2, 3}
