@@ -6,17 +6,20 @@ Every plane census is one driver, `_sweep`, fed by a source of batches
 (e, w, ranks): (K, 9) entries of nonzero forms, the int64 number of
 matrices each row stands for, and their ranks.  The sources are the orbit
 representatives of the exhaustive 3x3 sweeps (`_orbit_batches`, ranked
-once per batch by `_ranked`), the diagonal matrices, the outer products of
-`rank1_census`, the radical-normal layouts of `rank2_normal_census` and
-the counter-based rejection sampler `_sample_entries`, which keeps rows by
-rank and returns the ranks it computed.  The driver counts each batch
-once, through one of two count kernels (below), and histograms it with
-its weights; rank-3 rows are checked against the cardinality menu, if
-any, and rank-1 and rank-2 rows take the one check per kind, a batch
-function returning
-`forms.Verdicts` (`classify.rank1_verdicts`, `cone_verdicts` and
-`cfsets.cf_verdicts`, Steiner always on), split by `_degenerate_verdicts`
-and booked by `CensusSummary.book`.  `line_census` keeps its own loop on
+once per batch by `_ranked`), the diagonal matrices, one piece per a, the
+outer products of `rank1_census`, the radical-normal layouts of
+`rank2_normal_census` and the counter-based rejection sampler `_samples`,
+which yields the rows it keeps by rank, one draw at a time, with the
+ranks it computed.  The sources stream: the orbit, diagonal and sampled
+ones are regrouped by one batcher, `_rebatch`, and the driver checks both
+kernel budgets before it pulls the first row, so no row is drawn past a
+budget.  The driver counts each batch once, through one of two count
+kernels (below), and histograms it with its weights; rank-3 rows are
+checked against the cardinality menu, if any, and rank-1 and rank-2 rows
+take the one check per kind, a batch function returning `forms.Verdicts`
+(`classify.rank1_verdicts`, `cone_verdicts` and `cfsets.cf_verdicts`,
+Steiner always on), split by `_degenerate_verdicts` and booked by
+`CensusSummary.book`.  `line_census` keeps its own loop on
 PG(1), over the 2x2 scalar classes of `_enumerate_scalar_classes`, with
 `classify.line_verdicts` (also the check of cone bases).
 
@@ -163,36 +166,40 @@ def splitmix64(seed: int, counter: int) -> int:
 
 
 def rand_stream(seed: int, start: int, count: int) -> np.ndarray:
-    c = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK64) + c * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # in place: each slab-sized temporary freed is faulted back in by the next draw
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def sample_matrix_entries(order: int, seed: int, start: int, count: int) -> np.ndarray:
     """(count, 9) matrix entries; sample i consumes counters 9i..9i+8."""
     vals = rand_stream(seed, start, 9 * count)
-    return (vals % np.uint64(order)).astype(np.uint32).reshape(count, 9)
+    vals %= np.uint64(order)
+    return vals.astype(np.uint32).reshape(count, 9)
 
 
-def _sample_entries(tower: FieldTower, count: int, seed: int, keep) -> tuple:
-    """(e, ranks): the first `count` sampled (K, 9) entry arrays whose
-    ranks pass `keep`, a function from a batch's ranks to its keep mask,
-    and those ranks.  Sample i consumes counters 9i..9i+8 whether or not it
-    is kept, so the result does not depend on the batch size.  Samples are
-    drawn and ranked `_SAMPLE_BATCH` at a time: one 250,000-sample draw
-    peaked at 51.5 MB (tracemalloc) for a 6.9 MB result."""
-    out, got, start = [(np.empty((0, 9), dtype=np.uint32),
-                        np.empty(0, dtype=np.int64))], 0, 0
-    while got < count:
+def _samples(tower: FieldTower, count: int, seed: int, keep):
+    """Yield (e, w, ranks) pieces, unit weights, of the first `count`
+    sampled (K, 9) entry arrays whose ranks pass `keep`, a function from a
+    draw's ranks to its keep mask.  Sample i consumes counters 9i..9i+8
+    whether or not it is kept, so the rows do not depend on the draw size.
+    Samples are drawn and ranked `_SAMPLE_BATCH` at a time, and one draw is
+    held at a time: memory does not grow with `count`."""
+    start = 0
+    while count > 0:
         e = sample_matrix_entries(tower.order, seed, 9 * start, _SAMPLE_BATCH)
         start += _SAMPLE_BATCH
         ranks = vranks(tower, e.reshape(-1, 3, 3))
-        rows = np.nonzero(keep(ranks))[0][:count - got]
-        out.append((e[rows], ranks[rows]))
-        got += len(rows)
-    return _join(out)
+        rows = np.nonzero(keep(ranks))[0][:count]
+        e, ranks, count = e[rows], ranks[rows], count - len(rows)
+        yield e, np.ones(len(e), dtype=np.int64), ranks
 
 
 # -- the batched absolute-count kernel ----------------------------------------
@@ -460,17 +467,9 @@ def line_kernel(space: ProjectiveSpace) -> LineKernel:
 
 
 def _kernel_rows(space: ProjectiveSpace) -> int:
-    """Matrices per batch of a sampled census: 4096, fewer where their
-    (K, N) count masks would pass 2^22 cells."""
+    """Matrices per batch of a sampled or diagonal census: 4096, fewer
+    where their (K, N) count masks would pass 2^22 cells."""
     return max(1, min(4096, _KERNEL_CELLS // space.n_points))
-
-
-def _kernel_batches(space: ProjectiveSpace, e: np.ndarray, ranks: np.ndarray):
-    """Yield (e, w, ranks) batches of `_kernel_rows` rows, unit weights."""
-    step = _kernel_rows(space)
-    for start in range(0, len(e), step):
-        rows = slice(start, start + step)
-        yield e[rows], np.ones(len(e[rows]), dtype=np.int64), ranks[rows]
 
 
 # -- census data structures ----------------------------------------------------
@@ -555,7 +554,8 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
     checks read the absolute set, are masked by the point kernel; every
     other row is counted by the line kernel, and the record rows by both,
     a mismatch flagged on the record.  Each kernel is built on the first
-    batch that needs it; both budgets are checked before the first."""
+    batch that needs it; both budgets are checked before the first batch
+    is pulled from `batches`, so a streamed source draws no row past them."""
     _kernel_plan(space.tower, space.n_points)
     _line_plan(space.tower)
     for e, w, ranks in batches:
@@ -855,13 +855,14 @@ def _orbit_representatives(tower: FieldTower, supports: list, chunk: int):
 
 
 def _rebatch(pieces, chunk: int):
-    """Regroup (e, w) pieces into batches of `chunk` rows, the last fewer."""
+    """Regroup pieces, tuples of equal-length arrays ((e, w) or (e, w,
+    ranks)), into batches of `chunk` rows, the last fewer."""
     buf, size = [], 0
-    for e, w in pieces:
-        while len(e):
-            take = min(chunk - size, len(e))
-            buf.append((e[:take], w[:take]))
-            e, w, size = e[take:], w[take:], size + take
+    for piece in pieces:
+        while len(piece[0]):
+            take = min(chunk - size, len(piece[0]))
+            buf.append(tuple(a[:take] for a in piece))
+            piece, size = tuple(a[take:] for a in piece), size + take
             if size == chunk:
                 yield _join(buf)
                 buf, size = [], 0
@@ -870,8 +871,7 @@ def _rebatch(pieces, chunk: int):
 
 
 def _join(pieces: list) -> tuple:
-    return (np.concatenate([e for e, _ in pieces]),
-            np.concatenate([w for _, w in pieces]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
 
 def _orbit_batches(tower: FieldTower, what: str, chunk: int):
@@ -919,14 +919,18 @@ def exhaustive_invertible_census(tower: FieldTower,
 def diagonal_census(tower: FieldTower,
                     max_violations: int | None = None) -> CensusSummary:
     """Absolute counts over invertible diagonal matrices up to scalars,
-    diag(1, a, b) in the order of (a, b), in batches of `_kernel_rows`."""
+    diag(1, a, b) in the order of (a, b), one piece per a, in batches of
+    `_kernel_rows`."""
     Q = tower.order
     space = projective_space(tower, 2)
-    k = np.arange((Q - 1) ** 2)
-    e = np.zeros((len(k), 9), dtype=np.uint32)
-    e[:, 0], e[:, 4], e[:, 8] = 1, 1 + k // (Q - 1), 1 + k % (Q - 1)
+
+    def pieces():
+        for a in range(1, Q):
+            e = np.zeros((Q - 1, 9), dtype=np.uint32)
+            e[:, 0], e[:, 4], e[:, 8] = 1, a, np.arange(1, Q)
+            yield e, np.ones(Q - 1, dtype=np.int64), np.full(Q - 1, 3)
     return _sweep(_summary(tower, "diagonal", max_violations), space,
-                  _kernel_batches(space, e, np.full(len(e), 3)),
+                  _rebatch(pieces(), _kernel_rows(space)),
                   _admissible(tower, True),
                   "diagonal cardinality outside the admissible menu")
 
@@ -1032,9 +1036,9 @@ def rank2_random_census(tower: FieldTower, count: int, seed: int) -> CensusSumma
     """Full verification of `count` sampled rank-2 matrices in general
     position (deterministic rejection sampling)."""
     space = projective_space(tower, 2)
-    e, ranks = _sample_entries(tower, count, seed, lambda r: r == 2)
     return _sweep(_summary(tower, f"rank2-random(seed={seed}, count={count})"),
-                  space, _kernel_batches(space, e, ranks))
+                  space, _rebatch(_samples(tower, count, seed, lambda r: r == 2),
+                                  _kernel_rows(space)))
 
 
 # -- random censuses --------------------------------------------------------------
@@ -1052,12 +1056,11 @@ def random_census(tower: FieldTower, count: int, seed: int,
     violation counts once.  `max_violations` bounds the violations kept,
     not those counted."""
     space = projective_space(tower, 2)
-    e, ranks = _sample_entries(tower, count, seed,
-                               (lambda r: r == 3) if invertible_only else
-                               (lambda r: r > 0))
+    keep = (lambda r: r == 3) if invertible_only else (lambda r: r > 0)
     return _sweep(_summary(tower, f"random(seed={seed}, count={count})",
                            max_violations),
-                  space, _kernel_batches(space, e, ranks),
+                  space, _rebatch(_samples(tower, count, seed, keep),
+                                  _kernel_rows(space)),
                   _admissible(tower, False) if invertible_only else None,
                   records=records)
 

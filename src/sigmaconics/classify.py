@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .cfsets import KIND_CF, KIND_DEGENERATE_CF, pencil_normal_form
 from .fields import FieldTower
 from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
                     fixed_point_masks, radical_lines, radical_points)
-from .linalg import cross3, dot, mat_det, vranks
+from .linalg import mat_det, vranks
 from .projective import ProjectiveSpace, projective_space
 
 LINE_EMPTY = "empty"
@@ -398,23 +399,10 @@ def _odd_degree_case_checks(space: ProjectiveSpace, mask: np.ndarray,
 
 
 def _all_collinear(space: ProjectiveSpace, ids) -> bool:
-    if len(ids) <= 2:
-        return True
-    t = space.tower
-    u, v = space.point_vec(ids[0]), space.point_vec(ids[1])
-    line = cross3(t, u, v)
-    return all(dot(t, line, space.point_vec(i)) == 0 for i in ids[2:])
+    return all(space.collinear(ids[0], ids[1], i) for i in ids[2:])
 
 
 def is_arc(point_ids, space: ProjectiveSpace) -> bool:
     """True when no three of the points are collinear."""
-    t = space.tower
     ids = sorted(int(i) for i in point_ids)
-    vecs = [space.point_vec(i) for i in ids]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            line = cross3(t, vecs[i], vecs[j])
-            on = sum(1 for w in vecs if dot(t, line, w) == 0)
-            if on > 2:
-                return False
-    return True
+    return not any(space.collinear(*abc) for abc in combinations(ids, 3))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ def test_planted_count_table_fault_is_flagged(monkeypatch, capsys):
     """One wrong entry of the line kernel's count table, on the line l_inf
     of the first record row, is caught by the record's cross-check with
     the point kernel: the row is flagged and the CLI exits 3."""
-    e0 = census._sample_entries(T9, 1, 4, lambda r: r == 3)[0][0]
+    e0 = census._join(list(census._samples(T9, 1, 4, lambda r: r == 3)))[0][0]
     a = T9.vmul(e0, T9.vinv(e0[8])) if e0[8] else e0
     Q = T9.order
     # l_inf restricts to b = (a11, a12, a21, a22)
@@ -414,6 +415,55 @@ def test_kernel_budget_boundary():
     assert round(need / 2 ** 20, 1) == 59.5
     with pytest.raises(CapExceeded, match=r"PG\(2,157\) need 67 MiB"):
         census._kernel_plan(build_field(157, 1, 1, 1), 157 * 157 + 157 + 1)
+
+
+def _pulled_pieces(monkeypatch) -> tuple:
+    """(calls, pulled): the chunk of each `_rebatch` call and the rows of
+    each piece a source has handed it so far."""
+    calls, pulled, rebatch = [], [], census._rebatch
+
+    def watched(pieces, chunk):
+        def seen():
+            for piece in pieces:
+                pulled.append(len(piece[0]))
+                yield piece
+        calls.append(chunk)
+        return rebatch(seen(), chunk)
+    monkeypatch.setattr(census, "_rebatch", watched)
+    return calls, pulled
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: random_census(t, 10 ** 6, seed=1),
+    lambda t: rank2_random_census(t, 10 ** 6, seed=1),
+    diagonal_census,
+], ids=["random", "rank2-random", "diagonal"])
+def test_no_row_before_the_kernel_budget(monkeypatch, run):
+    """The point-kernel tables of PG(2,157) need 66.9 MiB, past the budget.
+    Each streamed census refuses the plane before its source draws a
+    sample or builds a diagonal piece."""
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(census, "sample_matrix_entries", no_samples)
+    calls, pulled = _pulled_pieces(monkeypatch)
+    with pytest.raises(CapExceeded, match=r"PG\(2,157\) need 67 MiB"):
+        run(build_field(157, 1, 1, 1))
+    assert len(calls) == 1 and pulled == []
+
+
+def test_sampled_census_memory_does_not_grow_with_count():
+    """The sampler holds one draw at a time: a 400,000-sample census of
+    PG(2,8) peaks (tracemalloc) within 1 MiB of a 100,000-sample one."""
+    random_census(T8, 10, seed=1)    # the plane and its kernels, cached
+    peaks = []
+    for count in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            assert random_census(T8, count, seed=1).total == count
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
 
 
 def test_invertible_form_with_a_line_is_flagged():
@@ -516,7 +566,7 @@ def test_any_rank_samples_take_the_kind_checks(monkeypatch):
         return out
     monkeypatch.setattr(census.PlaneKernel, "masks", spoiled)
     s = random_census(T9, 400, seed=8, invertible_only=False, records=10)
-    e, ranks = census._sample_entries(T9, 400, 8, lambda r: r > 0)
+    e, _, ranks = census._join(list(census._samples(T9, 400, 8, lambda r: r > 0)))
     low = {tuple(int(x) for x in row) for row in e[10:][ranks[10:] < 3]}
     assert len(low) > 5
     flagged = {tuple(v["matrix"]) for v in s.violations}

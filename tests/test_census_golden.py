@@ -159,6 +159,26 @@ def test_diagonal_census_in_kernel_batches(monkeypatch):
     assert _summary_record(summary) == _golden_record("T9", "diagonal_census")
 
 
+def test_random_census_in_kernel_batches(monkeypatch):
+    """A random census streams its draws through `_rebatch`: the line
+    kernel gets `_kernel_rows` rows per call but the last, however the
+    draws of `_SAMPLE_BATCH` samples fall, and the summary is unchanged."""
+    t = FIELDS["T9"]
+    space = projective_space(t, 2)
+    monkeypatch.setattr(census, "_KERNEL_CELLS", 10 * space.n_points)
+    monkeypatch.setattr(census, "_SAMPLE_BATCH", 37)
+    batches, counts = [], census.LineKernel.counts
+
+    def recording_counts(self, e):
+        batches.append(len(e))
+        return counts(self, e)
+    monkeypatch.setattr(census.LineKernel, "counts", recording_counts)
+    summary = ENTRY_POINTS["random_census"](t)
+    assert census._kernel_rows(space) == 10
+    assert batches == [10] * 50
+    assert _summary_record(summary) == _golden_record("T9", "random_census")
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 def test_sampler_independent_of_batch_size(monkeypatch, rank):
     t = FIELDS["T4"]
@@ -169,13 +189,13 @@ def test_sampler_independent_of_batch_size(monkeypatch, rank):
     kept = {}
     for batch in (1 << 15, 37):
         monkeypatch.setattr(census, "_SAMPLE_BATCH", batch)
-        kept[batch] = census._sample_entries(t, 300, 99, keep)
+        kept[batch] = census._join(list(census._samples(t, 300, 99, keep)))
     for a, b in zip(kept[1 << 15], kept[37]):
         assert np.array_equal(a, b)
     # sample i is read from counters 9i..9i+8 of the one stream
     stream = census.sample_matrix_entries(t.order, 99, 0, 4000)
     ranks = vranks(t, stream.reshape(-1, 3, 3))
-    e, r = kept[37]
+    e, _, r = kept[37]
     assert np.array_equal(e, stream[keep(ranks)][:300])
     assert (r == rank).all() and len(r) == 300
 

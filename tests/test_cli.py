@@ -120,6 +120,19 @@ def test_census_random_past_kernel_budget_exits_4(capsys):
     assert "64 MiB kernel budget" in err and "PG(2,169)" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["census", "--mode", "random", "--count", "1000000", "--seed", "1"],
+    ["steiner-check", "--count", "1000000", "--seed", "1"],
+    ["census", "--mode", "exhaustive", "--scope", "diagonal"],
+], ids=["random", "steiner-check", "diagonal"])
+def test_streamed_census_past_kernel_budget_exits_4(args, capsys):
+    """PG(2,157) is refused before any sample is drawn: exit 4, no report."""
+    code = main([args[0], "--p", "157", "--n", "1", *args[1:]])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "64 MiB kernel budget" in err and "PG(2,157)" in err
+
+
 def test_census_records_past_dense_incidence(capsys):
     """Records list the lines of PG(2,89) without the dense incidence, whose
     cap made this command exit 2."""

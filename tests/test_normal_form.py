@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sigmaconics
-from sigmaconics.census import _sample_entries, sample_matrix_entries
+from sigmaconics.census import _join, _samples, sample_matrix_entries
 from sigmaconics.cfsets import pencil_normal_form
 from sigmaconics.classify import cone_blocks
 from sigmaconics.fields import build_field
@@ -43,7 +43,7 @@ def _congruent(t, row, columns) -> tuple:
 
 
 def _of_rank(t, rank, seed):
-    return _sample_entries(t, ROWS, seed, lambda ranks: ranks == rank)[0]
+    return _join(list(_samples(t, ROWS, seed, lambda ranks: ranks == rank)))[0]
 
 
 @pytest.mark.parametrize("t", TOWERS, ids=_ids)
