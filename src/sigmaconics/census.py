@@ -23,15 +23,17 @@ Steiner always on), split by `_degenerate_verdicts` and booked by
 PG(1), over the 2x2 scalar classes of `_enumerate_scalar_classes`, with
 `classify.line_verdicts` (also the check of cone bases).
 
-The first `records` rows of a sweep get records instead, built in one pass
-per batch (`form_records`; `form_record` is its K = 1 caller).  They reuse
-the sweep's masks and carry their rows' checks, so each violation counts
-once, with the sweep's reason: the line spectra are one gather of the
-masks over the lines' point lists, the invertible rows get their
-Kestenband profiles from `classify.kestenband_profiles` (fixed points of
-the induced collineations in batch) and the others the per-kind checks of
-the sweeps at K rows; only the record dictionaries are assembled row by
-row.
+The first `records` rows of a sweep also get records, built in one pass
+per batch (`form_records`; `form_record` is its K = 1 caller).  A record
+adds checks and replaces only one: every row is histogrammed, checked by
+kind and booked as it would be without a record, and the record reuses
+the sweep's masks, ranks and per-kind verdicts.  It adds the line
+spectrum, one gather of the masks over the lines' point lists, and on
+rank-3 rows the Kestenband profile (`classify.kestenband_profiles`, fixed
+points of the induced collineations in batch), which is stricter than the
+menu check and takes its place on those rows.  So a summary does not
+depend on `records`, and each violation counts once.  Only the record
+dictionaries are assembled row by row.
 
 Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
 one representative per orbit of G = S3 x Gal x torus: the permutation
@@ -545,28 +547,28 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
            records: int = 0) -> CensusSummary:
     """The one loop over plane batches.  `batches` yields (e, w, ranks):
     (K, 9) entries of nonzero forms, the int64 number of matrices each row
-    stands for and the ranks.  Each batch is histogrammed with its weights.
-    The first `records` rows of the sweep get a `form_records` record,
-    whose checks are theirs, so each violation counts once.  Of the other
-    rows, those of rank 3 are checked against `menu` (none without one) and
-    those of rank 1 or 2 take the per-kind checks, booked with their
-    weights.  Only the record rows and the rank-1 and rank-2 rows, whose
-    checks read the absolute set, are masked by the point kernel; every
-    other row is counted by the line kernel, and the record rows by both,
-    a mismatch flagged on the record.  Each kernel is built on the first
-    batch that needs it; both budgets are checked before the first batch
-    is pulled from `batches`, so a streamed source draws no row past them."""
+    stands for and the ranks.  Each batch is histogrammed with its weights,
+    its rank-3 rows are checked against `menu` (none without one) and its
+    rank-1 and rank-2 rows take the per-kind checks, booked with their
+    weights, whether or not they get a record.  The first `records` rows of
+    the sweep also get a `form_records` record, from the sweep's ranks and
+    checks, which adds the checks no other row takes: the line spectrum
+    and, on rank-3 rows, the Kestenband profile, which replaces the menu
+    check there.  Only the reasons of these added checks are flagged from
+    the records, so each violation counts once.  Only the record rows and
+    the rank-1 and rank-2 rows, whose checks read the absolute set, are
+    masked by the point kernel; every other row is counted by the line
+    kernel, and the record rows by both, a mismatch flagged on the record.
+    Each kernel is built on the first batch that needs it; both budgets
+    are checked before the first batch is pulled from `batches`, so a
+    streamed source draws no row past them."""
     _kernel_plan(space.tower, space.n_points)
     _line_plan(space.tower)
     for e, w, ranks in batches:
         k = min(records, len(e))    # the batch's record rows
         records -= k
-        degenerate = ranks < 3
-        degenerate[:k] = False
-        # the record rows are masked and lined; em holds them first, then
-        # the degenerate rows
-        masked, lined = degenerate.copy(), ~degenerate
-        masked[:k] = True
+        masked, lined = ranks < 3, ranks == 3
+        masked[:k] = lined[:k] = True    # so em holds the record rows first
         em = _rows(e, masked)
         counts = np.empty(len(e), dtype=np.int64)
         mask = np.empty((0, space.n_points), dtype=bool)
@@ -579,18 +581,20 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
             line = line_kernel(space).counts(_rows(e, lined))
             counts[k:][lined[k:]] = line[k:]
         summary.add_counts(counts, w)
-        for rec, own in zip(form_records(space, e[:k], mask[:k]), line[:k].tolist()):
+        checks = list(_degenerate_verdicts(space, em, mask, _rows(ranks, masked)))
+        booked = {r for _, verdicts in checks for r in verdicts.flags}
+        for rec, own in zip(form_records(space, e[:k], mask[:k], ranks[:k], checks),
+                            line[:k].tolist()):
             if rec["absolute"] != own:
                 rec["violations"].append(_LINE_REASON)
             summary.records.append(rec)
-            summary.bump(rec["kind"])
             for v in rec["violations"]:
-                summary.flag([rec["matrix"]], v)
+                if v not in booked:
+                    summary.flag([rec["matrix"]], v)
         if menu is not None:
             summary.flag(e[k:][(ranks[k:] == 3) & ~np.isin(counts[k:], menu)], reason)
-        for rows, verdicts in _degenerate_verdicts(space, em[k:], mask[k:],
-                                                   _rows(ranks, degenerate)):
-            summary.book(em[k:][rows], verdicts, _rows(w, degenerate)[rows])
+        for rows, verdicts in checks:
+            summary.book(em[rows], verdicts, _rows(w, masked)[rows])
     return summary
 
 
@@ -1050,11 +1054,12 @@ def random_census(tower: FieldTower, count: int, seed: int,
     matrices, invertible ones with `invertible_only` (checked against the
     menu) or any nonzero ones (rank 1 and 2 rows take their per-kind checks,
     rank-3 rows no menu check).  The first `records` samples also get a
-    full `form_record`, from the sweep's masks; its checks (the menu, the
-    stricter diagonal one or the odd-degree epsilon form, and the Steiner
-    cross-check, always on) replace the sweep's check on that row, so each
-    violation counts once.  `max_violations` bounds the violations kept,
-    not those counted."""
+    full record (`form_records`), from the sweep's masks and checks.  It
+    adds the line spectrum and, on rank-3 rows, the Kestenband profile
+    (the menu, the stricter diagonal one or the odd-degree epsilon form),
+    which takes the place of the menu check there; the summary does not
+    depend on `records`, and each violation counts once.  `max_violations`
+    bounds the violations kept, not those counted."""
     space = projective_space(tower, 2)
     keep = (lambda r: r == 3) if invertible_only else (lambda r: r > 0)
     return _sweep(_summary(tower, f"random(seed={seed}, count={count})",
@@ -1067,30 +1072,37 @@ def random_census(tower: FieldTower, count: int, seed: int,
 
 def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
                 mask: np.ndarray | None = None) -> dict:
-    """One census record: `form_records` at K = 1.  `mask` is the form's
-    absolute mask when the caller already has it."""
+    """One census record: `form_records` at K = 1, with the form's rank and
+    per-kind check.  `mask` is the form's absolute mask when the caller
+    already has it."""
     if form.d != 2:
         raise ValueError("expected a form on the projective plane")
     space = space or form.space()
-    if mask is None:
-        mask = absolute_mask(form, space)
-    return form_records(space, form.entries[None], mask[None])[0]
+    e = form.entries[None]
+    mask = (absolute_mask(form, space) if mask is None else mask)[None]
+    ranks = vranks(space.tower, e.reshape(-1, 3, 3))
+    if not ranks.all():
+        raise ValueError("the zero form is absolute everywhere and is not classified")
+    checks = list(_degenerate_verdicts(space, e, mask, ranks))
+    return form_records(space, e, mask, ranks, checks)[0]
 
 
-def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> list:
+def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
+                 ranks: np.ndarray, checks: list) -> list:
     """The census records of K nonzero forms of the plane with (K, 9)
-    entries and absolute masks (K, N): rank, kind, cardinality, line
-    spectrum and either the Kestenband profile (rank 3, `kestenband_profiles`)
-    or the sweep's per-kind check (`_degenerate_verdicts`), whose first kind
-    counter set on a row names its kind.  The spectra are one gather of the
-    masks over `lines_points_array`, in blocks of about 2^18 cells."""
+    entries, absolute masks (K, N) and `ranks`: rank, kind, cardinality,
+    line spectrum and either the Kestenband profile (rank 3,
+    `kestenband_profiles`) or the reasons of the per-kind check.  `checks`
+    are the (rows, verdicts) of `_degenerate_verdicts` over rows whose
+    first K are these, rows ascending, so that the records' rows come
+    first; the first kind counter set on a row names its kind.
+    The records add the spectrum and the profile; they run no check of
+    their own on rank-1 and rank-2 rows.  The spectra are one gather of
+    the masks over `lines_points_array`, in blocks of about 2^18 cells."""
     if not len(e):
         return []
     t = space.tower
     Q = t.order
-    ranks = vranks(t, e.reshape(-1, 3, 3))
-    if not ranks.all():
-        raise ValueError("the zero form is absolute everywhere and is not classified")
     lines = lines_points_array(space)
     # freq[k, v]: the lines of row k with v absolute points
     freq = np.empty((len(e), Q + 2), dtype=np.int64)
@@ -1136,8 +1148,8 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> lis
                            fixed_in=int(prof.fixed_in[j]),
                            fixed_out=int(prof.fixed_out[j]))
             recs[k]["violations"].extend(prof.violations[j])
-    for rows, verdicts in _degenerate_verdicts(space, e, mask, ranks):
-        for j, k in enumerate(rows):
+    for rows, verdicts in checks:
+        for j, k in enumerate(rows[rows < len(e)].tolist()):
             recs[k]["kind"] = next(kind for kind, on in verdicts.kinds.items() if on[j])
             recs[k]["violations"].extend(r for r, bad in verdicts.flags.items() if bad[j])
     return recs

@@ -108,14 +108,20 @@ def _tower_from_args(args):
     return build_field(args.p, args.e, args.n, args.m)
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "integer"       # argparse names the type in its errors
     return parse
+
+
+# the sampling stream takes 64-bit seeds; any other would alias one of them
+_SEED = _int_in(0, (1 << 64) - 1)
 
 
 def _add_field_args(sub):
@@ -299,16 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     c.add_argument("--scope", choices=("gl", "rank-le2", "diagonal", "all"),
                    default="gl", help="exhaustive sweep scope")
-    c.add_argument("--count", type=_int_at_least(1), default=10000,
+    c.add_argument("--count", type=_int_in(1), default=10000,
                    help="random sample size")
-    c.add_argument("--seed", type=int, help="random mode requires a seed")
-    c.add_argument("--records", type=_int_at_least(0), default=0,
+    c.add_argument("--seed", type=_SEED, help="random mode requires a seed")
+    c.add_argument("--records", type=_int_in(0), default=0,
                    help="random mode: emit fully classified records for "
                         "this many samples")
     c.add_argument("--any-rank", action="store_true",
                    help="random mode: sample all nonzero matrices, not only "
                         "invertible ones")
-    c.add_argument("--max-violations", type=_int_at_least(0), default=100)
+    c.add_argument("--max-violations", type=_int_in(0), default=100)
     _add_out_args(c)
     c.set_defaults(func=cmd_census)
 
@@ -329,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(c)
     c.add_argument("--matrix", type=int, nargs="+",
                    help="9 encoded entries; omit to sample")
-    c.add_argument("--count", type=_int_at_least(1), default=1000)
-    c.add_argument("--seed", type=int)
+    c.add_argument("--count", type=_int_in(1), default=1000)
+    c.add_argument("--seed", type=_SEED)
     _add_out_args(c)
     c.set_defaults(func=cmd_steiner_check)
     return ap

@@ -284,8 +284,9 @@ def test_random_census_records():
 @pytest.mark.parametrize("records", [0, 100, 500])
 def test_record_rows_counted_once(monkeypatch, records):
     """With 10 dropped from the menu, the 194 samples of T9 with 10 absolute
-    points are violations; a record row is checked by its record alone, so
-    each counts once however many rows carry records."""
+    points are violations; a record row takes its Kestenband profile
+    instead of the menu check, so each counts once however many rows carry
+    records."""
     real = census.allowed_cardinalities
 
     def without_10(tower, diagonal):
@@ -368,10 +369,29 @@ def test_rank_le2_sweep_masks_every_row(monkeypatch):
 
 
 def test_random_census_any_rank():
+    """Rank-3 records name their kind; the summary counts no kind for them."""
     s = random_census(T4, 400, seed=8, invertible_only=False, records=400)
-    kinds = set(s.kind_counts)
-    assert "kestenband_nondegenerate" in kinds
+    assert "kestenband_nondegenerate" in {r["kind"] for r in s.records}
+    assert "kestenband_nondegenerate" not in s.kind_counts
     assert not s.violations
+
+
+@pytest.mark.parametrize("invertible_only", [True, False], ids=["gl", "any-rank"])
+@pytest.mark.parametrize("tower", [T4, T8, T9, T27], ids=["F4", "F8", "F9", "F27"])
+def test_summary_independent_of_records(tower, invertible_only):
+    """Record rows are booked like every other row: no record, records
+    ending inside the one batch and a record on every row give one
+    summary."""
+    count = 200
+    summaries = [random_census(tower, count, seed=6, invertible_only=invertible_only,
+                               records=records) for records in (0, 40, count)]
+    assert len(summaries[2].records) == count
+    for s in summaries:
+        assert s.kind_counts == summaries[0].kind_counts
+        assert s.histogram == summaries[0].histogram
+        assert (s.total, s.violation_count) == (count, 0)
+    if not invertible_only:
+        assert summaries[0].kind_counts["steiner_checked"] > 0
 
 
 def test_line_census_small_fields():
@@ -466,6 +486,14 @@ def test_sampled_census_memory_does_not_grow_with_count():
     assert peaks[1] <= peaks[0] + 2 ** 20, peaks
 
 
+def _batch_records(space, e, mask) -> list:
+    """`form_records` of K rows with their ranks and per-kind checks, as
+    the sweep driver passes them."""
+    ranks = vranks(space.tower, e.reshape(-1, 3, 3))
+    checks = list(census._degenerate_verdicts(space, e, mask, ranks))
+    return form_records(space, e, mask, ranks, checks)
+
+
 def test_invertible_form_with_a_line_is_flagged():
     """At n >= 2 a line of absolute points is impossible for an invertible
     form; a mask planted with one is flagged on an invertible n = 3 row."""
@@ -475,7 +503,7 @@ def test_invertible_form_with_a_line_is_flagged():
     mask = absolute_mask(form, space)
     assert not mask[line].all()
     mask[line] = True
-    rec = form_records(space, form.entries[None], mask[None])[0]
+    rec = _batch_records(space, form.entries[None], mask[None])[0]
     assert rec["rank"] == 3
     assert "an invertible form may not contain a line" in rec["violations"]
     assert not form_record(form, space)["violations"]
@@ -577,7 +605,8 @@ def test_any_rank_samples_take_the_kind_checks(monkeypatch):
 def test_form_record_finds_radicals_once(monkeypatch):
     """A rank-2 record finds its radical points once, for its kind, and its
     check reuses them; other ranks do not look for them.  A sampled census
-    finds those of all its rank-2 records in one batch call."""
+    finds those of all the rank-2 rows of a batch in one call, record rows
+    or not."""
     calls = []
     real = radical_points
 
@@ -598,6 +627,14 @@ def test_form_record_finds_radicals_once(monkeypatch):
     calls.clear()
     s = random_census(T27, 400, seed=5, invertible_only=False, records=400)
     assert calls == [sum(r["rank"] == 2 for r in s.records)] and calls[0] > 0
+    # four batches of 100 rows, the records inside the first
+    calls.clear()
+    monkeypatch.setattr(census, "_KERNEL_CELLS", 100 * space.n_points)
+    random_census(T27, 400, seed=5, invertible_only=False, records=40)
+    _, _, ranks = census._join(list(census._samples(T27, 400, 5, lambda r: r > 0)))
+    per_batch = [int(np.count_nonzero(ranks[i:i + 100] == 2)) for i in range(0, 400, 100)]
+    assert calls == [c for c in per_batch if c]
+    assert 0 < np.count_nonzero(ranks[:40] == 2) < per_batch[0]
 
 
 def test_form_record_finds_radical_lines_once(monkeypatch):
@@ -619,7 +656,7 @@ def test_form_record_finds_radical_lines_once(monkeypatch):
     e = np.array([[0, 1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1],
                   [1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 2, 0, 0, 0]],
                  dtype=np.uint32)
-    recs = form_records(space, e, absolute_masks(space, e))
+    recs = _batch_records(space, e, absolute_masks(space, e))
     assert [r["rank"] for r in recs] == [1, 3, 1, 1]
     assert not any(r["violations"] for r in recs)
     assert calls == [3]
@@ -653,7 +690,7 @@ def test_form_records_match_form_record(tower):
     mask = np.concatenate([mask, [_one_dropped(space, mask[k]) for k in first],
                            [_half_dropped(space, mask[kinds.index(
                                "cone_over_sigma_quadric")])]])
-    batch = form_records(space, e, mask)
+    batch = _batch_records(space, e, mask)
     ref = [form_record(make_form(tower, row.tolist()), space, m)
            for row, m in zip(e, mask)]
     assert [list(r.items()) for r in batch] == [list(r.items()) for r in ref]

@@ -242,12 +242,28 @@ def test_classify_extension_tower(capsys):
      "argument --max-violations: must be at least 0, got -1"),
     (["steiner-check", "--p", "2", "--n", "3", "--seed", "1", "--count", "0"],
      "argument --count: must be at least 1, got 0"),
+    # seeds are 64-bit: -1 and 2^64 - 1 would draw the same samples
+    (["census", "--p", "2", "--n", "2", "--mode", "random", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
+    (["census", "--p", "2", "--n", "2", "--mode", "random", "--seed", str(1 << 64)],
+     f"argument --seed: must be at most {(1 << 64) - 1}, got {1 << 64}"),
+    (["steiner-check", "--p", "2", "--n", "3", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
+    (["steiner-check", "--p", "2", "--n", "3", "--seed", str(1 << 64)],
+     f"argument --seed: must be at most {(1 << 64) - 1}, got {1 << 64}"),
 ])
 def test_out_of_range_counts_rejected_at_parse_time(capsys, args, message):
     assert main(args) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_largest_seed_accepted(capsys):
+    code, recs = run_cli(["census", "--p", "2", "--n", "2", "--mode", "random",
+                          "--seed", str((1 << 64) - 1), "--count", "5"], capsys)
+    assert code == 0 and recs[0]["params"]["seed"] == (1 << 64) - 1
+    assert recs[-1]["total"] == 5
 
 
 def test_zero_records_and_violations_accepted(capsys):
