@@ -29,8 +29,9 @@ adds checks and replaces only one: every row is histogrammed, checked by
 kind and booked as it would be without a record, and the record reuses
 the sweep's masks, ranks and per-kind verdicts.  It adds the line
 spectrum, one gather of the masks over the lines' point lists, and on
-rank-3 rows the Kestenband profile (`classify.kestenband_profiles`, fixed
-points of the induced collineations in batch), which is stricter than the
+rank-3 rows the Kestenband profile (`classify.kestenband_profiles`), from
+the fixed points of the induced collineations that the driver takes from
+the point-kernel tables (`fixed_masks`, below); it is stricter than the
 menu check and takes its place on those rows.  So a summary does not
 depend on `records`, and each violation counts once.  Only the record
 dictionaries are assembled row by row.
@@ -77,6 +78,18 @@ and one lookup in a B^d zero table (d the degree over F_p) tests the
 sum.  A batch is masked in row blocks of about _KERNEL_BLOCK (1 MiB) of
 accumulator, gathered and added in place, so that the gathered rows of a
 block stay in cache.
+
+Tables of the same kind test fixed points.  The collineation x -> M
+x^(sigma^2) of an invertible form, M = cof(A) A^sigma, fixes P exactly
+when (M P^(sigma^2)) x P = 0.  With tau = sigma^-2 applied, each
+component of that cross product is linear in the entries of M^tau, with
+coefficients +-P_i P_j^tau: six gathers from the tables of Frobenius
+power -2, h[3i+j][a, P] = a P_i P_j^(sigma^-2), and a zero test
+(`fixed_masks`).  A `PlaneKernel` of power s is cached on the plane by m s
+mod n.  At n = 3, sigma^-2 = sigma and the fixed points read the count
+tables themselves; at any other degree n > 1 a census with rank-3 records
+builds a second table set of the same size, and KERNEL_BUDGET bounds each
+set.
 
 Most rows need their count only, and a count needs no point mask.  The
 lines through R = (0,0,1), l_y = span((1,y,0), R) for y in F_Q and l_inf =
@@ -126,8 +139,9 @@ from .classify import (KIND_KESTENBAND, allowed_cardinalities,
                        lines_points_array, rank1_verdicts)
 from .cfsets import cf_verdicts
 from .fields import FieldTower
-from .forms import SesquiForm, absolute_mask, absolute_masks, radical_points
-from .linalg import vranks
+from .forms import (SesquiForm, absolute_mask, absolute_masks, collineation_images,
+                    induced_collineation, radical_points)
+from .linalg import vcross, vdot, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices scanned; mrd orbit differences
@@ -187,6 +201,13 @@ def sample_matrix_entries(order: int, seed: int, start: int, count: int) -> np.n
     return vals.astype(np.uint32).reshape(count, 9)
 
 
+def _check_seed(seed: int):
+    """The stream takes 64-bit seeds; any other would alias one of them
+    under `rand_stream`'s mask and report a different mode."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is outside 0..2^64-1")
+
+
 def _samples(tower: FieldTower, count: int, seed: int, keep):
     """Yield (e, w, ranks) pieces, unit weights, of the first `count`
     sampled (K, 9) entry arrays whose ranks pass `keep`, a function from a
@@ -206,15 +227,20 @@ def _samples(tower: FieldTower, count: int, seed: int, keep):
 
 # -- the batched absolute-count kernel ----------------------------------------
 
-KERNEL_BUDGET = 64 << 20  # bytes of count-kernel tables, checked before any is built
+# bytes of each set of kernel tables, checked before any is built; a census
+# with rank-3 records at n not in {1, 3} holds two point-table sets
+KERNEL_BUDGET = 64 << 20
 
 
 def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
-    """(base, dtype) of the nine (Q, N) entry tables.  For p = 2 they hold
-    field encodings (base None); for odd p each value's F_p digits in base
-    9(p-1)+1, so that nine values add with no carry between digits, and
-    the base^d zero table counts too.  Raises CapExceeded, before anything
-    is allocated, when they do not fit KERNEL_BUDGET."""
+    """(base, dtype) of the nine (Q, N) entry tables of one point kernel.
+    For p = 2 they hold field encodings (base None); for odd p each value's
+    F_p digits in base 9(p-1)+1, so that nine values add with no carry
+    between digits, and the base^d zero table counts too.  Raises
+    CapExceeded, before anything is allocated, when they do not fit
+    KERNEL_BUDGET.  The budget bounds each table set: every point kernel
+    of the plane has this plan, and a census with rank-3 records at n not
+    in {1, 3} holds two of them (`fixed_masks`)."""
     t, Q = tower, tower.order
     if t.p == 2:
         base, dtype, zero_bytes = None, np.min_scalar_type(Q - 1), 0
@@ -230,14 +256,19 @@ def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
 
 
 class PlaneKernel:
-    """One coefficient table per entry for the absolute counts of 3x3 forms.
+    """One coefficient table per entry, for zero tests of sums linear in
+    the entries of 3x3 matrices at every point of the plane.
 
-    The table of entry k = 3i + j is h[k][a, P] = a P_i P_j^sigma, for
-    every a in F_Q and every point P; P is absolute for A exactly when the
-    nine values h[k][a_k, P] sum to zero.  The kernel indices of a matrix
-    are therefore its nine entries (`row_encode`)."""
+    The table of entry k = 3i + j is h[k][a, P] = a P_i P_j^(sigma^s), for
+    every a in F_Q and every point P, s the Frobenius power of the
+    coefficient; the tables depend on s only through m s mod n, as
+    P_j^(sigma^s) = P_j^(q^(m s mod n)).  At s = 1, the count kernel, P is
+    absolute for A exactly when the nine values h[k][a_k, P] sum to zero,
+    so the kernel indices of a matrix are its nine entries (`row_encode`).
+    At s = -2 the sums of six values test the fixed points of the induced
+    collineations (`fixed_masks`)."""
 
-    def __init__(self, space: ProjectiveSpace):
+    def __init__(self, space: ProjectiveSpace, s: int = 1):
         t = space.tower
         Q = t.order
         self.space = space
@@ -258,7 +289,7 @@ class PlaneKernel:
             for k in range(t.degree):
                 self._zero &= sums // base ** k % base % t.p == 0
         units = np.arange(Q, dtype=np.uint32)[:, None]
-        ps = t.vsigma(pts)
+        ps = t.vsigma(pts, s)
         self.h = [lazy[t.vmul(units, t.vmul(pts[:, i], ps[:, j])[None])]
                   for i in range(3) for j in range(3)]
 
@@ -296,43 +327,93 @@ class PlaneKernel:
 
     def masks(self, *idx) -> np.ndarray:
         """Absolute-point masks, (K, N), from the nine entry indices of K
-        matrices (they broadcast), in row blocks of about _KERNEL_BLOCK bytes
-        of accumulator each, so that the gathered rows stay in cache."""
-        idx = np.broadcast_arrays(*idx)
+        matrices (they broadcast)."""
+        return self.zero_sums(list(zip(self.h, np.broadcast_arrays(*idx))))
+
+    def zero_sums(self, *groups) -> np.ndarray:
+        """(K, N) masks of the points P at which every group of (table,
+        index) terms sums to zero, the sum of table[index[k], P] over the
+        group's terms: two to nine terms (the digit base of odd p carries no
+        more) of this kernel's tables and (K,) index arrays.  The sums are
+        formed in row blocks of about _KERNEL_BLOCK bytes of accumulator
+        each, every group of a block in turn, so that the gathered rows stay
+        in cache."""
+        for terms in groups:
+            if not 2 <= len(terms) <= 9:
+                raise ValueError(f"{len(terms)} terms; a kernel sum takes 2 to 9")
+            for tbl, i in terms:
+                if len(i) and not 0 <= i.min() <= i.max() < len(tbl):
+                    raise IndexError(f"entry index outside 0..{len(tbl) - 1}")
         n_points = self.space.n_points
-        for tbl, i in zip(self.h, idx):
-            if len(i) and not 0 <= i.min() <= i.max() < len(tbl):
-                raise IndexError(f"entry index outside 0..{len(tbl) - 1}")
-        out = np.empty((len(idx[0]), n_points), dtype=bool)
+        out = np.empty((len(groups[0][0][1]), n_points), dtype=bool)
         step = max(1, _KERNEL_BLOCK // (n_points * self.h[0].itemsize))
-        buf = np.empty((2, min(step, len(out)), n_points), dtype=self.h[0].dtype)
+        size = (min(step, len(out)), n_points)
+        buf = np.empty((2, *size), dtype=self.h[0].dtype)
+        zero = np.empty(size, dtype=bool)
         # the indices are in range (checked above; the digit sums by
         # construction), so the gathers skip numpy's buffered bounds check
         for start in range(0, len(out), step):
             rows = slice(start, start + step)
             a, v = buf[:, :len(out[rows])]
-            np.take(self.h[0], idx[0][rows], axis=0, out=a, mode="clip")
-            if self._zero is None:
-                # characteristic 2: the adds are XOR, and the sum is zero
-                # when the last value equals the sum of the others
-                for tbl, i in zip(self.h[1:-1], idx[1:-1]):
-                    a ^= np.take(tbl, i[rows], axis=0, out=v, mode="clip")
-                np.equal(a, np.take(self.h[-1], idx[-1][rows], axis=0, out=v,
-                                    mode="clip"), out=out[rows])
-            else:
-                for tbl, i in zip(self.h[1:], idx[1:]):
-                    a += np.take(tbl, i[rows], axis=0, out=v, mode="clip")
-                np.take(self._zero, a, out=out[rows], mode="clip")
+            for g, ((tbl, i), *rest) in enumerate(groups):
+                dest = zero[:len(a)] if g else out[rows]
+                np.take(tbl, i[rows], axis=0, out=a, mode="clip")
+                if self._zero is None:
+                    # characteristic 2: the adds are XOR, and the sum is
+                    # zero when the last value equals the sum of the others
+                    for tbl, i in rest[:-1]:
+                        a ^= np.take(tbl, i[rows], axis=0, out=v, mode="clip")
+                    tbl, i = rest[-1]
+                    np.equal(a, np.take(tbl, i[rows], axis=0, out=v, mode="clip"),
+                             out=dest)
+                else:
+                    for tbl, i in rest:
+                        a += np.take(tbl, i[rows], axis=0, out=v, mode="clip")
+                    np.take(self._zero, a, out=dest, mode="clip")
+                if g:
+                    out[rows] &= dest
         return out
 
     def counts(self, *idx) -> np.ndarray:
         return np.count_nonzero(self.masks(*idx), axis=1)
 
 
-def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
-    if space._kernel is None:
-        space._kernel = PlaneKernel(space)
-    return space._kernel
+def plane_kernel(space: ProjectiveSpace, s: int = 1) -> PlaneKernel:
+    """The plane's point kernel of Frobenius power s, built on first use
+    and cached by m s mod n: at n = 3, sigma^-2 = sigma, and the count
+    kernel (s = 1) and the fixed-point kernel (s = -2) are one object."""
+    t = space.tower
+    qexp = t.m * s % t.n
+    if qexp not in space._kernels:
+        space._kernels[qexp] = PlaneKernel(space, s)
+    return space._kernels[qexp]
+
+
+def fixed_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
+    """Fixed-point masks (K, N) of the collineations x -> M x^(sigma^2)
+    induced by K invertible forms of the plane with (K, 9) entries.  M is
+    cof(A) A^sigma, the rows of cof(A) being the cross products of the rows
+    of A: this is det(A) (A^T)^-1 A^sigma, the same collineation.  P is
+    fixed exactly when (M P^(sigma^2)) x P = 0.  With tau = sigma^-2
+    applied, component (i, j) of that cross product is
+
+        sum_c h[3c+j][M_ic^tau, P] + h[3c+i][-M_jc^tau, P],
+
+    h the tables of the point kernel of Frobenius power -2: three sums of
+    six row gathers, all three tested for zero in one pass."""
+    t = space.tower
+    a = e.reshape(-1, 3, 3)
+    cof = np.stack([vcross(t, a[:, 1], a[:, 2]), vcross(t, a[:, 2], a[:, 0]),
+                    vcross(t, a[:, 0], a[:, 1])], axis=1)
+    m = vdot(t, cof[:, :, None, :], t.vsigma(a).transpose(0, 2, 1)[:, None])
+    # [i, c] -> the (K,) kernel indices of M_ic^tau, and of -M_ic^tau
+    m_tau = t.vsigma(m, -2).transpose(1, 2, 0)
+    pos, neg = m_tau.astype(np.intp), t.vneg(m_tau).astype(np.intp)
+    kern = plane_kernel(space, -2)
+    h = kern.h
+    return kern.zero_sums(*([(h[3 * c + j], pos[i, c]) for c in range(3)]
+                            + [(h[3 * c + i], neg[j, c]) for c in range(3)]
+                            for i, j in ((1, 2), (2, 0), (0, 1))))
 
 
 def _line_plan(tower: FieldTower) -> tuple:
@@ -553,12 +634,13 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
     weights, whether or not they get a record.  The first `records` rows of
     the sweep also get a `form_records` record, from the sweep's ranks and
     checks, which adds the checks no other row takes: the line spectrum
-    and, on rank-3 rows, the Kestenband profile, which replaces the menu
-    check there.  Only the reasons of these added checks are flagged from
-    the records, so each violation counts once.  Only the record rows and
-    the rank-1 and rank-2 rows, whose checks read the absolute set, are
-    masked by the point kernel; every other row is counted by the line
-    kernel, and the record rows by both, a mismatch flagged on the record.
+    and, on rank-3 rows, the Kestenband profile, from the fixed points of
+    `fixed_masks`, which replaces the menu check there.  Only the reasons
+    of these added checks are flagged from the records, so each violation
+    counts once.  Only the record rows and the rank-1 and rank-2 rows,
+    whose checks read the absolute set, are masked by the point kernel;
+    every other row is counted by the line kernel, and the record rows by
+    both, a mismatch flagged on the record.
     Each kernel is built on the first batch that needs it; both budgets
     are checked before the first batch is pulled from `batches`, so a
     streamed source draws no row past them."""
@@ -583,8 +665,12 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
         summary.add_counts(counts, w)
         checks = list(_degenerate_verdicts(space, em, mask, _rows(ranks, masked)))
         booked = {r for _, verdicts in checks for r in verdicts.flags}
-        for rec, own in zip(form_records(space, e[:k], mask[:k], ranks[:k], checks),
-                            line[:k].tolist()):
+        # the Kestenband profiles of the rank-3 record rows (n > 1) read the
+        # fixed points of their collineations
+        full = e[:k][ranks[:k] == 3] if space.tower.n > 1 else e[:0]
+        fixed = fixed_masks(space, full) if len(full) else None
+        for rec, own in zip(form_records(space, e[:k], mask[:k], ranks[:k], checks,
+                                         fixed), line[:k].tolist()):
             if rec["absolute"] != own:
                 rec["violations"].append(_LINE_REASON)
             summary.records.append(rec)
@@ -1038,7 +1124,8 @@ def rank2_normal_census(tower: FieldTower) -> CensusSummary:
 
 def rank2_random_census(tower: FieldTower, count: int, seed: int) -> CensusSummary:
     """Full verification of `count` sampled rank-2 matrices in general
-    position (deterministic rejection sampling)."""
+    position (deterministic rejection sampling).  `seed` is in 0..2^64-1."""
+    _check_seed(seed)
     space = projective_space(tower, 2)
     return _sweep(_summary(tower, f"rank2-random(seed={seed}, count={count})"),
                   space, _rebatch(_samples(tower, count, seed, lambda r: r == 2),
@@ -1059,7 +1146,9 @@ def random_census(tower: FieldTower, count: int, seed: int,
     (the menu, the stricter diagonal one or the odd-degree epsilon form),
     which takes the place of the menu check there; the summary does not
     depend on `records`, and each violation counts once.  `max_violations`
-    bounds the violations kept, not those counted."""
+    bounds the violations kept, not those counted; `seed` is in
+    0..2^64-1."""
+    _check_seed(seed)
     space = projective_space(tower, 2)
     keep = (lambda r: r == 3) if invertible_only else (lambda r: r > 0)
     return _sweep(_summary(tower, f"random(seed={seed}, count={count})",
@@ -1084,18 +1173,26 @@ def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
     if not ranks.all():
         raise ValueError("the zero form is absolute everywhere and is not classified")
     checks = list(_degenerate_verdicts(space, e, mask, ranks))
-    return form_records(space, e, mask, ranks, checks)[0]
+    fixed = None
+    if ranks[0] == 3 and space.tower.n > 1:
+        img = collineation_images(induced_collineation(form), space)
+        fixed = (img == np.arange(space.n_points))[None]
+    return form_records(space, e, mask, ranks, checks, fixed)[0]
 
 
 def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
-                 ranks: np.ndarray, checks: list) -> list:
+                 ranks: np.ndarray, checks: list, fixed: np.ndarray | None) -> list:
     """The census records of K nonzero forms of the plane with (K, 9)
     entries, absolute masks (K, N) and `ranks`: rank, kind, cardinality,
     line spectrum and either the Kestenband profile (rank 3,
     `kestenband_profiles`) or the reasons of the per-kind check.  `checks`
     are the (rows, verdicts) of `_degenerate_verdicts` over rows whose
     first K are these, rows ascending, so that the records' rows come
-    first; the first kind counter set on a row names its kind.
+    first; the first kind counter set on a row names its kind.  `fixed`
+    holds the fixed-point masks (R, N) of the collineations of the R
+    rank-3 rows, in order, which their profiles read at n > 1 (None where
+    no row takes a profile): `fixed_masks` in a sweep,
+    `forms.collineation_images` at K = 1.
     The records add the spectrum and the profile; they run no check of
     their own on rank-1 and rank-2 rows.  The spectra are one gather of
     the masks over `lines_points_array`, in blocks of about 2^18 cells."""
@@ -1142,7 +1239,7 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
             recs[k]["violations"].append("an invertible form may not contain a line")
     full = np.nonzero(ranks == 3)[0]
     if t.n > 1 and len(full):
-        prof = kestenband_profiles(space, e[full], mask[full])
+        prof = kestenband_profiles(space, e[full], mask[full], fixed)
         for j, k in enumerate(full):
             recs[k].update(family=prof.family[j], epsilon=prof.epsilon[j],
                            fixed_in=int(prof.fixed_in[j]),

@@ -30,7 +30,8 @@ import numpy as np
 from .cfsets import KIND_CF, KIND_DEGENERATE_CF, pencil_normal_form
 from .fields import FieldTower
 from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
-                    fixed_point_masks, radical_lines, radical_points)
+                    collineation_images, induced_collineation, radical_lines,
+                    radical_points)
 from .linalg import mat_det, vranks
 from .projective import ProjectiveSpace, projective_space
 
@@ -269,28 +270,27 @@ def allowed_cardinalities(tower: FieldTower, diagonal: bool) -> tuple:
 class KestenbandProfiles(NamedTuple):
     """The profiles of K invertible forms, row by row: the family label,
     epsilon (None where the count has no odd-degree form or the degree is
-    even), the (K, N) fixed-point masks of the induced collineations, the
-    fixed points on and off the absolute set, and the violation reasons of
-    each row in order."""
+    even), the fixed points on and off the absolute set, and the violation
+    reasons of each row in order."""
     family: list
     epsilon: list
-    fixed: np.ndarray
     fixed_in: np.ndarray
     fixed_out: np.ndarray
     violations: list
 
 
-def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray,
-                        mask: np.ndarray) -> KestenbandProfiles:
+def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
+                        fixed: np.ndarray) -> KestenbandProfiles:
     """Cardinality and fixed-point profiles of K invertible forms with (K, 9)
-    entries and absolute masks (K, N), validated against the admissible
-    menu (even degree) or the odd-degree case tables: the fixed points come
-    from `forms.fixed_point_masks` and the case checks run as masks over
-    the rows; only rows with q+1 fixed points on the set take the scalar
-    collinear/arc test."""
+    entries, absolute masks (K, N) and the fixed-point masks (K, N) of
+    their induced collineations x -> (A^T)^-1 A^sigma x^(sigma^2), which
+    the caller takes from the point kernel (`census.fixed_masks`) or, for
+    one form, from `forms.collineation_images`.  They are validated
+    against the admissible menu (even degree) or the odd-degree case
+    tables, whose checks run as masks over the rows; only rows with q+1
+    fixed points on the set take the scalar collinear/arc test."""
     t = space.tower
     counts = np.count_nonzero(mask, axis=1)
-    fixed = fixed_point_masks(space, e)
     fixed_in = np.count_nonzero(fixed & mask, axis=1)
     fixed_out = np.count_nonzero(fixed, axis=1) - fixed_in
     violations = [[] for _ in range(len(e))]
@@ -315,7 +315,7 @@ def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray,
         for k, reasons in zip(rows, cases):
             epsilon[k] = int(eps[k])
             violations[k].extend(reasons)
-    return KestenbandProfiles(family, epsilon, fixed, fixed_in, fixed_out, violations)
+    return KestenbandProfiles(family, epsilon, fixed_in, fixed_out, violations)
 
 
 def _add_reasons(violations: list, bad: np.ndarray, reason):
@@ -341,12 +341,14 @@ def kestenband_profile(form: SesquiForm, space: ProjectiveSpace | None = None,
         raise ValueError("degree over F_q must be at least 2")
     if mask is None:
         mask = absolute_mask(form, space)
-    prof = kestenband_profiles(space, form.entries[None], mask[None])
+    fixed = collineation_images(induced_collineation(form), space) == np.arange(
+        space.n_points)
+    prof = kestenband_profiles(space, form.entries[None], mask[None], fixed[None])
     return KestenbandProfile(
         absolute_count=int(mask.sum()), family=prof.family[0],
         epsilon=prof.epsilon[0], fixed_in=int(prof.fixed_in[0]),
         fixed_out=int(prof.fixed_out[0]),
-        fixed_ids=tuple(np.nonzero(prof.fixed[0])[0].tolist()),
+        fixed_ids=tuple(np.nonzero(fixed)[0].tolist()),
         violations=tuple(prof.violations[0]))
 
 

@@ -226,29 +226,6 @@ def collineation_images(coll: Collineation, space: ProjectiveSpace) -> np.ndarra
     return space.index_rows(vdot(t, m, w[:, None, :]))
 
 
-def fixed_point_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
-    """Fixed-point masks (K, N) of the collineations x -> M x^(sigma^2)
-    induced by K invertible forms of the plane with (K, 9) entries.  M is
-    cof(A) A^sigma, the rows of cof(A) being the cross products of the rows
-    of A: this is det(A) (A^T)^-1 A^sigma, the same collineation.  The
-    images are formed in blocks of about 2^18 (matrix, point, coordinate)
-    cells."""
-    t = space.tower
-    a = e.reshape(-1, 3, 3)
-    cof = np.stack([vcross(t, a[:, 1], a[:, 2]), vcross(t, a[:, 2], a[:, 0]),
-                    vcross(t, a[:, 0], a[:, 1])], axis=1)
-    m = vdot(t, cof[:, :, None, :], t.vsigma(a).transpose(0, 2, 1)[:, None])
-    w = t.vfrobq(space.points, 2 * t.m)[None, :, None, :]
-    n_points = space.n_points
-    out = np.empty((len(e), n_points), dtype=bool)
-    step = max(1, (1 << 18) // (3 * n_points))
-    for k in range(0, len(e), step):
-        img = vdot(t, m[k:k + step, None], w).reshape(-1, 3)
-        out[k:k + step] = (space.index_rows(img).reshape(-1, n_points)
-                           == np.arange(n_points))
-    return out
-
-
 def fixed_points(coll: Collineation, space: ProjectiveSpace | None = None) -> tuple:
     space = space or projective_space(coll.tower, len(coll.matrix) - 1)
     img = collineation_images(coll, space)

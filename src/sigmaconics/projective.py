@@ -54,10 +54,11 @@ class ProjectiveSpace:
                               f"point-array budget")
         self.points = self._enumerate()
         # caches built on first use: the dense incidence matrix, the
-        # lines-by-points array (classify) and the two count kernels (census)
+        # lines-by-points array (classify), the point kernels by their
+        # Frobenius power and the line-count kernel (census)
         self._incidence = None
         self._lines_points = None
-        self._kernel = None
+        self._kernels = {}
         self._line_kernel = None
 
     def _enumerate(self) -> np.ndarray:

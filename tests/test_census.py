@@ -28,6 +28,17 @@ T9 = build_field(3, 1, 2, 1)
 T27 = build_field(3, 1, 3, 1)
 
 
+@pytest.mark.parametrize("run", [random_census, rank2_random_census],
+                         ids=["random", "rank2-random"])
+def test_sampled_census_refuses_seeds_past_64_bits(run):
+    """The stream masks its seed to 64 bits, so -1 and 2^64 would alias
+    2^64 - 1 and 0 under another mode; the library refuses them."""
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2\^64-1"):
+            run(T4, 5, seed)
+    assert run(T4, 5, 2 ** 64 - 1).total == 5
+
+
 def test_splitmix_scalar_vector_agree():
     s = rand_stream(424242, 17, 64)
     assert [splitmix64(424242, 17 + i) for i in range(64)] == [int(x) for x in s]
@@ -421,7 +432,31 @@ def test_kernel_budget_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(t, "vsigma", no_tables)
     with pytest.raises(CapExceeded, match="beyond the 64 MiB kernel budget"):
         plane_kernel(space)
-    assert space._kernel is None
+    assert not space._kernels
+
+
+def test_fixed_point_tables_only_for_rank3_records(monkeypatch):
+    """The tables of Frobenius power -2 are built for rank-3 record rows
+    only.  At n = 2 (cached by -2m mod n = 0, beside the count kernel's 1)
+    a census without records, or whose record rows all have rank <= 2,
+    builds none; one with rank-3 records holds two table sets.  At n = 3,
+    sigma^-2 = sigma, and a records census holds one."""
+    space = projective_space(T9, 2)
+    monkeypatch.setattr(space, "_kernels", {})
+    random_census(T9, 300, seed=6, invertible_only=False)
+    assert list(space._kernels) == [1]
+    low = census._samples(T9, 50, 6, lambda r: (r > 0) & (r < 3))
+    s = census._sweep(census._summary(T9, "rank<=2 records"), space, low, records=50)
+    assert len(s.records) == 50 and {r["rank"] for r in s.records} <= {1, 2}
+    assert list(space._kernels) == [1]
+    random_census(T9, 50, seed=6, records=5)
+    assert sorted(space._kernels) == [0, 1]
+    space = projective_space(T27, 2)
+    monkeypatch.setattr(space, "_kernels", {})
+    s = random_census(T27, 200, seed=6, records=20)
+    assert all(r["fixed_in"] is not None for r in s.records)
+    assert list(space._kernels) == [1]
+    assert plane_kernel(space, -2) is plane_kernel(space)
 
 
 def test_kernel_budget_boundary():
@@ -487,11 +522,13 @@ def test_sampled_census_memory_does_not_grow_with_count():
 
 
 def _batch_records(space, e, mask) -> list:
-    """`form_records` of K rows with their ranks and per-kind checks, as
-    the sweep driver passes them."""
+    """`form_records` of K rows with their ranks, per-kind checks and the
+    kernel's fixed points of the rank-3 rows, as the sweep driver passes
+    them."""
     ranks = vranks(space.tower, e.reshape(-1, 3, 3))
     checks = list(census._degenerate_verdicts(space, e, mask, ranks))
-    return form_records(space, e, mask, ranks, checks)
+    return form_records(space, e, mask, ranks, checks,
+                        census.fixed_masks(space, e[ranks == 3]))
 
 
 def test_invertible_form_with_a_line_is_flagged():

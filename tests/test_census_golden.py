@@ -220,7 +220,15 @@ def test_any_rank_records_bytes_pinned(tmp_path):
     # even degree: 500 invertible records of PG(2,9), the menu branch
     (["--p", "3", "--n", "2", "--count", "2000", "--seed", "3", "--records", "500"],
      "2cdf8eaa8cb380feca8f181f112a4f5d76f0b422f652cc8863f80ba6cb06acce"),
-], ids=["PG(2,27)", "PG(2,9)"])
+    # degree 4 and 5, where the fixed points read their own tables of
+    # Frobenius power -2 (-2m mod n = 2 and 1), beside the count kernel's
+    (["--p", "2", "--n", "4", "--m", "3", "--count", "2000", "--seed", "3",
+      "--records", "200"],
+     "526a115f3042df622a7c622286c06ca05ac87450f35de46cd7cceca84b5337cd"),
+    (["--p", "2", "--n", "5", "--m", "2", "--count", "2000", "--seed", "3",
+      "--records", "200"],
+     "591bba687f8b47543872d2b388a0e89f7849945378628c4257592892a835ab6b"),
+], ids=["PG(2,27)", "PG(2,9)", "PG(2,16)-m3", "PG(2,32)-m2"])
 def test_invertible_records_bytes_pinned(tmp_path, argv, digest):
     out = tmp_path / "records.jsonl"
     assert main(["census", "--mode", "random", *argv, "--out", str(out)]) == 0

@@ -8,7 +8,7 @@ from sigmaconics.census import LineKernel, PlaneKernel, sample_matrix_entries
 from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
-                               fixed_point_masks, fixed_points, form_values,
+                               fixed_points, form_values,
                                induced_collineation,
                                is_polarity, is_reflexive, make_form, radicals)
 from sigmaconics.linalg import (cross3, dot, mat_rank, mat_sigma, vcross, vdot,
@@ -433,14 +433,48 @@ def test_line_count_table_matches_pg1_forms(params):
         assert table[i] == sum(_evaluate(tower, b, x, x) == 0 for x in pts), b
 
 
-@pytest.mark.parametrize("tower", [T8, T27, build_field(3, 1, 2, 1),
-                                   build_field(2, 1, 3, 2)],
-                         ids=["F8", "F27", "F9", "F8-m2"])
-def test_fixed_point_masks_match_collineation_images(tower):
-    """The batch fixed points, through cof(A) A^sigma, are those of the scalar
-    collineation (A^T)^-1 A^sigma of each form."""
+# (p, e, n, m) and the number of sampled forms: sigma of order 2 (F9, and
+# F16 over F4), 3 (F8 with m = 1 and 2, F27; one table set with the count
+# kernel), 4 (F16 with m = 1 and 3), 5 (F32), 6 (F64) and 7 (F128)
+FIXED_TOWERS = {"F9": ((3, 1, 2, 1), 30), "F16-q4": ((2, 2, 2, 1), 30),
+                "F8": ((2, 1, 3, 1), 30), "F8-m2": ((2, 1, 3, 2), 30),
+                "F27": ((3, 1, 3, 1), 30), "F16": ((2, 1, 4, 1), 30),
+                "F16-m3": ((2, 1, 4, 3), 30), "F32": ((2, 1, 5, 1), 30),
+                "F64": ((2, 1, 6, 1), 30), "F128": ((2, 1, 7, 1), 3)}
+
+
+def _fixed_case(monkeypatch, params, count) -> tuple:
+    """The plane, the entries of the identity and `count` sampled
+    invertible forms, and the fixed points of their scalar collineations
+    (A^T)^-1 A^sigma.  The plane's point kernels start empty and are
+    dropped with the test."""
+    tower = build_field(*params)
     space = projective_space(tower, 2)
-    forms = [SesquiForm(tower, IDENT)] + list(rand_forms(tower, 30, 8, True))
-    got = fixed_point_masks(space, np.stack([f.entries for f in forms]))
-    assert [tuple(np.nonzero(row)[0].tolist()) for row in got] == [
+    monkeypatch.setattr(space, "_kernels", {})
+    forms = [SesquiForm(tower, IDENT)] + list(rand_forms(tower, count, 8, True))
+    return space, np.stack([f.entries for f in forms]), [
         fixed_points(induced_collineation(f), space) for f in forms]
+
+
+def _ids(masks) -> list:
+    return [tuple(np.nonzero(row)[0].tolist()) for row in masks]
+
+
+@pytest.mark.parametrize("name", FIXED_TOWERS)
+def test_fixed_point_masks_match_collineation_images(name, monkeypatch):
+    """The kernel's fixed points, three six-term sums over the tables of
+    Frobenius power -2, are those of the scalar collineation of each form."""
+    space, e, expect = _fixed_case(monkeypatch, *FIXED_TOWERS[name])
+    assert _ids(census.fixed_masks(space, e)) == expect
+
+
+@pytest.mark.parametrize("name", ["F9", "F27"])
+def test_planted_fixed_table_fault_is_caught(name, monkeypatch):
+    """One wrong cell of the fixed-point tables is caught by the scalar
+    collineation: h[5][1, R] = 1 P_1 R_2^tau is 0 at R = (0, 0, 1), and
+    set to 1 it unfixes R, which the identity fixes."""
+    space, e, expect = _fixed_case(monkeypatch, *FIXED_TOWERS[name])
+    assert _ids(census.fixed_masks(space, e)) == expect
+    census.plane_kernel(space, -2).h[5][1, 0] = 1
+    got = _ids(census.fixed_masks(space, e))
+    assert got != expect and got[0] == expect[0][1:]
