@@ -24,10 +24,12 @@ PG(1), over the 2x2 scalar classes of `_enumerate_scalar_classes`, with
 `classify.line_verdicts` (also the check of cone bases).
 
 The first `records` rows of a sweep also get records, built in one pass
-per batch (`form_records`; `form_record` is its K = 1 caller).  A record
-adds checks and replaces only one: every row is histogrammed, checked by
-kind and booked as it would be without a record, and the record reuses
-the sweep's masks, ranks and per-kind verdicts.  It adds the line
+per batch (`form_records`; `form_record` is its K = 1 caller, which
+takes the form alone and a `mask` only so that a test can plant a wrong
+absolute set).  A record adds checks and replaces only one: every row is
+histogrammed, checked by kind and booked as it would be without a
+record, and the record reuses the sweep's masks, ranks and per-kind
+verdicts.  It adds the line
 spectrum, one gather of the masks over the lines' point lists, and on
 rank-3 rows the Kestenband profile (`classify.kestenband_profiles`), from
 the fixed points of the induced collineations that the driver takes from
@@ -550,8 +552,8 @@ def line_kernel(space: ProjectiveSpace) -> LineKernel:
 
 
 def _kernel_rows(space: ProjectiveSpace) -> int:
-    """Matrices per batch of a sampled or diagonal census: 4096, fewer
-    where their (K, N) count masks would pass 2^22 cells."""
+    """Matrices per batch of a sampled, diagonal or rank-2 normal census:
+    4096, fewer where their (K, N) count masks would pass 2^22 cells."""
     return max(1, min(4096, _KERNEL_CELLS // space.n_points))
 
 
@@ -646,6 +648,10 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
     streamed source draws no row past them."""
     _kernel_plan(space.tower, space.n_points)
     _line_plan(space.tower)
+    if records:
+        # the records' line lists, built before any batch's masks and
+        # fixed-point masks are held
+        lines_points_array(space)
     for e, w, ranks in batches:
         k = min(records, len(e))    # the batch's record rows
         records -= k
@@ -1111,14 +1117,17 @@ _NORMAL_LAYOUTS = ([1, 2, 4, 5], [4, 5, 7, 8])
 def rank2_normal_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over the rank-2 matrices in the two radical-normal
     layouts: distinct radicals at (1,0,0)/(0,0,1) and the coincident-radical
-    cone layout, each over all invertible blocks up to scalars."""
+    cone layout, each over all invertible blocks up to scalars, enumerated
+    in batches of `_kernel_rows`."""
+    space = projective_space(tower, 2)
+
     def layouts():
         for layout in _NORMAL_LAYOUTS:
-            for blk in _enumerate_scalar_classes(tower.order, 4, 1 << 15):
+            for blk in _enumerate_scalar_classes(tower.order, 4, _kernel_rows(space)):
                 e = np.zeros((len(blk), 9), dtype=np.uint32)
                 e[:, layout] = blk
                 yield e, np.ones(len(e), dtype=np.int64)
-    return _sweep(_summary(tower, "rank2-normal"), projective_space(tower, 2),
+    return _sweep(_summary(tower, "rank2-normal"), space,
                   _ranked(tower, layouts(), lambda r: r == 2))
 
 
@@ -1159,16 +1168,16 @@ def random_census(tower: FieldTower, count: int, seed: int,
                   records=records)
 
 
-def form_record(form: SesquiForm, space: ProjectiveSpace | None = None,
-                mask: np.ndarray | None = None) -> dict:
+def form_record(form: SesquiForm, mask: np.ndarray | None = None) -> dict:
     """One census record: `form_records` at K = 1, with the form's rank and
-    per-kind check.  `mask` is the form's absolute mask when the caller
-    already has it."""
+    per-kind check.  `mask` stands in for the form's absolute mask
+    (`absolute_mask` of the form without it), so that a test can hand the
+    record a planted set and see the checks flag it."""
     if form.d != 2:
         raise ValueError("expected a form on the projective plane")
-    space = space or form.space()
+    space = form.space()
     e = form.entries[None]
-    mask = (absolute_mask(form, space) if mask is None else mask)[None]
+    mask = (absolute_mask(form) if mask is None else mask)[None]
     ranks = vranks(space.tower, e.reshape(-1, 3, 3))
     if not ranks.all():
         raise ValueError("the zero form is absolute everywhere and is not classified")

@@ -11,7 +11,10 @@ by a subset T of F_q^* (containing 1) with the matching pieces J_a of the
 line RL produces an exterior set with respect to a PG(2,q) subgeometry
 inside C_1, which is the seed of the rank-metric code construction.
 The C_F^m kind has one check, `cf_verdicts`, run at K rows by the census
-and at K = 1 by records and `steiner_matches_form`.
+and at K = 1 by records and `steiner_matches_form`.  The constructions
+of one object (a Steiner locus, the canonical sets, the component
+subplane, an exterior set) work on the cached plane
+`projective_space(tower, 2)`; the batch routines take the plane first.
 """
 
 from __future__ import annotations
@@ -166,13 +169,12 @@ def steiner_locus(space: ProjectiveSpace, r_vec: np.ndarray, mid: np.ndarray,
     return space.index_rows(pts.reshape(-1, 3)).reshape(lam.shape), whole_line
 
 
-def steiner_generate(phi: PencilCollineation,
-                     space: ProjectiveSpace | None = None) -> frozenset:
+def steiner_generate(phi: PencilCollineation) -> frozenset:
     """Point indices of the locus {l meet phi(l) : l through R}.
 
     When phi fixes the line RL, that line lies entirely in the locus.
     """
-    space = space or projective_space(phi.tower, 2)
+    space = projective_space(phi.tower, 2)
     basis = np.array(phi.basis, dtype=np.uint32)[None]
     block = np.array(phi.block, dtype=np.uint32).reshape(1, 4)
     idx, whole_line = steiner_locus(space, basis[..., 0], basis[..., 1],
@@ -184,14 +186,13 @@ def steiner_generate(phi: PencilCollineation,
     return frozenset(out)
 
 
-def steiner_matches_form(form: SesquiForm,
-                         space: ProjectiveSpace | None = None) -> bool:
+def steiner_matches_form(form: SesquiForm) -> bool:
     """`cf_verdicts` at K = 1: a rank-2 form with distinct radicals passes
     it, the Steiner locus equal to its absolute set."""
-    space = space or form.space()
+    space = form.space()
     e = form.entries[None]
     v_r, v_l = _pencil_radicals(space, e)
-    verdicts = cf_verdicts(space, e, absolute_mask(form, space)[None], v_r, v_l)
+    verdicts = cf_verdicts(space, e, absolute_mask(form)[None], v_r, v_l)
     return not any(bad.any() for bad in verdicts.flags.values())
 
 
@@ -255,13 +256,13 @@ def _canonical_form(tower: FieldTower, degenerate: bool) -> SesquiForm:
     return SesquiForm(tower, rows)
 
 
-def cf_canonical(tower: FieldTower, space: ProjectiveSpace | None = None) -> CfSet:
+def cf_canonical(tower: FieldTower) -> CfSet:
     """The C_F^m-set x1 x3^(q^m) = x2^(q^m + 1) with vertices (1,0,0), (0,0,1).
 
     Its affine points are parameterised as (t^(q^m + 1), t, 1); the component
     attached to a in F_q^* collects the parameters of norm a.
     """
-    space = space or projective_space(tower, 2)
+    space = projective_space(tower, 2)
     t = tower
     exp_tbl = t.pow_table(t.q ** t.m + 1)
     ids = {space.point_index((1, 0, 0))}
@@ -274,19 +275,17 @@ def cf_canonical(tower: FieldTower, space: ProjectiveSpace | None = None) -> CfS
     cf = CfSet(tower=t, m=t.m, degenerate=False,
                vertices=((1, 0, 0), (0, 0, 1)), point_ids=frozenset(ids),
                components={a: frozenset(v) for a, v in comps.items()})
-    if absolute_mask(_canonical_form(t, False), space).sum() != len(cf.point_ids):
+    if absolute_mask(_canonical_form(t, False)).sum() != len(cf.point_ids):
         raise RuntimeError("the canonical parametrisation misses absolute points")
     return cf
 
 
-def cf_degenerate_canonical(tower: FieldTower,
-                            space: ProjectiveSpace | None = None) -> CfSet:
+def cf_degenerate_canonical(tower: FieldTower) -> CfSet:
     """The degenerate set x3 (x1 x3^(q^m - 1) - x2^(q^m)) = 0 with vertices
     (1,0,0) and (0,1,0); it is the line joining the vertices plus the graph
     of x -> x^(q^m)."""
-    space = space or projective_space(tower, 2)
     t = tower
-    mask = absolute_mask(_canonical_form(t, True), space)
+    mask = absolute_mask(_canonical_form(t, True))
     ids = frozenset(int(i) for i in np.nonzero(mask)[0])
     return CfSet(tower=t, m=t.m, degenerate=True,
                  vertices=((1, 0, 0), (0, 1, 0)), point_ids=ids, components={})
@@ -299,8 +298,7 @@ def components(cf: CfSet) -> dict:
     return dict(cf.components)
 
 
-def embed_subplane_in_component(cf: CfSet,
-                                space: ProjectiveSpace | None = None) -> Subplane:
+def embed_subplane_in_component(cf: CfSet) -> Subplane:
     """A PG(2,q) inside the component C_1: the points (x^(q^2m), x^(q^m), x)
     with x ranging over the rank-3 subspace spanned by 1, alpha, alpha^2.
 
@@ -315,7 +313,7 @@ def embed_subplane_in_component(cf: CfSet,
         raise ValueError("subplane embedding requires a non-degenerate set")
     if t.n < 3:
         raise ValueError("the component subplane needs n >= 3")
-    space = space or projective_space(t, 2)
+    space = projective_space(t, 2)
     alpha = t.encode([0, 1])
     basis = (1, alpha, t.mul(alpha, alpha))
     ids = set()
@@ -351,7 +349,7 @@ class ExteriorSet:
     cf: CfSet
 
 
-def exterior_set(cf: CfSet, T, space: ProjectiveSpace | None = None) -> ExteriorSet:
+def exterior_set(cf: CfSet, T) -> ExteriorSet:
     """Replace the components C_a, a in T, by the line-RL pieces
     J_a = {(-t, 0, 1) : norm(t) = a}.  T must contain 1."""
     t = cf.tower
@@ -363,7 +361,7 @@ def exterior_set(cf: CfSet, T, space: ProjectiveSpace | None = None) -> Exterior
     bad = [a for a in T if a == 0 or not t.in_subfield(a)]
     if bad:
         raise ValueError(f"T must consist of nonzero subfield elements, got {bad}")
-    space = space or projective_space(t, 2)
+    space = projective_space(t, 2)
     pts = set(cf.point_ids)
     replaced = {}
     for a in sorted(T):

@@ -15,7 +15,8 @@ K = 1 (the census at K rows): `forms.radical_points`/`radical_lines`,
 run at K rows by the census sweeps and records and at K = 1 by a single
 record: `line_verdicts`, `rank1_verdicts`, `cone_verdicts` and
 `cfsets.cf_verdicts`.  The invertible forms have one profile,
-`kestenband_profiles`, with `kestenband_profile` its K = 1 caller.
+`kestenband_profiles`, with `kestenband_profile` its K = 1 caller.  The
+K = 1 routines take the form alone, on its cached plane `form.space()`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fields import FieldTower
 from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
                     collineation_images, induced_collineation, radical_lines,
                     radical_points)
-from .linalg import mat_det, vranks
+from .linalg import vranks
 from .projective import ProjectiveSpace, projective_space
 
 LINE_EMPTY = "empty"
@@ -62,17 +63,15 @@ class LineClassification:
     degenerate: bool
 
 
-def classify_line_form(form: SesquiForm,
-                       space: ProjectiveSpace | None = None) -> LineClassification:
+def classify_line_form(form: SesquiForm) -> LineClassification:
     """Line shape of one 2x2 form: `line_verdicts` at K = 1."""
     if form.d != 1:
         raise ValueError("expected a form on the projective line")
     if not any(x for row in form.matrix for x in row):
         raise ValueError("the zero form is absolute everywhere and is not classified")
-    space = space or form.space()
-    mask = absolute_mask(form, space)
+    mask = absolute_mask(form)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
-    if any(bad[0] for bad in line_verdicts(space, form.entries[None],
+    if any(bad[0] for bad in line_verdicts(form.space(), form.entries[None],
                                            mask[None]).flags.values()):
         raise LineTaxonomyError(ids)
     size = len(ids)
@@ -112,23 +111,18 @@ class PlaneClassification:
     tangent_value: int | None = None
 
 
-def classify_plane_form(form: SesquiForm, space: ProjectiveSpace | None = None,
-                        mask: np.ndarray | None = None) -> PlaneClassification:
-    """Kind, rank and absolute points of a 3x3 form; `mask` is its
-    absolute mask when the caller already has it."""
+def classify_plane_form(form: SesquiForm) -> PlaneClassification:
+    """Kind, rank and absolute points of a 3x3 form."""
     if form.d != 2:
         raise ValueError("expected a form on the projective plane")
-    space = space or form.space()
+    space = form.space()
     t = form.tower
-    if mask is None:
-        mask = absolute_mask(form, space)
-    ids = tuple(int(i) for i in np.nonzero(mask)[0])
+    ids = tuple(int(i) for i in np.nonzero(absolute_mask(form))[0])
     found = partial(PlaneClassification, absolute_count=len(ids), point_ids=ids)
-    if mat_det(t, form.matrix) != 0:
-        return found(kind=KIND_KESTENBAND, rank=3)
-
     e = form.entries[None]
     rank = int(vranks(t, e.reshape(1, 3, 3))[0])
+    if rank == 3:
+        return found(kind=KIND_KESTENBAND, rank=3)
     if rank == 0:
         raise ValueError("the zero form is absolute everywhere and is not classified")
     if rank == 1:
@@ -325,22 +319,18 @@ def _add_reasons(violations: list, bad: np.ndarray, reason):
         violations[k].append(reason if isinstance(reason, str) else reason(k))
 
 
-def kestenband_profile(form: SesquiForm, space: ProjectiveSpace | None = None,
-                       mask: np.ndarray | None = None,
-                       rank: int | None = None) -> KestenbandProfile:
+def kestenband_profile(form: SesquiForm) -> KestenbandProfile:
     """Cardinality and fixed-point profile of an invertible form, validated
     against the admissible cardinality menu: `kestenband_profiles` at K = 1.
     Violations are reported, not raised, so censuses can surface
-    counterexample candidates.  `mask` and `rank` are the form's absolute
-    mask and rank when the caller already has them."""
+    counterexample candidates."""
     t = form.tower
-    space = space or form.space()
-    if (form.rank() if rank is None else rank) != 3:
+    space = form.space()
+    if form.rank() != 3:
         raise ValueError("profile requires an invertible 3x3 matrix")
     if t.n == 1:
         raise ValueError("degree over F_q must be at least 2")
-    if mask is None:
-        mask = absolute_mask(form, space)
+    mask = absolute_mask(form)
     fixed = collineation_images(induced_collineation(form), space) == np.arange(
         space.n_points)
     prof = kestenband_profiles(space, form.entries[None], mask[None], fixed[None])

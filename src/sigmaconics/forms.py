@@ -14,6 +14,11 @@ A y^sigma of its basis.  `SesquiForm.evaluate` is its scalar reference.
 The radicals have one batch routine per rank on (K, 9) entries,
 `radical_points` (rank 2) and `radical_lines` (rank 1), called at K = 1 by
 classify and cfsets and at K rows by census; `radicals` is their reference.
+
+The routines of one form or collineation (`absolute_mask`,
+`absolute_points`, `is_reflexive`, `fixed_points`) take it alone and work
+on its plane, `projective_space(tower, d)`, cached per tower; the batch
+routines take the plane as their first argument.
 """
 
 from __future__ import annotations
@@ -162,9 +167,10 @@ def form_values(t: FieldTower, entries: np.ndarray, x: np.ndarray,
     return vdot(t, x, vdot(t, a, t.vsigma(y)[..., None, :]))
 
 
-def absolute_mask(form: SesquiForm, space: ProjectiveSpace | None = None) -> np.ndarray:
-    """Boolean mask over the space's points: true where x^T A x^sigma = 0."""
-    return absolute_masks(space or form.space(), form.entries[None])[0]
+def absolute_mask(form: SesquiForm) -> np.ndarray:
+    """Boolean mask over the points of the form's space: true where
+    x^T A x^sigma = 0."""
+    return absolute_masks(form.space(), form.entries[None])[0]
 
 
 def absolute_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
@@ -173,17 +179,15 @@ def absolute_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
     return form_values(space.tower, e[:, None], pts, pts) == 0
 
 
-def absolute_points(form: SesquiForm, space: ProjectiveSpace | None = None) -> AbsolutePointSet:
-    space = space or form.space()
-    mask = absolute_mask(form, space)
+def absolute_points(form: SesquiForm) -> AbsolutePointSet:
+    mask = absolute_mask(form)
     ids = tuple(int(i) for i in np.nonzero(mask)[0])
     return AbsolutePointSet(form=form, point_ids=ids, mask=mask)
 
 
-def is_reflexive(form: SesquiForm, space: ProjectiveSpace | None = None) -> bool:
+def is_reflexive(form: SesquiForm) -> bool:
     """Exhaustive test: <x,y> = 0 implies <y,x> = 0 on all projective pairs."""
-    space = space or form.space()
-    pts = space.points
+    pts = form.space().points
     zero = form_values(form.tower, form.entries, pts[:, None], pts[None, :]) == 0
     return bool(np.array_equal(zero, zero.T))
 
@@ -226,8 +230,8 @@ def collineation_images(coll: Collineation, space: ProjectiveSpace) -> np.ndarra
     return space.index_rows(vdot(t, m, w[:, None, :]))
 
 
-def fixed_points(coll: Collineation, space: ProjectiveSpace | None = None) -> tuple:
-    space = space or projective_space(coll.tower, len(coll.matrix) - 1)
+def fixed_points(coll: Collineation) -> tuple:
+    space = projective_space(coll.tower, len(coll.matrix) - 1)
     img = collineation_images(coll, space)
     return tuple(int(i) for i in np.nonzero(img == np.arange(space.n_points))[0])
 

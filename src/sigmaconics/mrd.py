@@ -139,8 +139,7 @@ def subplane_alignment(space: ProjectiveSpace, subplane: Subplane) -> tuple:
 
 
 def build_code(exterior: ExteriorSet, subplane: Subplane,
-               scalars: str = "all",
-               space: ProjectiveSpace | None = None) -> RankCode:
+               scalars: str = "all") -> RankCode:
     """Rank-distance code from an exterior set: align the subplane with the
     rank-1 locus, then reduce every scalar multiple of every point.
 
@@ -152,7 +151,7 @@ def build_code(exterior: ExteriorSet, subplane: Subplane,
     if t.q <= 2 or t.n < 3:
         raise ValueError("code construction requires q > 2 and n >= 3")
     scalar_set = _scalar_set(t, scalars)
-    space = space or projective_space(t, 2)
+    space = projective_space(t, 2)
     g = np.array(subplane_alignment(space, subplane), dtype=np.uint32)
     # the aligned points g v, point by point, each times every scalar
     pts = space.points[sorted(exterior.point_ids)]

@@ -163,8 +163,8 @@ def test_6_fixed_point_profiles():
         t8 = build_field(2, 1, 3, m)
         sp = projective_space(t8, 2)
         form = SesquiForm(t8, ident)
-        mask = absolute_mask(form, sp)
-        fixed = fixed_points(induced_collineation(form), sp)
+        mask = absolute_mask(form)
+        fixed = fixed_points(induced_collineation(form))
         assert len(fixed) == 7
         assert set(fixed) == set(sp.canonical_subplane().point_ids)
         assert sum(1 for i in fixed if mask[i]) == 3
@@ -180,11 +180,11 @@ def test_6_fixed_point_profiles():
         form = make_form(t8, [int(x) for x in row])
         if form.rank() != 3:
             continue
-        prof = kestenband_profile(form, sp)
+        prof = kestenband_profile(form)
         assert not prof.violations
         if prof.fixed_in == t8.q + 1:
             witnesses += 1
-    prof_i = kestenband_profile(SesquiForm(t8, ident), sp)
+    prof_i = kestenband_profile(SesquiForm(t8, ident))
     assert prof_i.fixed_in == 3 and not prof_i.violations
     witnesses += 1
     assert witnesses >= 1
@@ -288,11 +288,11 @@ def test_9_algebraic_invariant_suite():
             m = tuple(tuple(int(x) for x in mrow[3 * j:3 * j + 3])
                       for j in range(3))
             b = congruence_transform(form, m)
-            assert absolute_mask(b, sp).sum() == masks[i].sum()
+            assert absolute_mask(b).sum() == masks[i].sum()
             checked["congruence"] += 1
         for row in inv_rows:
             form = make_form(t, [int(x) for x in row])
-            mask = absolute_mask(form, sp)
+            mask = absolute_mask(form)
             img = collineation_images(induced_collineation(form), sp)
             assert np.array_equal(mask[img], mask)
             checked["collineation"] += 1

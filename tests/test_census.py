@@ -55,7 +55,7 @@ def test_kernel_matches_library_mask():
         masks = kern.masks(*kern.row_encode(entries))
         for i in range(len(entries)):
             form = make_form(t, [int(x) for x in entries[i]])
-            assert np.array_equal(absolute_mask(form, sp), masks[i])
+            assert np.array_equal(absolute_mask(form), masks[i])
 
 
 def test_matrix_ranks_vectorised():
@@ -133,7 +133,7 @@ def _forms(draw, t):
 
 
 def _invariants(t, space, a):
-    cls = classify.classify_plane_form(make_form(t, a.ravel().tolist()), space)
+    cls = classify.classify_plane_form(make_form(t, a.ravel().tolist()))
     return cls.rank, cls.absolute_count, cls.kind
 
 
@@ -537,13 +537,13 @@ def test_invertible_form_with_a_line_is_flagged():
     space = projective_space(T8, 2)
     form = make_form(T8, [1, 0, 0, 0, 1, 0, 0, 0, 1])
     line = classify.lines_points_array(space)[0]
-    mask = absolute_mask(form, space)
+    mask = absolute_mask(form)
     assert not mask[line].all()
     mask[line] = True
     rec = _batch_records(space, form.entries[None], mask[None])[0]
     assert rec["rank"] == 3
     assert "an invertible form may not contain a line" in rec["violations"]
-    assert not form_record(form, space)["violations"]
+    assert not form_record(form)["violations"]
 
 
 def test_line_paths_leave_incidence_unbuilt(monkeypatch):
@@ -552,8 +552,9 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     def no_incidence(self):
         raise AssertionError("the dense incidence was built")
     monkeypatch.setattr(ProjectiveSpace, "incidence", no_incidence)
-    space = ProjectiveSpace(T27, 2)
-    rec = form_record(SesquiForm(T27, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), space)
+    space = projective_space(T27, 2)
+    built = space._incidence
+    rec = form_record(SesquiForm(T27, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert sum(rec["spectrum"].values()) == space.n_lines
     assert not rec["violations"]
     s = rank1_census(T4)
@@ -564,7 +565,7 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     assert summary.kind_counts["degenerate_cf"] == 1
     assert summary.kind_counts["steiner_checked"] == 1
     assert not summary.violations
-    assert space._incidence is None
+    assert space._incidence is built
 
 
 def _one_radical_line(space, mask):
@@ -602,8 +603,8 @@ def test_records_run_the_sweep_checks(entries, spoil, reasons):
     space = projective_space(T27, 2)
     form = make_form(T27, entries)
     e = form.entries[None]
-    mask = spoil(space, absolute_mask(form, space))
-    rec = form_record(form, space, mask)
+    mask = spoil(space, absolute_mask(form))
+    rec = form_record(form, mask)
     kind = [r for r in rec["violations"] if not r.startswith("line intersections")]
     assert kind == reasons
     if rec["rank"] == 1:
@@ -615,7 +616,7 @@ def test_records_run_the_sweep_checks(entries, spoil, reasons):
                     else cf_verdicts(space, e, mask[None], v_r, v_l))
     assert [r for r, bad in verdicts.flags.items() if bad[0]] == reasons
     # the true mask passes both
-    assert not form_record(form, space)["violations"]
+    assert not form_record(form)["violations"]
 
 
 def test_any_rank_samples_take_the_kind_checks(monkeypatch):
@@ -657,7 +658,7 @@ def test_form_record_finds_radicals_once(monkeypatch):
     forms = [(0, 0, 0, 0, 1, 1, 0, 0, 1), (0, 0, 1, 0, 2, 0, 0, 0, 0),
              (0, 0, 1, 0, 0, 0, 0, 2, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0),
              (1, 0, 0, 0, 1, 0, 0, 0, 1)]
-    recs = [form_record(make_form(T27, f), space) for f in forms]
+    recs = [form_record(make_form(T27, f)) for f in forms]
     assert [r["rank"] for r in recs] == [2, 2, 2, 1, 3]
     assert not any(r["violations"] for r in recs)
     assert calls == [1, 1, 1]
@@ -686,7 +687,7 @@ def test_form_record_finds_radical_lines_once(monkeypatch):
         return real(space, e)
     monkeypatch.setattr(classify, "radical_lines", counted)
     space = projective_space(T27, 2)
-    rec = form_record(make_form(T27, (0, 1, 0, 0, 0, 0, 0, 0, 0)), space)
+    rec = form_record(make_form(T27, (0, 1, 0, 0, 0, 0, 0, 0, 0)))
     assert rec["kind"] == "union_two_lines" and not rec["violations"]
     assert calls == [1]
     calls.clear()
@@ -718,7 +719,7 @@ def test_form_records_match_form_record(tower):
     e = np.concatenate([np.array(_KIND_ROWS, dtype=np.uint32),
                         sampled[sampled.any(axis=1)]])
     mask = absolute_masks(space, e)
-    kinds = [form_record(make_form(tower, row.tolist()), space, m)["kind"]
+    kinds = [form_record(make_form(tower, row.tolist()), m)["kind"]
              for row, m in zip(e, mask)]
     assert set(kinds) == _KINDS
     # the first row of each kind again, under a wrong mask
@@ -728,7 +729,7 @@ def test_form_records_match_form_record(tower):
                            [_half_dropped(space, mask[kinds.index(
                                "cone_over_sigma_quadric")])]])
     batch = _batch_records(space, e, mask)
-    ref = [form_record(make_form(tower, row.tolist()), space, m)
+    ref = [form_record(make_form(tower, row.tolist()), m)
            for row, m in zip(e, mask)]
     assert [list(r.items()) for r in batch] == [list(r.items()) for r in ref]
     assert all(r["violations"] for r in batch[-len(first) - 1:])

@@ -161,6 +161,27 @@ def test_diagonal_census_in_kernel_batches(monkeypatch):
     assert _summary_record(summary) == _golden_record("T9", "diagonal_census")
 
 
+def test_rank2_normal_census_in_kernel_batches(monkeypatch):
+    """The rank-2 normal census enumerates its layouts in batches of
+    `_kernel_rows`, so no point-kernel call masks more rows than that, and
+    keeps its record.  Every row has rank 2, so every row is masked."""
+    t = FIELDS["T9"]
+    space = projective_space(t, 2)
+    monkeypatch.setattr(census, "_KERNEL_CELLS", 10 * space.n_points)
+    masked = []
+    masks = census.PlaneKernel.masks
+
+    def recording_masks(self, *idx):
+        out = masks(self, *idx)
+        masked.append(len(out))
+        return out
+    monkeypatch.setattr(census.PlaneKernel, "masks", recording_masks)
+    summary = census.rank2_normal_census(t)
+    assert census._kernel_rows(space) == 10
+    assert max(masked) <= 10 and sum(masked) == summary.total
+    assert _summary_record(summary) == _golden_record("T9", "rank2_normal_census")
+
+
 def test_random_census_in_kernel_batches(monkeypatch):
     """A random census streams its draws through `_rebatch`: the line
     kernel gets `_kernel_rows` rows per call but the last, however the

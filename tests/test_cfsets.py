@@ -24,26 +24,24 @@ def test_steiner_projectivity_gives_conic():
     t = build_field(3, 1, 2, 1)
     sp = projective_space(t, 2)
     phi = pencil_collineation(t, (1, 0, 0), (0, 0, 1), ((0, 1), (2, 0)), qexp=0)
-    pts = steiner_generate(phi, sp)
+    pts = steiner_generate(phi)
     assert len(pts) == t.order + 1
     assert max(line_spectrum(pts, sp)) == 2      # no three points collinear
 
 
 def test_steiner_degenerate_when_rl_is_fixed():
     t = build_field(3, 1, 2, 1)
-    sp = projective_space(t, 2)
     phi = pencil_collineation(t, (1, 0, 0), (0, 0, 1), ((1, 0), (2, 1)), qexp=0)
     assert phi.maps_rl_to_itself()
-    pts = steiner_generate(phi, sp)
+    pts = steiner_generate(phi)
     assert len(pts) == 2 * t.order + 1           # contains the full line RL
 
 
 def test_steiner_counts_with_field_twist():
-    sp = projective_space(T8, 2)
     phi = pencil_collineation(T8, (1, 0, 0), (0, 0, 1), ((0, 1), (T8.neg(1), 0)))
-    assert len(steiner_generate(phi, sp)) == 9
+    assert len(steiner_generate(phi)) == 9
     phi_deg = pencil_collineation(T8, (1, 0, 0), (0, 0, 1), ((1, 0), (0, 1)))
-    assert len(steiner_generate(phi_deg, sp)) == 17
+    assert len(steiner_generate(phi_deg)) == 17
 
 
 def test_pencil_collineation_validation():
@@ -237,17 +235,21 @@ def test_steiner_locus_batch_matches_single_collineations(tower):
             if line.any():
                 rl = sp.line_through(phi.r_vec, phi.l_vec)
                 expect |= set(sp.line_points(rl).tolist())
-            assert steiner_generate(phi, sp) == expect
+            assert steiner_generate(phi) == expect
 
 
-def test_steiner_generate_lists_fixed_line_without_incidence():
+def test_steiner_generate_lists_fixed_line_without_incidence(monkeypatch):
     # a degenerate C_F^m form of PG(2,64): the fixed line RL is listed from
     # R and x R + L, without the dense incidence matrix of the plane
-    sp = ProjectiveSpace(T64, 2)
+    def no_incidence(self):
+        raise AssertionError("the dense incidence was built")
+    monkeypatch.setattr(ProjectiveSpace, "incidence", no_incidence)
+    sp = projective_space(T64, 2)
+    built = sp._incidence
     form = SesquiForm(T64, ((0, 0, 1), (0, 0, 0), (0, T64.neg(1), 0)))
     phi = pencil_collineation_from_form(form)
     assert phi.maps_rl_to_itself()
-    pts = steiner_generate(phi, sp)
-    assert sp._incidence is None
+    pts = steiner_generate(phi)
+    assert sp._incidence is built
     assert len(pts) == 2 * T64.order + 1
-    assert pts == frozenset(np.nonzero(absolute_mask(form, sp))[0].tolist())
+    assert pts == frozenset(np.nonzero(absolute_mask(form))[0].tolist())

@@ -128,7 +128,7 @@ def test_spectrum_values_and_sublines():
         if not row.any():
             continue
         form = make_form(T8, [int(x) for x in row])
-        mask = absolute_mask(form, sp)
+        mask = absolute_mask(form)
         spec = line_spectrum(mask, sp)
         vals = set(int(v) for v in np.unique(spec))
         assert vals <= {0, 1, 2, q + 1, T8.order + 1}
@@ -193,14 +193,13 @@ def test_kestenband_profile_errors():
 
 
 def test_kestenband_profiles_random_clean():
-    sp = projective_space(T8, 2)
     entries = sample_matrix_entries(T8.order, 61, 0, 400)
     seen = 0
     for row in entries:
         form = make_form(T8, [int(x) for x in row])
         if form.rank() != 3:
             continue
-        prof = kestenband_profile(form, sp)
+        prof = kestenband_profile(form)
         assert prof.absolute_count in {5, 9, 13}
         assert prof.violations == ()
         seen += 1
@@ -227,9 +226,9 @@ def test_odd_q_subplane_profile_accepts_conic_arc():
     # 13 fixed points, 4 of them absolute and forming an arc of PG(2,3)
     form = make_form(T27, [13, 11, 24, 17, 3, 1, 1, 12, 23])
     sp = projective_space(T27, 2)
-    prof = kestenband_profile(form, sp)
+    prof = kestenband_profile(form)
     assert (prof.fixed_in, prof.fixed_out, prof.epsilon) == (4, 9, 0)
-    absolute = absolute_mask(form, sp)
+    absolute = absolute_mask(form)
     on_set = [i for i in prof.fixed_ids if absolute[i]]
     assert is_arc(on_set, sp)
     assert prof.violations == ()

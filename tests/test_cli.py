@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -189,6 +190,21 @@ def test_mrd_pipeline(tmp_path, capsys):
     assert len(lines) == 730                      # header + codewords
     first = json.loads(lines[1])
     assert first["entries"] == [0] * 9
+
+
+def test_mrd_bytes_pinned(tmp_path, capsys):
+    """The exported code of T = {1} and the report of T = {1, 2}, byte for
+    byte: the exterior-set constructions and the code reduction behind
+    them."""
+    code_file = tmp_path / "code.jsonl"
+    assert main(["mrd", "--p", "3", "--n", "3", "--T", "1",
+                 "--code-out", str(code_file)]) == 0
+    assert hashlib.sha256(code_file.read_bytes()).hexdigest() == (
+        "577309405423b25d17db39978e9e99e1ff0e7562e568c0dd0cd448918e53b662")
+    capsys.readouterr()
+    assert main(["mrd", "--p", "3", "--n", "3", "--T", "1", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "10896f0b90baae6c47a4cb6b665b9fa013f288bbcdbd658a1b419b2a1b1776f9")
 
 
 def test_mrd_requires_one_in_t(capsys):
