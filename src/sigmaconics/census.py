@@ -49,7 +49,7 @@ the torus acts in log coordinates mod N = Q-1 through an integer |S| x 4
 matrix T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`, in-house)
 lists its orbits by a mixed-radix index y, 0 <= y_k < gcd(d_k, N), and each
 torus orbit weighs N^(|S|-1) / prod gcd(d_k, N) scalar classes.  The
-source scans the torus indices of one support per S3-orbit of supports
+source takes the torus indices of one support per S3-orbit of supports
 (103 of them), and H = Stab_S3(S) x Gal acts on those indices by y ->
 p^j U Pi U^-1 y mod gcd(d, N), Pi the permutation of the entries of S.  It
 keeps an index when no element of H maps it to a smaller one, the
@@ -58,10 +58,21 @@ exhaustive generation", J. Algorithms 26, 1998), and gives it the weight
 
     torus weight x 6en / #{h in H : h y = y}
 
-scalar classes.  At Q = 8 that is 21,957 representatives out of 177,727
-indices scanned, for 19,173,961 nonzero scalar classes; at Q = 16,
-13,378,303 indices scanned for 4.58e9 classes.  The budget counts the
-indices scanned.  A violation names the failing representative.
+scalar classes.  It finds them with a sieve on the leading digit of the
+index (`_OrbitSupport.sieve`), the prefix pruning of orderly generation
+(Read 1978): each h acts linearly on the digits, so the leading digit of
+h y is one term from the high digits plus one from the low digits, and
+packed bit tables over the low digits reject whole rows of indices at
+once, after Frobenius, which acts digit by digit, has dropped the high
+prefixes it maps lower.  Only the survivors are compared in full, and
+only with the h whose leading image digit ties.  At Q = 8, 30,787 of the
+177,727 indices reach that comparison and 21,957 representatives are
+kept, for 19,173,961 nonzero scalar classes; at Q = 16, 1,249,325 of
+13,378,303 reach it and 850,396 are kept, for 4.58e9 classes.  By
+orbit-stabiliser the kept orbits of a support cover its indices, sum
+|H| / #{h : h y = y}; the source checks that on every support and raises
+RuntimeError if not.  The budget counts the torus indices of the
+supports.  A violation names the failing representative.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
@@ -146,7 +157,7 @@ from .forms import (SesquiForm, absolute_mask, absolute_masks, collineation_imag
 from .linalg import vcross, vdot, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
-EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices scanned; mrd orbit differences
+EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices; mrd orbit differences
 # rows (scalar classes or orbit representatives) per batch; 1 << 16 lifted the
 # rank <= 2 sweep of PG(2,8) from 42 MB to 58-66 MB peak RSS, by heap layout
 _ENUM_CHUNK = 1 << 14
@@ -155,6 +166,11 @@ _ENUM_CHUNK = 1 << 14
 # 37.7 MB, by the per-batch arrays of the orbit scan, vranks and the line
 # kernel (6.7 instead of 1.9 MB traced)
 _GL_CHUNK = 1 << 12
+# bytes of the tie table (elements of H x sieve survivors) per block of the
+# orbit sieve; 1 << 18 raised the traced peak of draining the GL(3,8) source
+# at _GL_CHUNK from 1.24 to 2.16 MiB, and 1 << 15 sieved its three largest
+# supports 28% slower
+_SIEVE_BLOCK = 1 << 16
 _KERNEL_CELLS = 1 << 22  # (matrix, point) cells per batch of a sampled census
 # bytes of count-kernel accumulator per row block, a cache-sized part of a
 # batch: 2^19 uint16 cells (690 rows of PG(2,27)) or 2^18 uint32 cells
@@ -163,9 +179,10 @@ _MENU_REASON = "cardinality outside the admissible menu"
 _LINE_REASON = "line-kernel count differs from the point-kernel count"
 
 
-def _check_exhaustive_cap(classes: int, what: str):
-    if classes > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"{what} beyond the matrix budget; use random sampling")
+def _check_exhaustive_cap(indices: int, what: str):
+    if indices > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"{what} beyond the matrix budget: {indices:.1e} torus "
+                          f"indices, cap {EXHAUSTIVE_CAP:.0e}; use random sampling")
 
 
 # -- deterministic counter-based randomness ----------------------------------
@@ -720,41 +737,50 @@ def _diagonalise(a: list) -> tuple:
     a = [list(row) for row in a]
     s, c = len(a), len(a[0])
     u = [[int(i == j) for j in range(s)] for i in range(s)]
-    uinv = [row[:] for row in u]
+    # uinv by columns: a row operation R turns U into R U and uinv into
+    # uinv R^-1, so a row swap swaps the same columns of uinv, and row_i -=
+    # f row_t adds f times column i of uinv to its column t
+    cols = [row[:] for row in u]
     d = [0] * s
     for t in range(min(s, c)):
         while True:
-            nz = [(abs(a[i][j]), i, j) for i in range(t, s) for j in range(t, c)
-                  if a[i][j]]
-            if not nz:
-                return d, u, uinv
-            _, i, j = min(nz)
-            # a row operation R turns U into R U and uinv into uinv R^-1: a
-            # row swap swaps the same columns of uinv, and row_i -= f row_t
-            # adds f times column i of uinv to its column t
+            # the first entry of least absolute value, row by row
+            best = 0
+            for i in range(t, s):
+                for j in range(t, c):
+                    x = abs(a[i][j])
+                    if x and (not best or x < best):
+                        best, bi, bj = x, i, j
+                if best == 1:
+                    break
+            if not best:
+                return d, u, [list(row) for row in zip(*cols)]
+            i, j = bi, bj
             a[t], a[i] = a[i], a[t]
             u[t], u[i] = u[i], u[t]
-            for row in uinv:
-                row[t], row[i] = row[i], row[t]
-            for row in a:
-                row[t], row[j] = row[j], row[t]
+            cols[t], cols[i] = cols[i], cols[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             piv, done = a[t][t], True
+            # (f = 0 leaves every matrix as it is)
             for i in range(t + 1, s):
                 f = a[i][t] // piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[t])]
-                for row in uinv:
-                    row[t] += f * row[i]
+                if f:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+                    cols[t] = [x + f * y for x, y in zip(cols[t], cols[i])]
                 done &= a[i][t] == 0
             for j in range(t + 1, c):
                 f = a[t][j] // piv
-                for row in a:
-                    row[j] -= f * row[t]
+                if f:
+                    for row in a:
+                        row[j] -= f * row[t]
                 done &= a[t][j] == 0
             if done:
                 break
         d[t] = a[t][t]
-    return d, u, uinv
+    return d, u, [list(row) for row in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -843,64 +869,147 @@ class _OrbitSupport:
     """The torus orbits on a support S, one S per S3-orbit of supports, and
     the action on them of H = Stab_S3(S) x Gal, where pi acts by P^T A P and
     Frobenius by A -> A^(p^j).  Only the coordinates y_k of an orbit index
-    with radix above 1 vary; `radix` (a column) and `place` are theirs, in
-    the mixed radix of the index, and the orbit of index y has the log
-    coordinates `uinv` y mod N.  `images` holds, for each element h of H
-    but the identity, the integer matrix M_h = p^j U Pi U^-1 mod N on those
-    coordinates (Pi the permutation of the entries of S), so that h maps y
-    to M_h y mod radix.  `weight` is the torus weight times |S3 x Gal| =
-    6en.  `radix`, `place` and `images` are float64 for `canonical`."""
+    with radix above 1 vary; `radix` holds theirs, the largest leading, and
+    the orbit of index y, read as digits in that mixed radix, has the log
+    coordinates `uinv` y mod N.  `perms` holds, for each pi in Stab_S3(S)
+    (the identity first), the integer matrix M_pi = U Pi U^-1 on those
+    coordinates (Pi the permutation of the entries of S), row a reduced mod
+    radix[a], and `frobenius` the multipliers p^j mod N, so that h = (pi, j)
+    maps y to p^j M_pi y mod radix.  `weight` is the torus weight times
+    |S3 x Gal| = 6en."""
     positions: tuple
     uinv: np.ndarray
-    radix: np.ndarray
-    place: np.ndarray
-    images: tuple
+    radix: tuple
+    perms: np.ndarray
+    frobenius: tuple
     weight: int
     units: int
     count: int
 
-    def canonical(self, start: int, stop: int) -> tuple:
-        """(y, fixed) of the canonical orbits among indices start..stop-1:
-        those whose index is <= the index of each image under H, and the
-        number of elements of H fixing each.  The images are taken one
-        element at a time, on the rows still kept.  The index digits are
-        the columns of y, in exact float64 arithmetic (`_mod`)."""
-        idx = np.arange(start, stop, dtype=np.float64)
-        y = _mod(_floor_div(idx, self.place[:, None]), self.radix)
-        fixed = np.ones(len(idx), dtype=np.int64)
-        for m in self.images:
-            # the leading digit of the image settles all rows but its ties,
-            # about one in radix[0], which take the whole image index; einsum,
-            # not matmul: a BLAS call here raised the peak RSS of GL(3,8) by
-            # 0.7 MB
-            lead = _mod(np.einsum("j,jk->k", m[0], y), self.radix[0])
-            keep = lead > y[0]
-            tie = np.nonzero(lead == y[0])[0]
-            img = np.einsum("i,ik->k", self.place, _mod(
-                np.einsum("ij,jk->ik", m, y[:, tie]), self.radix))
-            keep[tie] = img >= idx[tie]
-            fixed[tie] += img == idx[tie]
-            idx, y, fixed = idx[keep], y[:, keep], fixed[keep]
-        return y.T.astype(np.int64), fixed
+    def sieve(self, plan: _SievePlan):
+        """Yield (y, fixed), block by block in index order, of the canonical
+        orbits: the indices y that are <= the index of each image under H,
+        as (K, k) digit rows, and the number of elements of H fixing each.
+
+        The digits split into a high part, which holds the leading digit
+        y_0, and a low part, as `plan` (the `_sieve_plan` of the support's
+        radix) lays out.  The products M_pi y of each part are taken once
+        per block (high) or per support (low), so that digit a of the image
+        of y under (pi, j) is f[a, j, A + B], A and B the two parts' digit a
+        mod radix[a] and f[a, j, x] = p^j x mod radix[a].  With mu(x) the
+        least of f[0, j, x] over j, an index whose leading image digit under
+        some pi has mu below y_0 is not canonical; one table per pi, of
+        packed bits over (A_0, y_0, low part), marks the low parts that
+        pass, and ANDing the rows of a block over pi sieves every index of
+        it at once.  Only the survivors are compared in full, and only with
+        the h whose leading image digit ties y_0, one digit at a time, each
+        step keeping the ties; the h that tie to the last digit fix y."""
+        r, high, f = plan.radix, plan.high, plan.f
+        r0, n_pi, n_j = self.radix[0], len(self.perms), len(self.frobenius)
+        # (digit, pi, part) layout, so that each digit's terms are one array
+        perms = self.perms.transpose(1, 0, 2)
+        b = (perms[:, :, high:] @ plan.ylow % r).astype(f.dtype)
+        size, v = b.shape[2], np.arange(r0)
+        table = np.packbits(plan.mu[v[:, None] + b[0][:, None]][:, :, None]
+                            >= v[:, None], axis=-1)
+        pis = np.arange(n_pi)[:, None]
+        for yhigh, ident in plan.blocks:
+            a = (perms[:, :, :high] @ yhigh % r).astype(f.dtype)
+            alive = np.bitwise_and.reduce(table[pis, a[0], yhigh[0]], axis=0)
+            hi, lo = np.nonzero(np.unpackbits(alive, axis=1, count=size))
+            y = np.concatenate([yhigh.take(hi, axis=1), plan.ylow.take(lo, axis=1)])
+            # the elements (pi, j) whose leading image digit ties y_0 (x - r0
+            # wraps around when x < r0); for the identity, the ties of the
+            # high part on all its digits
+            x = a[0].take(hi, axis=1) + b[0].take(lo, axis=1)
+            tie = np.minimum(x, x - r0) == plan.g.take(y[0], axis=1)[:, None]
+            tie[:, 0] = ident.take(hi, axis=1)
+            jx, ib, row = np.nonzero(tie)
+            # flat positions of each tie's terms in f[d], a[d] and b[d], from
+            # (j, pi, row) in place: these arrays set the block's peak memory
+            ia = ib * len(yhigh[0]) + hi[row]
+            ib *= size
+            ib += lo[row]
+            jx *= f.shape[2]
+            keep = np.ones(len(hi), dtype=bool)
+            for d in range(1, len(r)):
+                img = f[d].take(jx + a[d].take(ia) + b[d].take(ib))
+                own = y[d].take(row)
+                keep[row[img < own]] = False
+                same = np.nonzero(img == own)[0]
+                row, ia, ib, jx = row[same], ia[same], ib[same], jx[same]
+            fixed = 1 + np.bincount(row, minlength=len(hi))
+            yield y[:, keep].T, fixed[keep]
 
 
-def _floor_div(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """v // d, exactly, for float64 arrays of integers 0 <= v < 2^50 and d
-    >= 1 (the cap keeps the orbit indices below 1e8): (v + 1/2) / d lies at
-    least 1/(2d) from any integer, and its rounding error, at most
-    2^-53 (v + 1) / d, is smaller, so its floor is v // d."""
-    return np.floor((v + 0.5) / d)
+@dataclass(frozen=True)
+class _SievePlan:
+    """What the sieve of every support of one radix shares, for one Gal: the
+    radix as a (k, 1, 1) column; the digit split, with `high` digits in the
+    high part; f[a, j, x] = p^j x mod radix[a] for x < 2 radix[0], so that a
+    sum of two reduced digits needs no reduction; g[j, v], the x < radix[0]
+    with f[0, j, x] = v; mu[x], the least f[0, j, x] over j; `ylow`, the
+    digits of every low part; and `blocks`, the high parts block by block as
+    (yhigh, ident).  Frobenius alone acts digit by digit, so a high part's
+    own images are compared on its digits here: a high part that one maps
+    lower is left out, and ident[j] marks those that p^j fixes, j = 0 left
+    out."""
+    radix: np.ndarray
+    high: int
+    f: np.ndarray
+    g: np.ndarray
+    mu: np.ndarray
+    ylow: np.ndarray
+    blocks: tuple
 
 
-def _mod(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return v - d * _floor_div(v, d)
+def _sieve_plan(frobenius: tuple, radix: tuple) -> _SievePlan:
+    """The `_SievePlan` of `radix` under the Frobenius multipliers
+    `frobenius`.  Trailing digits join the low part while the tables of
+    the sieve, radix[0]^2 bits per low part, stay within an eighth of the
+    high parts; a block holds as many high parts as keep its tie table,
+    up to 6 en bytes per index, within _SIEVE_BLOCK."""
+    r = np.array(radix)
+    k, r0, n_j = len(radix), radix[0], len(frobenius)
+    count = math.prod(radix)
+    low, size = 0, 1
+    while low < k - 1 and count // (size * radix[-1 - low]) >= 8 * r0 ** 2:
+        size *= radix[-1 - low]
+        low += 1
+    high = k - low
+    f = (np.array(frobenius)[:, None] * np.arange(2 * r0)
+         % r[:, None, None]).astype(np.min_scalar_type(2 * r0))
+    place = np.array([math.prod(radix[d + 1:high]) for d in range(high)])
+    idx = np.arange(count // size)
+    yhigh = _digits(idx, r[:high])
+    # code[j, i]: the index of the image of high part i under p^j
+    code = place @ f[np.arange(high)[:, None], :, yhigh].transpose(2, 0, 1)
+    pre = np.nonzero((code >= idx).all(axis=0))[0]
+    ident = code[:, pre] == pre
+    ident[0] = False
+    rows = max(1, _SIEVE_BLOCK // (size * len(_PERM_POS) * n_j))
+    yhigh = yhigh[:, pre].astype(f.dtype)
+    blocks = tuple((yhigh[:, s:s + rows], ident[:, s:s + rows])
+                   for s in range(0, len(pre), rows))
+    return _SievePlan(r[:, None, None], high, f, f[0, -np.arange(n_j) % n_j],
+                      f[0].min(axis=0),
+                      _digits(np.arange(size), r[high:]).astype(f.dtype), blocks)
+
+
+def _digits(idx: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """(len(radix), len(idx)) digits of `idx` in the mixed radix `radix`,
+    the most significant first."""
+    out = np.empty((len(radix), len(idx)), dtype=np.int64)
+    for a in range(len(radix) - 1, -1, -1):
+        idx, out[a] = np.divmod(idx, radix[a])
+    return out
 
 
 def _orbit_supports(tower: FieldTower) -> list:
     """One `_OrbitSupport` per S3-orbit of the 511 supports (103 of them),
     the one whose bit set is least."""
     n_units = tower.order - 1
-    frobenius = [tower.p ** j % n_units for j in range(tower.e * tower.n)]
+    frobenius = tuple(tower.p ** j % n_units for j in range(tower.e * tower.n))
     # the bit set of each support's image under each permutation
     member = np.arange(1 << 9)[:, None] >> np.arange(9) & 1
     permuted = (member[:, _PERM_POS] << np.arange(9)).sum(axis=2).tolist()
@@ -915,22 +1024,16 @@ def _orbit_supports(tower: FieldTower) -> list:
         # largest radix leading
         free = sorted((k for k, r in enumerate(sup.radices) if r > 1),
                       key=lambda k: -sup.radices[k]) or [0]
+        radix = tuple(sup.radices[k] for k in free)
         column = {k: a for a, k in enumerate(positions)}
-        mats = []
-        for pos, image in zip(_PERM_POS, images):
-            if image == bits:
-                # Pi U^-1 is U^-1 with its rows permuted
-                pi_uinv = sup.uinv[[column[pos[k]] for k in positions]]
-                m = (sup.u @ pi_uinv % n_units)[np.ix_(free, free)]
-                mats += [(f * m % n_units).astype(np.float64) for f in frobenius]
-        radices = [sup.radices[k] for k in free]
-        place = [math.prod(radices[a + 1:]) for a in range(len(free))]
-        # mats[0], of the identity permutation and j = 0, is the identity
+        u, uinv = sup.u[free], sup.uinv[:, free]
+        # Pi U^-1 is U^-1 with its rows permuted; the identity comes first
+        perms = [u @ uinv[[column[pos[k]] for k in positions]]
+                 for pos, image in zip(_PERM_POS, images) if image == bits]
         out.append(_OrbitSupport(
-            positions, sup.uinv[:, free],
-            np.array(radices, dtype=np.float64)[:, None],
-            np.array(place, dtype=np.float64), tuple(mats[1:]),
-            sup.weight * len(_PERM_POS) * len(frobenius), n_units, sup.count))
+            positions, uinv, radix, np.array(perms) % np.array(radix)[:, None],
+            frobenius, sup.weight * len(_PERM_POS) * len(frobenius), n_units,
+            sup.count))
     return out
 
 
@@ -938,15 +1041,25 @@ def _orbit_representatives(tower: FieldTower, supports: list, chunk: int):
     """Yield (e, w): (K, 9) entries of the canonical orbits of G = S3 x Gal
     x torus, K <= `chunk`, filled across supports, and their int64 weights
     in scalar classes, the support's weight over the order of the
-    stabiliser in H.  Each support is scanned `chunk` indices at a time and
-    only the canonical rows get log coordinates and entries."""
+    stabiliser in H.  Each support is sieved block by block
+    (`_OrbitSupport.sieve`) and only the canonical rows get log coordinates
+    and entries.  By orbit-stabiliser, the orbits kept on a support cover
+    its `count` indices, sum |H| / fixed; a support whose sum differs raises
+    RuntimeError.  Supports of one radix share a plan."""
+    plan = functools.cache(_sieve_plan)
+
     def pieces():
         for sup in supports:
-            for start in range(0, sup.count, chunk):
-                y, fixed = sup.canonical(start, min(sup.count, start + chunk))
+            order, covered = len(sup.perms) * len(sup.frobenius), 0
+            for y, fixed in sup.sieve(plan(sup.frobenius, sup.radix)):
+                covered += int((order // fixed).sum())
                 e = np.zeros((len(y), 9), dtype=np.uint32)
                 e[:, sup.positions] = tower._exp[y @ sup.uinv.T % sup.units]
                 yield e, sup.weight // fixed
+            if covered != sup.count:
+                raise RuntimeError(
+                    f"orbit scan of support {sup.positions}: the kept orbits "
+                    f"cover {covered} indices, not {sup.count}")
     return _rebatch(pieces(), chunk)
 
 
@@ -974,8 +1087,8 @@ def _orbit_batches(tower: FieldTower, what: str, chunk: int):
     """The source of both exhaustive 3x3 sweeps: (e, w) batches of one
     representative per orbit of G = S3 x Gal x torus on the nonzero
     matrices, and their weights.  The budget is checked on the torus
-    indices to be scanned when this is called, before anything is
-    allocated."""
+    indices of the supports when this is called, before any table of the
+    sieve is built."""
     supports = _orbit_supports(tower)
     _check_exhaustive_cap(sum(sup.count for sup in supports), what)
     return _orbit_representatives(tower, supports, chunk)
@@ -1002,7 +1115,7 @@ def exhaustive_invertible_census(tower: FieldTower,
     representative's weight, the number of scalar classes in its orbit, to
     the histogram; every scalar class of GL(3, q^n) is counted exactly
     once.  A violation names the failing representative.  The budget
-    counts the torus indices scanned; `max_violations` bounds the
+    counts the torus indices of the supports; `max_violations` bounds the
     violations kept, not those counted.
     """
     batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
@@ -1050,7 +1163,7 @@ def rank_le2_census(tower: FieldTower,
     number of scalar classes in the orbit, to the histogram and the kind
     counts; these equal those of the full scalar-class sweep.  A violation
     names the failing representative.  The budget counts the torus indices
-    scanned; `max_violations` bounds the violations kept, not those
+    of the supports; `max_violations` bounds the violations kept, not those
     counted.
     """
     batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)

@@ -808,11 +808,18 @@ def test_rank_le2_reduced_matches_unreduced(params, reduced_sweep, reference):
     assert reduced["violations"] == 0
 
 
-@pytest.mark.parametrize("params, reps", [
-    ((2, 1, 1, 1), 103), ((3, 1, 1, 1), 479), ((2, 1, 2, 1), 960),
-    ((2, 2, 1, 1), 941), ((5, 1, 1, 1), 5275), ((2, 1, 3, 1), 21_957),
-    ((3, 1, 2, 1), 63_979), ((2, 1, 3, 2), 21_957)],
-    ids=["Q2", "Q3", "Q4-q2", "Q4-q4", "Q5", "Q8", "Q9", "Q8-m2"])
+# fields whose orbit source is checked against the index-by-index scan, and
+# the representatives each keeps
+_ORBIT_FIELDS = {"Q2": ((2, 1, 1, 1), 103), "Q3": ((3, 1, 1, 1), 479),
+                 "Q4-q2": ((2, 1, 2, 1), 960), "Q4-q4": ((2, 2, 1, 1), 941),
+                 "Q5": ((5, 1, 1, 1), 5275), "Q8": ((2, 1, 3, 1), 21_957),
+                 "Q9": ((3, 1, 2, 1), 63_979), "Q8-m2": ((2, 1, 3, 2), 21_957)}
+# at Q = 16 the counts were taken from the index-by-index scan
+_Q16_FIELDS = {"Q16": ((2, 1, 4, 1), 850_396), "Q16-q4": ((2, 2, 2, 1), 850_424)}
+
+
+@pytest.mark.parametrize("params, reps", [*_ORBIT_FIELDS.values(), *_Q16_FIELDS.values()],
+                         ids=[*_ORBIT_FIELDS, *_Q16_FIELDS])
 def test_orbit_weights_sum_to_scalar_classes(params, reps):
     """The weights of the orbit representatives add up to every nonzero
     scalar class, (Q^9 - 1)/(Q - 1), each a positive divisor of the
@@ -827,6 +834,106 @@ def test_orbit_weights_sum_to_scalar_classes(params, reps):
         total += int(w.sum())
     assert rows == reps
     assert total == (t.order ** 9 - 1) // (t.order - 1)
+
+
+def _floor_div(v, d):
+    """v // d, exactly, for float64 arrays of integers 0 <= v < 2^50 and d
+    >= 1 (the cap keeps the orbit indices below 1e8): (v + 1/2) / d lies at
+    least 1/(2d) from any integer, and its rounding error, at most
+    2^-53 (v + 1) / d, is smaller, so its floor is v // d."""
+    return np.floor((v + 0.5) / d)
+
+
+def _mod(v, d):
+    return v - d * _floor_div(v, d)
+
+
+def _scan(t, positions):
+    """(y, fixed) of the canonical orbits on the support `positions`, index
+    by index: the indices that are <= the index of each image under H, and
+    the number of elements of H fixing each.  The digits are those of
+    `_torus_support` with radix above 1, the largest leading, and each h =
+    (pi, j) but the identity acts by the matrix p^j U Pi U^-1 mod N, taken
+    one at a time on the rows still kept, in exact float64 arithmetic.  The
+    sieve of `_OrbitSupport` replaced this scan, which stays here as its
+    reference."""
+    n_units = t.order - 1
+    sup = census._torus_support(t, positions)
+    free = sorted((k for k, r in enumerate(sup.radices) if r > 1),
+                  key=lambda k: -sup.radices[k]) or [0]
+    column = {k: a for a, k in enumerate(positions)}
+    images = []
+    for pos in census._PERM_POS:
+        if sorted(pos[k] for k in positions) == list(positions):
+            pi_uinv = sup.uinv[[column[pos[k]] for k in positions]]
+            m = (sup.u @ pi_uinv % n_units)[np.ix_(free, free)]
+            images += [(t.p ** j % n_units * m % n_units).astype(np.float64)
+                       for j in range(t.e * t.n)]
+    radices = [sup.radices[k] for k in free]
+    radix = np.array(radices, dtype=np.float64)[:, None]
+    place = np.array([float(np.prod(radices[a + 1:])) for a in range(len(free))])
+    idx = np.arange(sup.count, dtype=np.float64)
+    y = _mod(_floor_div(idx, place[:, None]), radix)
+    fixed = np.ones(len(idx), dtype=np.int64)
+    for m in images[1:]:
+        # the leading digit settles all rows but its ties
+        lead = _mod(np.einsum("j,jk->k", m[0], y), radix[0])
+        keep = lead > y[0]
+        tie = np.nonzero(lead == y[0])[0]
+        img = np.einsum("i,ik->k", place, _mod(
+            np.einsum("ij,jk->ik", m, y[:, tie]), radix))
+        keep[tie] = img >= idx[tie]
+        fixed[tie] += img == idx[tie]
+        idx, y, fixed = idx[keep], y[:, keep], fixed[keep]
+    return y.T.astype(np.int64), fixed
+
+
+@pytest.mark.parametrize("params", [p for p, _ in _ORBIT_FIELDS.values()],
+                         ids=list(_ORBIT_FIELDS))
+def test_sieve_matches_index_scan(params):
+    """On every support the sieve keeps the rows of the index-by-index
+    scan, in the same order, with the same stabiliser orders."""
+    t = build_field(*params)
+    for sup in census._orbit_supports(t):
+        pieces = list(sup.sieve(census._sieve_plan(sup.frobenius, sup.radix)))
+        y, fixed = _scan(t, sup.positions)
+        assert np.array_equal(np.concatenate([p[0] for p in pieces]), y)
+        assert np.array_equal(np.concatenate([p[1] for p in pieces]), fixed)
+
+
+def test_orbit_scan_dropping_a_row_is_caught(monkeypatch):
+    """A sieve that loses one canonical row no longer covers its support
+    (orbit-stabiliser: the kept orbits' sizes |H| / fixed add up to the
+    indices of the support), and the source raises once the support is
+    done."""
+    sieve = census._OrbitSupport.sieve
+
+    def lossy(self, plan):
+        for i, (y, fixed) in enumerate(sieve(self, plan)):
+            drop = i == 0 and len(self.positions) == 9
+            yield (y[1:], fixed[1:]) if drop else (y, fixed)
+    monkeypatch.setattr(census._OrbitSupport, "sieve", lossy)
+    with pytest.raises(RuntimeError, match=r"orbit scan of support \(0, 1, .*, 8\): the "
+                                           r"kept orbits cover \d+ indices, not 117649"):
+        for _ in census._orbit_batches(T8, "probe", 4096):
+            pass
+
+
+@pytest.mark.parametrize("chunk, bound", [(census._GL_CHUNK, 1.51),
+                                          (census._ENUM_CHUNK, 4.39)],
+                         ids=["gl", "enum"])
+def test_orbit_source_memory(chunk, bound):
+    """The orbit source of GL(3,8) stays within the traced peak of the
+    index-by-index scan it replaced (1.51 and 4.39 MiB at the two batch
+    sizes): its blocks are sized in bytes, not in indices."""
+    tracemalloc.start()
+    try:
+        for _ in census._orbit_batches(T8, "probe", chunk):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2 ** 20
 
 
 def _torus_image(positions, qm, n_units):

@@ -79,6 +79,16 @@ def test_census_cap_exits_4(capsys):
     assert code == 4
 
 
+def test_census_cap_names_the_index_count(capsys):
+    """The exhaustive budget is checked before any batch: Q = 25 exits 4 and
+    says how many torus indices the sweep would need, against which cap."""
+    code = main(["census", "--p", "5", "--n", "2", "--scope", "gl"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("error: exhaustive census beyond the matrix budget: "
+                            "2.1e+08 torus indices, cap 1e+08; use random sampling\n")
+
+
 def test_census_random_pg2_49(capsys):
     """A random census of PG(2,49), an odd-p plane over an extension, runs
     clean within the kernel budget."""
