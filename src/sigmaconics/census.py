@@ -50,29 +50,45 @@ matrix T_S; a diagonal form U T_S V = diag(d_k) (`_diagonalise`, in-house)
 lists its orbits by a mixed-radix index y, 0 <= y_k < gcd(d_k, N), and each
 torus orbit weighs N^(|S|-1) / prod gcd(d_k, N) scalar classes.  The
 source takes the torus indices of one support per S3-orbit of supports
-(103 of them), and H = Stab_S3(S) x Gal acts on those indices by y ->
-p^j U Pi U^-1 y mod gcd(d, N), Pi the permutation of the entries of S.  It
-keeps an index when no element of H maps it to a smaller one, the
-canonical representative of isomorph rejection (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998), and gives it the weight
+(103 of them), but only of those that can hold a rank its sweep keeps:
+det A is the signed sum, over the transversals inside S (the supports of
+the permutation matrices), of their entry products, so a support with no
+transversal holds only singular matrices and one with exactly one only
+invertible ones.  The GL sweep skips the 52 supports without a
+transversal, the rank <= 2 sweep the 29 with exactly one, before their
+torus action is diagonalised; the 22 with two or more hold both, and
+each sweep filters their rows by rank.  H = Stab_S3(S) x Gal acts on the
+torus indices of a support by y -> p^j U Pi U^-1 y mod gcd(d, N), Pi the
+permutation of the entries of S.  The source keeps an index when no
+element of H maps it to a smaller one, the canonical representative of
+isomorph rejection (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998), and gives it the weight
 
     torus weight x 6en / #{h in H : h y = y}
 
 scalar classes.  It finds them with a sieve on the leading digit of the
-index (`_OrbitSupport.sieve`), the prefix pruning of orderly generation
-(Read 1978): each h acts linearly on the digits, so the leading digit of
-h y is one term from the high digits plus one from the low digits, and
-packed bit tables over the low digits reject whole rows of indices at
-once, after Frobenius, which acts digit by digit, has dropped the high
-prefixes it maps lower.  Only the survivors are compared in full, and
-only with the h whose leading image digit ties.  At Q = 8, 30,787 of the
-177,727 indices reach that comparison and 21,957 representatives are
-kept, for 19,173,961 nonzero scalar classes; at Q = 16, 1,249,325 of
-13,378,303 reach it and 850,396 are kept, for 4.58e9 classes.  By
-orbit-stabiliser the kept orbits of a support cover its indices, sum
-|H| / #{h : h y = y}; the source checks that on every support and raises
-RuntimeError if not.  The budget counts the torus indices of the
-supports.  A violation names the failing representative.
+index (`_sieve`), the prefix pruning of orderly generation (Read 1978):
+each h acts linearly on the digits, so the leading digit of h y is one
+term from the high digits plus one from the low digits, and packed bit
+tables over the low digits reject whole rows of indices at once, after
+Frobenius, which acts digit by digit, has dropped the high prefixes it
+maps lower.  Only the survivors are compared in full, and only with the
+h whose leading image digit ties.  The supports of one radix whose
+indices fit one sieve block are sieved together, as many in one pass
+over their stacked H as fill a block, and a larger support alone, block
+by block (`_sieved`); the rows leave support by support in bit order.
+At Q = 8, (p, e, n) = (2, 1, 3), the GL sweep visits 51 supports and
+176,445 indices, of which 30,410 reach the full comparison and 21,626
+representatives are kept (18,807 of rank 3, for the 16,482,816
+invertible scalar classes); the rank <= 2 sweep visits 74 supports and
+174,938 indices, 29,862 reach the comparison and 21,036 are kept (3,150
+singular, for 2,691,145 classes).  At Q = 16, (p, e, n) = (2, 1, 4), the
+GL sweep visits 13,369,215 indices, 1,247,570 reach the comparison and
+848,922 are kept; the rank <= 2 sweep 13,354,738, 1,243,405 and 844,509.
+By orbit-stabiliser the kept orbits of a support cover its indices, sum
+|H| / #{h : h y = y}; the source checks that on every support it visits
+and raises RuntimeError if not.  The budget counts the torus indices of
+the supports a sweep visits.  A violation names the failing representative.
 
 The key trick: for a fixed point P the absolute condition x^T A x^sigma = 0
 is linear in the entries of A: it is sum_ij a_ij P_i P_j^sigma = 0.  The
@@ -886,60 +902,81 @@ class _OrbitSupport:
     units: int
     count: int
 
-    def sieve(self, plan: _SievePlan):
-        """Yield (y, fixed), block by block in index order, of the canonical
-        orbits: the indices y that are <= the index of each image under H,
-        as (K, k) digit rows, and the number of elements of H fixing each.
 
-        The digits split into a high part, which holds the leading digit
-        y_0, and a low part, as `plan` (the `_sieve_plan` of the support's
-        radix) lays out.  The products M_pi y of each part are taken once
-        per block (high) or per support (low), so that digit a of the image
-        of y under (pi, j) is f[a, j, A + B], A and B the two parts' digit a
-        mod radix[a] and f[a, j, x] = p^j x mod radix[a].  With mu(x) the
-        least of f[0, j, x] over j, an index whose leading image digit under
-        some pi has mu below y_0 is not canonical; one table per pi, of
-        packed bits over (A_0, y_0, low part), marks the low parts that
-        pass, and ANDing the rows of a block over pi sieves every index of
-        it at once.  Only the survivors are compared in full, and only with
-        the h whose leading image digit ties y_0, one digit at a time, each
-        step keeping the ties; the h that tie to the last digit fix y."""
-        r, high, f = plan.radix, plan.high, plan.f
-        r0, n_pi, n_j = self.radix[0], len(self.perms), len(self.frobenius)
-        # (digit, pi, part) layout, so that each digit's terms are one array
-        perms = self.perms.transpose(1, 0, 2)
-        b = (perms[:, :, high:] @ plan.ylow % r).astype(f.dtype)
-        size, v = b.shape[2], np.arange(r0)
-        table = np.packbits(plan.mu[v[:, None] + b[0][:, None]][:, :, None]
-                            >= v[:, None], axis=-1)
-        pis = np.arange(n_pi)[:, None]
-        for yhigh, ident in plan.blocks:
-            a = (perms[:, :, :high] @ yhigh % r).astype(f.dtype)
-            alive = np.bitwise_and.reduce(table[pis, a[0], yhigh[0]], axis=0)
-            hi, lo = np.nonzero(np.unpackbits(alive, axis=1, count=size))
-            y = np.concatenate([yhigh.take(hi, axis=1), plan.ylow.take(lo, axis=1)])
-            # the elements (pi, j) whose leading image digit ties y_0 (x - r0
-            # wraps around when x < r0); for the identity, the ties of the
-            # high part on all its digits
-            x = a[0].take(hi, axis=1) + b[0].take(lo, axis=1)
-            tie = np.minimum(x, x - r0) == plan.g.take(y[0], axis=1)[:, None]
-            tie[:, 0] = ident.take(hi, axis=1)
-            jx, ib, row = np.nonzero(tie)
-            # flat positions of each tie's terms in f[d], a[d] and b[d], from
-            # (j, pi, row) in place: these arrays set the block's peak memory
-            ia = ib * len(yhigh[0]) + hi[row]
-            ib *= size
-            ib += lo[row]
-            jx *= f.shape[2]
-            keep = np.ones(len(hi), dtype=bool)
-            for d in range(1, len(r)):
-                img = f[d].take(jx + a[d].take(ia) + b[d].take(ib))
-                own = y[d].take(row)
-                keep[row[img < own]] = False
-                same = np.nonzero(img == own)[0]
-                row, ia, ib, jx = row[same], ia[same], ib[same], jx[same]
-            fixed = 1 + np.bincount(row, minlength=len(hi))
-            yield y[:, keep].T, fixed[keep]
+def _sieve(group: list, plan: _SievePlan):
+    """Yield (owner, y, fixed), block by block in index order, of the
+    canonical orbits of the supports `group`, all of the radix of `plan`:
+    the indices y of support group[owner] that are <= the index of each
+    image under its H, as (K, k) digit rows in (owner, index) order, and
+    the number of elements of H fixing each.
+
+    The digits split into a high part, which holds the leading digit
+    y_0, and a low part, as `plan` (the `_sieve_plan` of the radix) lays
+    out.  The products M_pi y of each part are taken once per block (high)
+    or per group (low), so that digit a of the image of y under (pi, j) is
+    f[a, j, A + B], A and B the two parts' digit a mod radix[a] and f[a, j,
+    x] = p^j x mod radix[a].  With mu(x) the least of f[0, j, x] over j, an
+    index whose leading image digit under some pi has mu below y_0 is not
+    canonical; one table per pi, of packed bits over (A_0, y_0, low part),
+    marks the low parts that pass, and ANDing the rows of a block over the
+    pi of each support sieves every index of every support of the group at
+    once.  Only the survivors are compared in full, and only with the h of
+    their own support whose leading image digit ties y_0, one digit at a
+    time, each step keeping the ties; the h that tie to the last digit fix
+    y.  Each support's pi are padded to the group's most with copies of its
+    identity, which change no AND and whose ties are dropped."""
+    r, high, f = plan.radix, plan.high, plan.f
+    r0, n_sup = group[0].radix[0], len(group)
+    n_pi = max(len(sup.perms) for sup in group)
+    pad = np.stack([np.concatenate([sup.perms, sup.perms[:1].repeat(
+        n_pi - len(sup.perms), axis=0)]) for sup in group], axis=1)
+    # real[pi, k]: whether pi is one of support k's own, not a copy
+    real = np.arange(n_pi)[:, None] < [len(sup.perms) for sup in group]
+    # (digit, (pi, support), part) layout, so that each digit's terms are
+    # one array, and its leading terms of one pi are one row over
+    # (support, part)
+    perms = pad.reshape(-1, *pad.shape[2:]).transpose(1, 0, 2)
+    b = (perms[:, :, high:] @ plan.ylow % r).astype(f.dtype)
+    size, v = b.shape[2], np.arange(r0)
+    table = np.packbits(plan.mu[v[:, None] + b[0][:, None]][:, :, None]
+                        >= v[:, None], axis=-1)
+    pis = np.arange(n_pi * n_sup)[:, None]
+    for yhigh, ident in plan.blocks:
+        n_high = len(yhigh[0])
+        a = (perms[:, :, :high] @ yhigh % r).astype(f.dtype)
+        alive = np.bitwise_and.reduce(
+            table[pis, a[0], yhigh[0]].reshape(n_pi, n_sup * n_high, -1), axis=0)
+        # cell = owner n_high + hi, and low = owner size + lo, index the
+        # (support, part) rows of the leading terms
+        cell, lo = np.nonzero(np.unpackbits(alive, axis=1, count=size))
+        owner, hi = np.divmod(cell, n_high)
+        low = owner * size
+        low += lo
+        y = np.concatenate([yhigh.take(hi, axis=1), plan.ylow.take(lo, axis=1)])
+        # the elements (pi, j) of its own support whose leading image digit
+        # ties y_0 (x - r0 wraps around when x < r0); for the identity, the
+        # ties of the high part on all its digits
+        x = (a[0].reshape(n_pi, -1).take(cell, axis=1)
+             + b[0].reshape(n_pi, -1).take(low, axis=1))
+        tie = np.minimum(x, x - r0) == plan.g.take(y[0], axis=1)[:, None]
+        tie[:, 0] = ident.take(hi, axis=1)
+        tie &= real.take(owner, axis=1)
+        jx, ib, row = np.nonzero(tie)
+        # flat positions of each tie's terms in f[d], a[d] and b[d], from
+        # (j, pi, row) in place: these arrays set the block's peak memory
+        ia = ib * (n_sup * n_high) + cell[row]
+        ib *= n_sup * size
+        ib += low[row]
+        jx *= f.shape[2]
+        keep = np.ones(len(hi), dtype=bool)
+        for d in range(1, len(r)):
+            img = f[d].take(jx + a[d].take(ia) + b[d].take(ib))
+            own = y[d].take(row)
+            keep[row[img < own]] = False
+            same = np.nonzero(img == own)[0]
+            row, ia, ib, jx = row[same], ia[same], ib[same], jx[same]
+        fixed = 1 + np.bincount(row, minlength=len(hi))
+        yield owner[keep], y[:, keep].T, fixed[keep]
 
 
 @dataclass(frozen=True)
@@ -1005,18 +1042,37 @@ def _digits(idx: np.ndarray, radix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit_supports(tower: FieldTower) -> list:
+# the bit sets of the six transversals, the supports of the permutation
+# matrices
+_TRANSVERSALS = tuple(sum(1 << 3 * i + pi[i] for i in range(3))
+                      for pi in itertools.permutations(range(3)))
+
+
+def _support_ranks(bits: int) -> tuple:
+    """The ranks a matrix on the support `bits` may have.  det A is the
+    signed sum, over the transversals inside the support, of their entry
+    products: with none every matrix on it is singular, with exactly one
+    every one is invertible (a product of nonzero entries)."""
+    inside = sum(bits & t == t for t in _TRANSVERSALS)
+    return (1, 2) if not inside else (3,) if inside == 1 else (1, 2, 3)
+
+
+def _orbit_supports(tower: FieldTower, keep) -> list:
     """One `_OrbitSupport` per S3-orbit of the 511 supports (103 of them),
-    the one whose bit set is least."""
+    the one whose bit set is least, among those on which `keep`, a function
+    from ranks to a keep mask, passes a rank that the support may hold
+    (`_support_ranks`); the others are left out before their torus action
+    is diagonalised."""
     n_units = tower.order - 1
     frobenius = tuple(tower.p ** j % n_units for j in range(tower.e * tower.n))
     # the bit set of each support's image under each permutation
     member = np.arange(1 << 9)[:, None] >> np.arange(9) & 1
     permuted = (member[:, _PERM_POS] << np.arange(9)).sum(axis=2).tolist()
+    wanted = set(np.nonzero(keep(np.arange(4)))[0].tolist())    # ranks kept
     out = []
     for bits in range(1, 1 << 9):
         images = permuted[bits]
-        if min(images) != bits:
+        if min(images) != bits or wanted.isdisjoint(_support_ranks(bits)):
             continue
         positions = tuple(k for k in range(9) if bits >> k & 1)
         sup = _torus_support(tower, positions)
@@ -1028,30 +1084,67 @@ def _orbit_supports(tower: FieldTower) -> list:
         column = {k: a for a, k in enumerate(positions)}
         u, uinv = sup.u[free], sup.uinv[:, free]
         # Pi U^-1 is U^-1 with its rows permuted; the identity comes first
-        perms = [u @ uinv[[column[pos[k]] for k in positions]]
-                 for pos, image in zip(_PERM_POS, images) if image == bits]
+        perms = u @ uinv[[[column[pos[k]] for k in positions]
+                          for pos, image in zip(_PERM_POS, images) if image == bits]]
         out.append(_OrbitSupport(
-            positions, uinv, radix, np.array(perms) % np.array(radix)[:, None],
+            positions, uinv, radix, perms % np.array(radix)[:, None],
             frobenius, sup.weight * len(_PERM_POS) * len(frobenius), n_units,
             sup.count))
     return out
 
 
+def _sieved(supports: list):
+    """Yield (sup, pieces) for each of `supports`, in order: the (y, fixed)
+    pieces of `_sieve` on its canonical orbits, in index order.  The
+    supports whose indices fit one block of their plan are sieved with the
+    others of their radix, as many in one pass as their high parts fill a
+    block, when the first of them comes up, and their rows are held until
+    their turn; a larger support streams alone, block by block.  Supports
+    of one radix share a plan."""
+    plan = functools.cache(_sieve_plan)
+    small = {}
+    for sup in supports:
+        if len(plan(sup.frobenius, sup.radix).blocks) == 1:
+            small.setdefault(sup.radix, []).append(sup)
+    passes = {}     # positions -> the pass of a small support
+    for radix, sups in small.items():
+        p = plan(sups[0].frobenius, radix)
+        # a block holds this many supports' high parts
+        room = _SIEVE_BLOCK // (len(_PERM_POS) * len(p.g) * p.blocks[0][0].shape[1]
+                                * p.ylow.shape[1])
+        for start in range(0, len(sups), room):
+            passes.update((sup.positions, sups[start:start + room])
+                          for sup in sups[start:start + room])
+    held = {}
+    for sup in supports:
+        group = passes.get(sup.positions)
+        if group is None:
+            yield sup, ((y, fixed) for _, y, fixed in
+                        _sieve([sup], plan(sup.frobenius, sup.radix)))
+            continue
+        if sup.positions not in held:
+            # the first support of its pass: sieve the pass
+            held.update((other.positions, []) for other in group)
+            for owner, y, fixed in _sieve(group, plan(sup.frobenius, sup.radix)):
+                cut = np.searchsorted(owner, np.arange(1, len(group)))
+                for other, part in zip(group, zip(np.split(y, cut), np.split(fixed, cut))):
+                    held[other.positions].append(part)
+        yield sup, held.pop(sup.positions)
+
+
 def _orbit_representatives(tower: FieldTower, supports: list, chunk: int):
     """Yield (e, w): (K, 9) entries of the canonical orbits of G = S3 x Gal
-    x torus, K <= `chunk`, filled across supports, and their int64 weights
-    in scalar classes, the support's weight over the order of the
-    stabiliser in H.  Each support is sieved block by block
-    (`_OrbitSupport.sieve`) and only the canonical rows get log coordinates
-    and entries.  By orbit-stabiliser, the orbits kept on a support cover
-    its `count` indices, sum |H| / fixed; a support whose sum differs raises
-    RuntimeError.  Supports of one radix share a plan."""
-    plan = functools.cache(_sieve_plan)
-
+    x torus on `supports`, K <= `chunk`, filled across supports in their
+    order, and their int64 weights in scalar classes, the support's weight
+    over the order of the stabiliser in H.  Each support is sieved
+    (`_sieved`), and only the canonical rows get log coordinates and
+    entries.  By orbit-stabiliser, the orbits kept on a support cover its
+    `count` indices, sum |H| / fixed; a support whose sum differs raises
+    RuntimeError."""
     def pieces():
-        for sup in supports:
+        for sup, sieved in _sieved(supports):
             order, covered = len(sup.perms) * len(sup.frobenius), 0
-            for y, fixed in sup.sieve(plan(sup.frobenius, sup.radix)):
+            for y, fixed in sieved:
                 covered += int((order // fixed).sum())
                 e = np.zeros((len(y), 9), dtype=np.uint32)
                 e[:, sup.positions] = tower._exp[y @ sup.uinv.T % sup.units]
@@ -1083,15 +1176,18 @@ def _join(pieces: list) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
 
-def _orbit_batches(tower: FieldTower, what: str, chunk: int):
-    """The source of both exhaustive 3x3 sweeps: (e, w) batches of one
-    representative per orbit of G = S3 x Gal x torus on the nonzero
-    matrices, and their weights.  The budget is checked on the torus
-    indices of the supports when this is called, before any table of the
-    sieve is built."""
-    supports = _orbit_supports(tower)
+def _orbit_batches(tower: FieldTower, what: str, chunk: int, keep):
+    """The source of both exhaustive 3x3 sweeps: (e, w, ranks) batches of
+    one representative per orbit of G = S3 x Gal x torus on the nonzero
+    matrices whose ranks pass `keep`, a function from a batch's ranks to
+    its keep mask, their weights and their ranks.  Only the supports that
+    may hold such a rank are visited (`_orbit_supports`), and `_ranked`
+    filters the rows of those that may also hold others.  The budget is
+    checked on the torus indices of the visited supports when this is
+    called, before any table of the sieve is built."""
+    supports = _orbit_supports(tower, keep)
     _check_exhaustive_cap(sum(sup.count for sup in supports), what)
-    return _orbit_representatives(tower, supports, chunk)
+    return _ranked(tower, _orbit_representatives(tower, supports, chunk), keep)
 
 
 def _ranked(tower: FieldTower, batches, keep):
@@ -1110,18 +1206,19 @@ def exhaustive_invertible_census(tower: FieldTower,
     """Absolute-count histogram over all invertible matrices up to scalars.
 
     Like the rank <= 2 sweep, this verifies one representative per orbit of
-    S3 x Gal x torus (`_orbit_batches`), keeps the representatives of rank
-    3, counts their absolute points through the count kernel and adds each
-    representative's weight, the number of scalar classes in its orbit, to
-    the histogram; every scalar class of GL(3, q^n) is counted exactly
-    once.  A violation names the failing representative.  The budget
-    counts the torus indices of the supports; `max_violations` bounds the
-    violations kept, not those counted.
+    S3 x Gal x torus (`_orbit_batches`) on the supports with a transversal,
+    the only ones that hold invertible matrices, keeps the representatives
+    of rank 3, counts their absolute points through the count kernel and
+    adds each representative's weight, the number of scalar classes in its
+    orbit, to the histogram; every scalar class of GL(3, q^n) is counted
+    exactly once.  A violation names the failing representative.  The
+    budget counts the torus indices of those supports (13,369,215 at Q =
+    16); `max_violations` bounds the violations kept, not those counted.
     """
-    batches = _orbit_batches(tower, "exhaustive census", _GL_CHUNK)
     return _sweep(_summary(tower, "exhaustive-gl", max_violations),
                   projective_space(tower, 2),
-                  _ranked(tower, batches, lambda r: r == 3),
+                  _orbit_batches(tower, "exhaustive census", _GL_CHUNK,
+                                 lambda r: r == 3),
                   _admissible(tower, False))
 
 
@@ -1161,15 +1258,16 @@ def rank_le2_census(tower: FieldTower,
     orbits of the group they generate.  The sweep therefore verifies one
     representative per orbit (`_orbit_batches`) and adds its weight, the
     number of scalar classes in the orbit, to the histogram and the kind
-    counts; these equal those of the full scalar-class sweep.  A violation
-    names the failing representative.  The budget counts the torus indices
-    of the supports; `max_violations` bounds the violations kept, not those
-    counted.
+    counts; these equal those of the full scalar-class sweep.  It skips the
+    supports with exactly one transversal, which hold only invertible
+    matrices.  A violation names the failing representative.  The budget
+    counts the torus indices of the supports it visits (13,354,738 at Q =
+    16); `max_violations` bounds the violations kept, not those counted.
     """
-    batches = _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK)
     return _sweep(_summary(tower, "exhaustive-rank-le2", max_violations),
                   projective_space(tower, 2),
-                  _ranked(tower, batches, lambda r: r < 3))
+                  _orbit_batches(tower, "rank<=2 sweep", _ENUM_CHUNK,
+                                 lambda r: r < 3))
 
 
 def _degenerate_verdicts(space, e, mask, ranks):

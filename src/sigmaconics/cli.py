@@ -17,6 +17,7 @@ included), 3 a theorem check failed, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -297,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--matrix", type=int, nargs="+", required=True,
                    help="4 or 9 encoded entries, row-major")
     _add_out_args(c)
-    c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("census", help="sweep matrices and histogram the "
                                       "absolute counts")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "invertible ones")
     c.add_argument("--max-violations", type=_int_in(0), default=100)
     _add_out_args(c)
-    c.set_defaults(func=cmd_census)
 
     c = sub.add_parser("mrd", help="build and verify the exterior-set "
                                    "rank-metric code")
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--scalars", choices=("all", "subfield"), default="all")
     c.add_argument("--code-out", help="write the codewords to this path")
     _add_out_args(c)
-    c.set_defaults(func=cmd_mrd)
 
     c = sub.add_parser("steiner-check", help="verify that the Steiner locus "
                                              "of a rank-2 form equals its "
@@ -338,18 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--count", type=_int_in(1), default=1000)
     c.add_argument("--seed", type=_SEED)
     _add_out_args(c)
-    c.set_defaults(func=cmd_steiner_check)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # the subcommand's function is looked up when it runs, so that a
+    # replacement of a cmd_* attribute of this module is the one called
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

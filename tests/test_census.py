@@ -222,21 +222,28 @@ def test_violation_store_keeps_the_first_and_counts_all(monkeypatch):
     assert not none.violations and none.violation_count == full.violation_count
 
 
-@pytest.mark.parametrize("params, reps, within",
-                         [((2, 1, 4, 1), 13_378_303, True),
-                          ((5, 1, 2, 1), None, False),
-                          ((3, 1, 3, 1), None, False)],
+# the rank filter of each exhaustive 3x3 sweep, and of both together
+_SWEEP_KEEP = {"gl": lambda r: r == 3, "rank-le2": lambda r: r < 3}
+_ANY_RANK = lambda r: r > 0  # noqa: E731
+
+
+@pytest.mark.parametrize("params, indices",
+                         [((2, 1, 4, 1), {"gl": 13_369_215, "rank-le2": 13_354_738}),
+                          ((5, 1, 2, 1), None),
+                          ((3, 1, 3, 1), None)],
                          ids=["Q16", "Q25", "Q27"])
-def test_orbit_batches_cap(params, reps, within):
-    """Both exhaustive 3x3 sweeps check one budget on the torus indices
-    scanned when their source is made, before a batch is produced."""
+def test_orbit_batches_cap(params, indices):
+    """Each exhaustive 3x3 sweep checks one budget on the torus indices of
+    the supports it visits when its source is made, before a batch is
+    produced."""
     t = build_field(*params)
-    if within:
-        census._orbit_batches(t, "probe", 1)
-        assert sum(s.count for s in census._orbit_supports(t)) == reps
-    else:
-        with pytest.raises(CapExceeded, match="probe beyond the matrix budget"):
-            census._orbit_batches(t, "probe", 1)
+    for sweep, keep in _SWEEP_KEEP.items():
+        if indices:
+            census._orbit_batches(t, "probe", 1, keep)
+            assert sum(s.count for s in census._orbit_supports(t, keep)) == indices[sweep]
+        else:
+            with pytest.raises(CapExceeded, match="probe beyond the matrix budget"):
+                census._orbit_batches(t, "probe", 1, keep)
 
 
 def test_diagonal_census_pg2_4():
@@ -374,8 +381,7 @@ def test_rank_le2_sweep_masks_every_row(monkeypatch):
     monkeypatch.setattr(census, "LineKernel", no_line_tables)
     monkeypatch.setattr(projective_space(T8, 2), "_line_kernel", None)
     rank_le2_census(T8)
-    reps = census._ranked(T8, census._orbit_batches(T8, "sweep", census._ENUM_CHUNK),
-                          lambda r: r < 3)
+    reps = census._orbit_batches(T8, "sweep", census._ENUM_CHUNK, _SWEEP_KEEP["rank-le2"])
     assert sum(rows) == sum(len(e) for e, _, _ in reps) > 0
 
 
@@ -777,8 +783,9 @@ def _torus_sweep(sweep):
     def run(t):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(census, "_orbit_batches",
-                       lambda tower, what, chunk: census._torus_representatives(
-                           tower, census._torus_supports(tower), chunk))
+                       lambda tower, what, chunk, keep: census._ranked(
+                           tower, census._torus_representatives(
+                               tower, census._torus_supports(tower), chunk), keep))
             return sweep(t)
     return run
 
@@ -825,15 +832,50 @@ def test_orbit_weights_sum_to_scalar_classes(params, reps):
     scalar class, (Q^9 - 1)/(Q - 1), each a positive divisor of the
     support's weight."""
     t = build_field(*params)
-    supports = census._orbit_supports(t)
+    supports = census._orbit_supports(t, _ANY_RANK)
     assert len(supports) == 103
     rows = total = 0
-    for e, w in census._orbit_batches(t, "probe", 4096):
+    for e, w in census._orbit_representatives(t, supports, 4096):
         assert len(e) == len(w) <= 4096 and (w > 0).all() and e.any(axis=1).all()
         rows += len(e)
         total += int(w.sum())
     assert rows == reps
     assert total == (t.order ** 9 - 1) // (t.order - 1)
+
+
+@pytest.mark.parametrize("t", [T4, T8], ids=["T4", "T8"])
+def test_transversal_rule_bounds_support_ranks(t):
+    """On each of the 511 supports the torus representatives have only the
+    ranks that `_support_ranks` allows: all 3 when exactly one transversal
+    (permutation pattern) lies inside the support, det A being then +- one
+    product of nonzero entries, and all <= 2 when none does."""
+    for sup in census._torus_supports(t):
+        inside = sum(all(3 * i + pi[i] in sup.positions for i in range(3))
+                     for pi in itertools.permutations(range(3)))
+        ranks = np.unique(np.concatenate([
+            vranks(t, e.reshape(-1, 3, 3))
+            for e, _ in census._torus_representatives(t, [sup], 1 << 14)]))
+        bits = sum(1 << k for k in sup.positions)
+        assert set(ranks.tolist()) <= set(census._support_ranks(bits))
+        if inside == 1:
+            assert (ranks == 3).all()
+        if inside == 0:
+            assert (ranks <= 2).all()
+
+
+@pytest.mark.parametrize("params",
+                         [(2, 1, 2, 1), (5, 1, 1, 1), (2, 1, 3, 1), (3, 1, 2, 1)],
+                         ids=["Q4", "Q5", "Q8", "Q9"])
+def test_sweeps_split_every_scalar_class(params):
+    """The GL sweep, which leaves out the supports without a transversal,
+    counts |GL(3,Q)|/(Q-1) scalar classes (16,482,816 at Q = 8), and the
+    rank <= 2 sweep, which leaves out those with exactly one, counts the
+    other nonzero ones."""
+    t = build_field(*params)
+    Q = t.order
+    gl = exhaustive_invertible_census(t).total
+    assert gl == (Q ** 3 - 1) * (Q ** 3 - Q) * (Q ** 3 - Q ** 2) // (Q - 1)
+    assert gl + rank_le2_census(t).total == (Q ** 9 - 1) // (Q - 1)
 
 
 def _floor_div(v, d):
@@ -890,15 +932,26 @@ def _scan(t, positions):
 
 @pytest.mark.parametrize("params", [p for p, _ in _ORBIT_FIELDS.values()],
                          ids=list(_ORBIT_FIELDS))
-def test_sieve_matches_index_scan(params):
+def test_sieve_matches_index_scan(params, monkeypatch):
     """On every support the sieve keeps the rows of the index-by-index
-    scan, in the same order, with the same stabiliser orders."""
+    scan, in the same order, with the same stabiliser orders, whether it
+    was sieved with the other small supports of its radix or alone."""
+    sizes, sieve = [], census._sieve
+
+    def counted(group, plan):
+        sizes.append(len(group))
+        return sieve(group, plan)
+    monkeypatch.setattr(census, "_sieve", counted)
     t = build_field(*params)
-    for sup in census._orbit_supports(t):
-        pieces = list(sup.sieve(census._sieve_plan(sup.frobenius, sup.radix)))
+    supports = census._orbit_supports(t, _ANY_RANK)
+    sieved = list(census._sieved(supports))
+    assert [sup.positions for sup, _ in sieved] == [sup.positions for sup in supports]
+    for sup, pieces in sieved:
+        pieces = list(pieces)
         y, fixed = _scan(t, sup.positions)
         assert np.array_equal(np.concatenate([p[0] for p in pieces]), y)
         assert np.array_equal(np.concatenate([p[1] for p in pieces]), fixed)
+    assert max(sizes) > 1      # some pass sieved several supports
 
 
 def test_orbit_scan_dropping_a_row_is_caught(monkeypatch):
@@ -906,17 +959,43 @@ def test_orbit_scan_dropping_a_row_is_caught(monkeypatch):
     (orbit-stabiliser: the kept orbits' sizes |H| / fixed add up to the
     indices of the support), and the source raises once the support is
     done."""
-    sieve = census._OrbitSupport.sieve
+    sieve = census._sieve
 
-    def lossy(self, plan):
-        for i, (y, fixed) in enumerate(sieve(self, plan)):
-            drop = i == 0 and len(self.positions) == 9
-            yield (y[1:], fixed[1:]) if drop else (y, fixed)
-    monkeypatch.setattr(census._OrbitSupport, "sieve", lossy)
+    def lossy(group, plan):
+        for i, (owner, y, fixed) in enumerate(sieve(group, plan)):
+            drop = i == 0 and len(group[0].positions) == 9
+            yield (owner[1:], y[1:], fixed[1:]) if drop else (owner, y, fixed)
+    monkeypatch.setattr(census, "_sieve", lossy)
     with pytest.raises(RuntimeError, match=r"orbit scan of support \(0, 1, .*, 8\): the "
                                            r"kept orbits cover \d+ indices, not 117649"):
-        for _ in census._orbit_batches(T8, "probe", 4096):
+        for _ in census._orbit_batches(T8, "probe", 4096, _SWEEP_KEEP["gl"]):
             pass
+
+
+@pytest.mark.parametrize("lose", ["row", "support"])
+def test_grouped_sieve_dropping_a_row_is_caught(lose, monkeypatch):
+    """A pass over several supports that loses the last row of one, or
+    every row of it, no longer covers that support, and the source names
+    it."""
+    sieve, lost = census._sieve, []
+
+    def lossy(group, plan):
+        for owner, y, fixed in sieve(group, plan):
+            # the last support of the first pass over several, one whose
+            # orbits are not all one row
+            if len(group) > 1 and not lost and (owner == owner[-1]).sum() > 1:
+                lost.append(group[owner[-1]].positions)
+                keep = (owner != owner[-1] if lose == "support"
+                        else np.arange(len(owner)) < len(owner) - 1)
+                owner, y, fixed = owner[keep], y[keep], fixed[keep]
+            yield owner, y, fixed
+    monkeypatch.setattr(census, "_sieve", lossy)
+    supports = census._orbit_supports(T8, _ANY_RANK)
+    with pytest.raises(RuntimeError) as caught:
+        for _ in census._orbit_representatives(T8, supports, 4096):
+            pass
+    assert str(caught.value).startswith(f"orbit scan of support {lost[0]}: ")
+    assert ("cover 0 indices" in str(caught.value)) == (lose == "support")
 
 
 @pytest.mark.parametrize("chunk, bound", [(census._GL_CHUNK, 1.51),
@@ -928,7 +1007,8 @@ def test_orbit_source_memory(chunk, bound):
     sizes): its blocks are sized in bytes, not in indices."""
     tracemalloc.start()
     try:
-        for _ in census._orbit_batches(T8, "probe", chunk):
+        supports = census._orbit_supports(T8, _ANY_RANK)
+        for _ in census._orbit_representatives(T8, supports, chunk):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -991,14 +1071,16 @@ def test_diagonal_form_invariants_match_smith():
                         == np.prod([np.gcd(x, n_units) for x in invariants]))
 
 
-@pytest.mark.parametrize("params, reps", [((2, 1, 4, 1), 13_378_303),
-                                          ((2, 2, 2, 1), 13_378_881)],
+@pytest.mark.parametrize("params, reps", [((2, 1, 4, 1), 13_354_738),
+                                          ((2, 2, 2, 1), 13_355_230)],
                          ids=["2-1-4-1", "2-2-2-1"])
 def test_rank_le2_cap_counts_representatives(params, reps, monkeypatch):
-    """The budget counts the torus indices scanned on the 103 supports."""
+    """The budget counts the torus indices of the 74 supports that may hold
+    a singular matrix."""
     t = build_field(*params)
     assert (t.order ** 9 - 1) // (t.order - 1) > census.EXHAUSTIVE_CAP
-    assert sum(s.count for s in census._orbit_supports(t)) == reps
+    supports = census._orbit_supports(t, _SWEEP_KEEP["rank-le2"])
+    assert (len(supports), sum(s.count for s in supports)) == (74, reps)
     monkeypatch.setattr(census, "_orbit_representatives",
                         lambda tower, supports, chunk: iter(()))
     assert rank_le2_census(t).total == 0

@@ -425,3 +425,18 @@ def test_default_scope_and_zero_records_keep_their_bytes(capsys):
         assert main(argv) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1] and reports[2] == reports[3]
+
+
+def test_parser_is_built_once_and_dispatch_reads_the_module(capsys, monkeypatch):
+    """`main` parses every call with one parser and calls the cmd_* function
+    the module holds at that moment, so a replaced one runs; usage errors
+    still exit 2."""
+    main(["census", "--p", "2", "--n", "2", "--scope", "diagonal"])
+    calls = []
+    monkeypatch.setattr(cli, "cmd_steiner_check", lambda args: calls.append(args) or 7)
+    monkeypatch.setattr(cli, "build_parser", None)    # a rebuild would fail
+    for _ in range(2):
+        assert main(["steiner-check", "--p", "2", "--n", "2", "--seed", "1"]) == 7
+    assert [a.seed for a in calls] == [1, 1]
+    assert main(["census", "--p", "2", "--n", "2", "--scope", "bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
