@@ -29,8 +29,8 @@ takes the form alone and a `mask` only so that a test can plant a wrong
 absolute set).  A record adds checks and replaces only one: every row is
 histogrammed, checked by kind and booked as it would be without a
 record, and the record reuses the sweep's masks, ranks and per-kind
-verdicts.  It adds the line
-spectrum, one gather of the masks over the lines' point lists, and on
+verdicts.  It adds the line spectrum, from the line kernel (below) through
+the lines of each point of the line z = 0 (`_line_spectra`), and on
 rank-3 rows the Kestenband profile (`classify.kestenband_profiles`), from
 the fixed points of the induced collineations that the driver takes from
 the point-kernel tables (`fixed_masks`, below); it is stricter than the
@@ -148,7 +148,10 @@ of a sweep; each kernel is built on the first batch that needs it, so the
 rank <= 2 sweeps never build the line tables and the GL sweep never
 builds the point kernel.  At PG(2,27) the 2e5-sample census counts its
 non-record rows in about 0.05 s, against about 0.6 s through the point
-kernel.
+kernel.  The per-line counts that `LineKernel` sums are also the records'
+line spectra: moving R to each point P of the line z = 0 by a change of
+coordinates covers every line of the plane, that line itself Q+1 times,
+so a record's spectrum takes (Q+1)^2 counts and no point list of a line.
 
 Random sampling uses a counter-based SplitMix64 stream so any run is
 reproducible from (seed, counter) alone.
@@ -165,7 +168,7 @@ import numpy as np
 
 from .classify import (KIND_KESTENBAND, allowed_cardinalities,
                        cone_verdicts, kestenband_profiles, line_verdicts,
-                       lines_points_array, rank1_verdicts)
+                       rank1_verdicts)
 from .cfsets import cf_verdicts
 from .fields import FieldTower
 from .forms import (SesquiForm, absolute_mask, absolute_masks, collineation_images,
@@ -537,12 +540,14 @@ class LineKernel:
                 out[b11, b01] += np.bincount(cell, minlength=Q * Q).astype(dtype)
         return out.ravel()
 
-    def counts(self, entries: np.ndarray) -> np.ndarray:
-        """Absolute counts of K forms with (K, 9) entries, in row blocks of
-        about _KERNEL_BLOCK bytes of index each.  Scaling looks the entries
-        up in the Q^2 product table `_mul`, which refuses any outside F_Q,
-        so every key below is in range and the gathers skip numpy's
-        buffered bounds check."""
+    def line_counts(self, entries: np.ndarray):
+        """Yield (start, c) for K forms with (K, 9) entries, in row blocks
+        of about _KERNEL_BLOCK bytes of index each: c[i, l] is the number
+        of absolute points of form start + i on line l through R (the
+        last column l_inf), R included.  `c` is one buffer, overwritten by
+        the next block.  Scaling looks the entries up in the Q^2 product
+        table `_mul`, which refuses any outside F_Q, so every key below is
+        in range and the gathers skip numpy's buffered bounds check."""
         t, Q = self.tower, self.Q
         a22 = entries[:, 8]
         scale = np.where(a22 == 0, np.uint32(1), t.vinv(a22))
@@ -552,13 +557,11 @@ class LineKernel:
         a = self._mul.take(a)
         keys = ((a[:, 8] * Q + a[:, 2]) * Q + a[:, 5], a[:, 6] * Q + a[:, 7],
                 a[:, 0] * Q + a[:, 1], a[:, 3] * Q + a[:, 4])
-        out = np.empty(len(a), dtype=np.int64)
         step = max(1, _KERNEL_BLOCK // ((Q + 1) * self.b01.itemsize))
         size = (min(step, len(a)), Q + 1)
         m, n = np.empty((2, *size), dtype=self.m.dtype)
         acc, v = np.empty((2, *size), dtype=self.b01.dtype)
         c = np.empty(size, dtype=self.count.dtype)
-        total = np.min_scalar_type((Q + 1) ** 2)
         for start in range(0, len(a), step):
             k01, k10, km, kn = (x[start:start + step] for x in keys)
             rows = slice(0, len(k01))
@@ -571,10 +574,18 @@ class LineKernel:
                 np.take(self._add, m[rows], out=acc[rows], mode="clip")
             acc[rows] += np.take(self.b01, k01, axis=0, out=v[rows], mode="clip")
             acc[rows] += np.take(self.b10, k10, axis=0, out=v[rows], mode="clip")
-            np.take(self.count, acc[rows], out=c[rows], mode="clip")
+            yield start, np.take(self.count, acc[rows], out=c[rows], mode="clip")
+
+    def counts(self, entries: np.ndarray) -> np.ndarray:
+        """Absolute counts of K forms with (K, 9) entries: the sums of
+        their `line_counts`, less Q where R is absolute (a22 = 0)."""
+        Q = self.Q
+        out = np.empty(len(entries), dtype=np.int64)
+        total = np.min_scalar_type((Q + 1) ** 2)
+        for start, c in self.line_counts(entries):
             # einsum sums the short rows 2-3x faster than sum(axis=1)
-            out[start:start + step] = np.einsum("ij->i", c[rows].astype(total))
-        out -= Q * (a[:, 8] == 0)
+            out[start:start + len(c)] = np.einsum("ij->i", c.astype(total))
+        out -= Q * (entries[:, 8] == 0)
         return out
 
 
@@ -668,23 +679,19 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
     rank-1 and rank-2 rows take the per-kind checks, booked with their
     weights, whether or not they get a record.  The first `records` rows of
     the sweep also get a `form_records` record, from the sweep's ranks and
-    checks, which adds the checks no other row takes: the line spectrum
-    and, on rank-3 rows, the Kestenband profile, from the fixed points of
-    `fixed_masks`, which replaces the menu check there.  Only the reasons
-    of these added checks are flagged from the records, so each violation
-    counts once.  Only the record rows and the rank-1 and rank-2 rows,
-    whose checks read the absolute set, are masked by the point kernel;
-    every other row is counted by the line kernel, and the record rows by
-    both, a mismatch flagged on the record.
-    Each kernel is built on the first batch that needs it; both budgets
-    are checked before the first batch is pulled from `batches`, so a
-    streamed source draws no row past them."""
+    checks, which adds the checks no other row takes: the line spectrum,
+    from the line kernel, and, on rank-3 rows, the Kestenband profile, from
+    the fixed points of `fixed_masks`, which replaces the menu check
+    there.  Only the reasons of these added checks are flagged from the
+    records, so each violation counts once.  Only the record rows and the
+    rank-1 and rank-2 rows, whose checks read the absolute set, are masked
+    by the point kernel; every other row is counted by the line kernel, and
+    the record rows by both, a mismatch flagged on the record.  Each kernel
+    is built on the first batch that needs it; both budgets are checked
+    before the first batch is pulled from `batches`, so a streamed source
+    draws no row past them.  No sweep lists the points of a line."""
     _kernel_plan(space.tower, space.n_points)
     _line_plan(space.tower)
-    if records:
-        # the records' line lists, built before any batch's masks and
-        # fixed-point masks are held
-        lines_points_array(space)
     for e, w, ranks in batches:
         k = min(records, len(e))    # the batch's record rows
         records -= k
@@ -1144,10 +1151,16 @@ def _orbit_representatives(tower: FieldTower, supports: list, chunk: int):
     def pieces():
         for sup, sieved in _sieved(supports):
             order, covered = len(sup.perms) * len(sup.frobenius), 0
+            # the log coordinates uinv y are formed in float64, through BLAS
+            # rather than numpy's integer matmul; they are exact, each of the
+            # at most 9 terms of a row being a digit times an entry below Q
+            # (under Q^2), far below 2^53
+            uinv = sup.uinv.T.astype(np.float64)
             for y, fixed in sieved:
                 covered += int((order // fixed).sum())
                 e = np.zeros((len(y), 9), dtype=np.uint32)
-                e[:, sup.positions] = tower._exp[y @ sup.uinv.T % sup.units]
+                e[:, sup.positions] = tower._exp[(y @ uinv).astype(np.int64)
+                                                 % sup.units]
                 yield e, sup.weight // fixed
             if covered != sup.count:
                 raise RuntimeError(
@@ -1379,6 +1392,55 @@ def random_census(tower: FieldTower, count: int, seed: int,
                   records=records)
 
 
+def _line_spectra(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
+    """(K, Q+2) line spectra of K nonzero forms of the plane with (K, 9)
+    entries: freq[k, v] lines meet the absolute set of form k in v points.
+    Every line but l0 = {z = 0} meets l0 in one point P, so the lines
+    through the Q+1 points of l0 cover every line once and l0 itself Q+1
+    times.  For each P take g_P with g_P R = P, R = (0,0,1): g_P = [e3 | e2
+    | P] at P = (1, y, 0), g_P = [e1 | e3 | e2] at P = (0, 1, 0).  Then
+    Gamma(A_P) = g_P^-1 Gamma(A) for A_P = g_P^T A g_P^sigma, and the
+    `LineKernel.line_counts` of A_P are the sizes |Gamma(A) cap l| of the
+    Q+1 lines l through P.  With s = sigma,
+
+        A_P = [[a22, a21, a20 + a21 y^s],
+               [a12, a11, a10 + a11 y^s],
+               [a02 + y a12, a01 + y a11, a00 + a01 y^s + y (a10 + a11 y^s)]];
+
+    at P = (1, 0, 0) the l_inf column, span(g_P e2, P), is l0.  The
+    (Q+1)^2 counts of a row are histogrammed, less Q in the bin of l0's,
+    in blocks of about 2^16 counts, each within one kernel block.  A block
+    holds about 30 bytes a count (its intp bincount keys and the kernel's
+    buffers), 2 MiB, below a sweep's other transients; blocks of 2^18
+    counts would hold 8 MiB, to save about 10% at Q = 125."""
+    t, Q = space.tower, space.tower.order
+    kern = line_kernel(space)
+    y = np.arange(Q, dtype=np.uint32)
+    ys = t.vsigma(y)
+    freq = np.zeros((len(e), Q + 2), dtype=np.int64)
+    per = max(1, (1 << 16) // (Q + 1) ** 2)
+    for k in range(0, len(e), per):
+        a = e[k:k + per]
+        a_p = np.empty((len(a), Q + 1, 9), dtype=np.uint32)
+        # at P = (0, 1, 0), A_P is A with its indices 1 and 2 swapped
+        a_p[:, Q] = a[:, [0, 2, 1, 6, 8, 7, 3, 5, 4]]
+        a00, a01, a02, a10, a11, a12, a20, a21, _ = a.T[:, :, None]
+        a_p[:, :Q, [0, 1, 3, 4]] = a[:, None, [8, 7, 5, 4]]    # a22, a21, a12, a11
+        a_p[:, :Q, 2] = t.vadd(a20, t.vmul(a21, ys))
+        a_p[:, :Q, 5] = c = t.vadd(a10, t.vmul(a11, ys))
+        a_p[:, :Q, 6] = t.vadd(a02, t.vmul(y, a12))
+        a_p[:, :Q, 7] = t.vadd(a01, t.vmul(y, a11))
+        a_p[:, :Q, 8] = t.vadd(t.vadd(a00, t.vmul(a01, ys)), t.vmul(y, c))
+        block = freq[k:k + per]
+        for start, counts in kern.line_counts(a_p.reshape(-1, 9)):
+            form, point = np.divmod(np.arange(start, start + len(counts)), Q + 1)
+            cells = counts + (Q + 2) * form[:, None]
+            block += np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
+            first = point == 0
+            block[form[first], counts[first, Q]] -= Q
+    return freq
+
+
 def form_record(form: SesquiForm, mask: np.ndarray | None = None) -> dict:
     """One census record: `form_records` at K = 1, with the form's rank and
     per-kind check.  `mask` stands in for the form's absolute mask
@@ -1414,48 +1476,47 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
     no row takes a profile): `fixed_masks` in a sweep,
     `forms.collineation_images` at K = 1.
     The records add the spectrum and the profile; they run no check of
-    their own on rank-1 and rank-2 rows.  The spectra are one gather of
-    the masks over `lines_points_array`, in blocks of about 2^18 cells."""
+    their own on rank-1 and rank-2 rows.  The spectra come from the line
+    kernel, not the masks (`_line_spectra`)."""
     if not len(e):
         return []
     t = space.tower
     Q = t.order
-    lines = lines_points_array(space)
-    # freq[k, v]: the lines of row k with v absolute points
-    freq = np.empty((len(e), Q + 2), dtype=np.int64)
-    step = max(1, (1 << 18) // lines.size)
-    for k in range(0, len(e), step):
-        on_line = np.take(mask[k:k + step], lines, axis=1).sum(axis=2, dtype=np.uint16)
-        rows = (Q + 2) * np.arange(len(on_line))[:, None]
-        freq[k:k + step] = np.bincount((on_line + rows).ravel(), minlength=len(
-            on_line) * (Q + 2)).reshape(-1, Q + 2)
+    freq = _line_spectra(space, e)
     illegal = np.ones(Q + 2, dtype=bool)
     illegal[[0, 1, 2, t.q + 1, Q + 1]] = False
-    counts = np.count_nonzero(mask, axis=1)
+    # the spectrum of row k: lines[ends[k]:ends[k + 1]] lines meet its
+    # absolute set in values[ends[k]:ends[k + 1]] points
+    row, values = np.nonzero(freq)
+    ends = np.searchsorted(row, np.arange(len(e) + 1)).tolist()
+    lines, values = freq[row, values].tolist(), values.tolist()
+    outside = freq[:, illegal].any(axis=1).tolist()
+    # a line in Gamma(A) restricts A to a 2x2 form with all Q+1 points
+    # absolute, which for n >= 2 (Q+1 > q+1) is zero, impossible for
+    # invertible A; at n = 1 sigma is the identity and x^T A x a
+    # quadratic form, which may contain a line
+    line_in = ((freq[:, Q + 1] != 0) & (ranks == 3) & (t.n > 1)).tolist()
     recs = []
-    for k in range(len(e)):
-        values = np.nonzero(freq[k])[0].tolist()
+    for k, (matrix, rank, absolute) in enumerate(zip(
+            e.tolist(), ranks.tolist(), np.count_nonzero(mask, axis=1).tolist())):
+        at = slice(ends[k], ends[k + 1])
         recs.append({
-            "matrix": e[k].tolist(),
-            "rank": int(ranks[k]),
+            "matrix": matrix,
+            "rank": rank,
             "kind": KIND_KESTENBAND,
-            "absolute": int(counts[k]),
+            "absolute": absolute,
             "family": None,
             "epsilon": None,
             "fixed_in": None,
             "fixed_out": None,
-            "spectrum": dict(zip(values, freq[k, values].tolist())),
+            "spectrum": dict(zip(values[at], lines[at])),
             "violations": [],
         })
-        if illegal[values].any():
+        if outside[k]:
             recs[k]["violations"].append(
-                f"line intersections {[v for v in values if illegal[v]]} "
+                f"line intersections {[v for v in values[at] if illegal[v]]} "
                 "outside {0, 1, 2, q+1, full}")
-        # a line in Gamma(A) restricts A to a 2x2 form with all Q+1 points
-        # absolute, which for n >= 2 (Q+1 > q+1) is zero, impossible for
-        # invertible A; at n = 1 sigma is the identity and x^T A x a
-        # quadratic form, which may contain a line
-        if freq[k, Q + 1] and ranks[k] == 3 and t.n > 1:
+        if line_in[k]:
             recs[k]["violations"].append("an invertible form may not contain a line")
     full = np.nonzero(ranks == 3)[0]
     if t.n > 1 and len(full):

@@ -537,19 +537,45 @@ def _batch_records(space, e, mask) -> list:
                         census.fixed_masks(space, e[ranks == 3]))
 
 
-def test_invertible_form_with_a_line_is_flagged():
+def _plant_count(monkeypatch, space, value: int):
+    """Make the line kernel's count table read `value` in the cell of
+    b = (b11, b01, b10, b00) = (0, 0, 0, 1).  Of the lines of the identity
+    at PG(2,8) only x = y reads it: through P = (1, 1, 0) the identity reads
+    as A_P with a22 = 1 + 1 = 0, whose line through R and (1, 0, 0) is
+    x = y and restricts to b."""
+    kern = census.line_kernel(space)
+    cell = 1
+    assert kern.count[cell] != value
+    planted = kern.count.copy()
+    planted[cell] = value
+    monkeypatch.setattr(kern, "count", planted)
+
+
+def test_invertible_form_with_a_line_is_flagged(monkeypatch):
     """At n >= 2 a line of absolute points is impossible for an invertible
-    form; a mask planted with one is flagged on an invertible n = 3 row."""
+    form; a line-count table cell planted to read Q+1 on one line of an
+    invertible n = 3 row is flagged."""
     space = projective_space(T8, 2)
     form = make_form(T8, [1, 0, 0, 0, 1, 0, 0, 0, 1])
-    line = classify.lines_points_array(space)[0]
-    mask = absolute_mask(form)
-    assert not mask[line].all()
-    mask[line] = True
-    rec = _batch_records(space, form.entries[None], mask[None])[0]
+    _plant_count(monkeypatch, space, T8.order + 1)
+    rec = _batch_records(space, form.entries[None], absolute_mask(form)[None])[0]
     assert rec["rank"] == 3
+    assert rec["spectrum"][T8.order + 1] == 1
     assert "an invertible form may not contain a line" in rec["violations"]
+    monkeypatch.undo()
     assert not form_record(form)["violations"]
+
+
+def test_line_count_outside_the_shapes_is_flagged(monkeypatch):
+    """A line meets an absolute set in 0, 1, 2, q+1 or all Q+1 points; a
+    count-table cell planted to read 5 at PG(2,8) (q+1 = 3) is flagged."""
+    space = projective_space(T8, 2)
+    form = make_form(T8, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+    _plant_count(monkeypatch, space, 5)
+    rec = _batch_records(space, form.entries[None], absolute_mask(form)[None])[0]
+    assert rec["spectrum"][5] == 1
+    assert ("line intersections [5] outside {0, 1, 2, q+1, full}"
+            in rec["violations"])
 
 
 def test_line_paths_leave_incidence_unbuilt(monkeypatch):
@@ -572,6 +598,73 @@ def test_line_paths_leave_incidence_unbuilt(monkeypatch):
     assert summary.kind_counts["steiner_checked"] == 1
     assert not summary.violations
     assert space._incidence is built
+
+
+def test_records_leave_line_lists_unbuilt(monkeypatch):
+    """Records take their line spectra from the line kernel, so a records
+    census and `form_record` leave the point lists of the lines unbuilt."""
+    for t in (T8, T27):
+        space = projective_space(t, 2)
+        monkeypatch.setattr(space, "_lines_points", None)
+        s = random_census(t, 300, seed=3, invertible_only=False, records=10)
+        assert len(s.records) == 10 and not s.violations
+        rec = form_record(SesquiForm(t, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        assert sum(rec["spectrum"].values()) == space.n_lines
+        assert space._lines_points is None
+
+
+def _spectrum_rows(t, count: int) -> np.ndarray:
+    """Nonzero rows of every rank for the spectrum test: sampled ones, a
+    third of them with a22 = 0, rank-1 and rank-2 sums of outer products
+    u v^T, and rows with a00 = a01 = a10 = a11 = 0, whose absolute set
+    holds l0 = {z = 0}; at n = 1 also rows with a00 = a11 = 0 and a10 =
+    -a01, which hold l0 and may be invertible."""
+    r = sample_matrix_entries(t.order, 11, 0, 4 * count)
+    sampled, u, v = r[:count].copy(), r[count:2 * count], r[2 * count:3 * count]
+    sampled[::3, 8] = 0
+    one = t.vmul(u[:, :3, None], u[:, None, 3:6]).reshape(-1, 9)
+    two = t.vadd(one, t.vmul(v[:, :3, None], v[:, None, 3:6]).reshape(-1, 9))
+    on_l0 = r[3 * count:].copy()
+    on_l0[:, [0, 1, 3, 4]] = 0
+    rows = [sampled, one, two, on_l0]
+    if t.n == 1:
+        alt = v.copy()
+        alt[:, [0, 4]] = 0
+        alt[:, 3] = t.vneg(alt[:, 1])
+        rows.append(alt)
+    e = np.concatenate(rows)
+    return e[e.any(axis=1)]
+
+
+# p = 2 and odd p, n = 1 to 5, sigma = x^2 and x^4 at Q = 8 and both towers
+# of Q = 16; a few rows at Q = 125, where the reference gathers 2e6 cells a row
+_SPECTRUM_TOWERS = {"Q4-n1": (2, 2, 1, 1, 100), "Q4": (2, 1, 2, 1, 100),
+                    "Q7-n1": (7, 1, 1, 1, 100), "Q8": (2, 1, 3, 1, 100),
+                    "Q8-m2": (2, 1, 3, 2, 100), "Q9": (3, 1, 2, 1, 100),
+                    "Q16-q2": (2, 1, 4, 1, 60), "Q16-q4": (2, 2, 2, 1, 60),
+                    "Q25": (5, 1, 2, 1, 40), "Q27": (3, 1, 3, 1, 40),
+                    "Q32": (2, 1, 5, 1, 40), "Q125": (5, 1, 3, 1, 8)}
+
+
+@pytest.mark.parametrize("p, e, n, m, count", list(_SPECTRUM_TOWERS.values()),
+                         ids=list(_SPECTRUM_TOWERS))
+def test_line_kernel_spectra_match_the_mask_gather(p, e, n, m, count):
+    """The spectra that records take from the line kernel through l0 equal
+    the histograms of `classify.line_spectrum`, the gather of the absolute
+    mask over the lines' point lists, on every row: rows of every rank, with
+    a22 = 0, with l0 absolute and with whole lines absolute."""
+    t = build_field(p, e, n, m)
+    space = projective_space(t, 2)
+    rows = _spectrum_rows(t, count)
+    Q = t.order
+    mask = absolute_masks(space, rows)
+    ref = np.array([np.bincount(classify.line_spectrum(row, space), minlength=Q + 2)
+                    for row in mask])
+    assert np.array_equal(census._line_spectra(space, rows), ref)
+    on_l0 = space.points[:, 2] == 0
+    assert set(vranks(t, rows.reshape(-1, 3, 3)).tolist()) == {1, 2, 3}
+    assert (rows[:, 8] == 0).any() and mask[:, on_l0].all(axis=1).any()
+    assert (ref[:, Q + 1] > 0).any() and (ref.sum(axis=1) == space.n_lines).all()
 
 
 def _one_radical_line(space, mask):

@@ -153,12 +153,27 @@ def test_census_records_past_dense_incidence(capsys):
     assert recs[-1]["total"] == 5 and recs[-1]["violations"] == 0
 
 
-def test_classify_past_line_list_budget_exits_4(capsys):
-    code = main(["classify", "--p", "163", "--n", "1",
+def _classify_identity(p: int) -> int:
+    return main(["classify", "--p", str(p), "--n", "1",
                  "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "1"])
-    assert code == 4
+
+
+def test_classify_past_line_list_budget_exits_4(capsys):
+    """A plane record takes its line spectrum from the line-count tables,
+    so `classify` stops at the kernel budget, not at the line-list one."""
+    assert _classify_identity(163) == 4
     err = capsys.readouterr().err
-    assert "32 MiB line-list budget" in err and "PG(2,163)" in err
+    assert ("line-count tables for PG(2,163) need 75 MiB, beyond the "
+            "64 MiB kernel budget") in err
+
+
+def test_classify_stops_where_every_census_does(capsys):
+    """PG(2,151) is the largest plane whose line-count tables fit the
+    kernel budget; PG(2,157), the next prime plane, exits 4."""
+    assert _classify_identity(157) == 4
+    err = capsys.readouterr().err
+    assert ("line-count tables for PG(2,157) need 67 MiB, beyond the "
+            "64 MiB kernel budget") in err
 
 
 def test_classify_past_point_budget_exits_4(capsys):

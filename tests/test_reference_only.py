@@ -18,6 +18,8 @@ PACKAGE = pathlib.Path(sigmaconics.__file__).parent
 # name -> the routine that library code uses instead
 REFERENCE_ONLY = {
     "incidence": "ProjectiveSpace.lines_points lists the points of a line",
+    "line_spectrum": "census._line_spectra histograms the line kernel's "
+                     "per-line counts",
     "min_rank_distance": "mrd.orbit_distance ranks the scalar orbit",
     "nonlinearity_witness": "mrd.orbit_linear compares the code with its span",
     "steiner_generate": "cfsets.cf_verdicts checks the Steiner locus in batch",
