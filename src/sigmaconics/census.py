@@ -176,7 +176,7 @@ from .forms import (SesquiForm, absolute_mask, absolute_masks, collineation_imag
 from .linalg import vcross, vdot, vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
-EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices; mrd orbit differences
+EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices
 # rows (scalar classes or orbit representatives) per batch; 1 << 16 lifted the
 # rank <= 2 sweep of PG(2,8) from 42 MB to 58-66 MB peak RSS, by heap layout
 _ENUM_CHUNK = 1 << 14

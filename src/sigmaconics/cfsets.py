@@ -372,17 +372,33 @@ def exterior_set(cf: CfSet, T) -> ExteriorSet:
     return ExteriorSet(point_ids=frozenset(pts), T=T, replaced=replaced, cf=cf)
 
 
-def verify_exterior(point_ids, subplane: Subplane, space: ProjectiveSpace) -> bool:
-    """Exhaustive check that every line through two of the points misses the
-    subplane, in blocks of pairs of about 2^22 (line, subplane point) cells."""
+def secant_hits(space: ProjectiveSpace, u: np.ndarray, z: np.ndarray,
+                s: int) -> np.ndarray:
+    """(M,) mask over the (M, 3) points z of the plane: true where z is one
+    of the (E, 3) points u, or u - c w is a multiple of z for two of them
+    and some c with c^s = 1 (every c != 0 at s = Q - 1).
+
+    U is projected from each z.  The line l_u = z x u is zero exactly when u
+    is z.  Otherwise z x u = mu_u l for the normalized line l through z and
+    u, so z x (u - c w) = (mu_u - c mu_w) l vanishes exactly when u, w and z
+    are collinear and c = mu_u / mu_w, which has c^s = 1 exactly when
+    mu_u^s = mu_w^s: a row of keys (index of l, mu^s) has a repeat.  That is
+    (M, E) cross products and one sort, not a pass over the pairs of U."""
     t = space.tower
+    lines = vcross(t, z[:, None], u[None]).reshape(-1, 3)
+    lead = np.where(lines[:, 0] != 0, lines[:, 0],
+                    np.where(lines[:, 1] != 0, lines[:, 1], lines[:, 2]))
+    # a zero line (z in U) is a hit whatever key it gets
+    keys = space.index_rows(lines) * t.order + t.pow_table(s)[lead]
+    keys = np.sort(keys.reshape(len(z), len(u)), axis=1)
+    on_u = ~lines.any(axis=1).reshape(len(z), len(u))
+    return on_u.any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+
+
+def verify_exterior(point_ids, subplane: Subplane, space: ProjectiveSpace) -> bool:
+    """Whether every line through two of the points misses the subplane:
+    no subplane point is one of the points or lies on a secant u w, that is
+    equals u - c w for some c != 0 (`secant_hits` at s = Q - 1)."""
     pts = space.points[sorted(int(i) for i in point_ids)]
     sub = space.points[sorted(subplane.point_ids)]
-    first, second = np.triu_indices(len(pts), 1)
-    block = max(1, (1 << 22) // len(sub))
-    for k in range(0, len(first), block):
-        lines = vcross(t, pts[first[k:k + block]], pts[second[k:k + block]])
-        lines = lines[lines.any(axis=1)]        # repeated points span no line
-        if (vdot(t, lines[:, None], sub) == 0).any():
-            return False
-    return True
+    return not secant_hits(space, pts, sub, space.tower.order - 1).any()

@@ -31,8 +31,8 @@ from .cfsets import (cf_canonical, embed_subplane_in_component, exterior_set,
 from .classify import LineTaxonomyError, classify_line_form
 from .fields import build_field
 from .forms import make_form
-from .mrd import (build_code, orbit_differences, orbit_distance,
-                  orbit_linear, singleton_bound)
+from .mrd import (build_code, check_code_budget, orbit_distance, orbit_linear,
+                  singleton_bound)
 from .projective import CapExceeded, projective_space
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def cmd_mrd(args) -> int:
     writer = _Writer(args.out, args.format)
     _check_writable(args.code_out)
     # every exterior set has q^n + 1 points
-    orbit_differences(tower, tower.order + 1, args.scalars)
+    check_code_budget(tower, tower.order + 1, args.scalars)
     space = projective_space(tower, 2)
     cf = cf_canonical(tower)
     sub = embed_subplane_in_component(cf)

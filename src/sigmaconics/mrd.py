@@ -14,15 +14,19 @@ The code is {0} and Phi(c u) for the aligned exterior points u and the
 scalars c of S (F_{q^n}^* or F_q^*), and both checks on the CLI path use
 that structure rather than pairs of codewords.  Phi is F_q-linear and
 Phi(c v) = Phi(v) M_c with M_c invertible, so the rank of Phi is a function
-of the projective point: `_rank_table` ranks every point of PG(2,q^n) once.
-A difference of two codewords is c1 u - c2 w = c1 (u - (c2/c1) w), with
-c2/c1 in S because S is a group, so `orbit_distance` is the least table
-rank over the points u (pairs with 0, and (c1 - c2) u) and over u - c w for
-the unordered pairs u != w and every c in S (u - c w and w - c^-1 u are the
-same point).  One linearity rule covers both S: F = S + {0} is a field, so
+of the projective point, and rank 1 is the canonical PG(2,q).  A
+difference of two codewords is c1 u - c2 w = c1 (u - (c2/c1) w), with
+c2/c1 in S because S is a group, so the code has distance 1 exactly when
+a point z of the canonical PG(2,q) is one of the u or a multiple of
+u - c w for some c in S: `cfsets.secant_hits` projects U from each z, and
+`orbit_distance` reads 2 otherwise.  No code from `build_code` has
+distance 3, since it has more than q^n words, the Singleton bound for
+distance 3.  One linearity rule covers both S: F = S + {0} is a field, so
 the code {0} + S U is additively closed iff it is an F-subspace, iff |U| =
 (|F|^k - 1) / (|F| - 1) for k the F-rank of the points (F_{q^n}) or of
-their rows Phi(u) (F_q): one `mat_rank` in `orbit_linear`.
+their rows Phi(u) (F_q): one `mat_rank` in `orbit_linear`.  The only
+budget is on what `build_code` allocates: the code matrices, checked by
+`check_code_budget` before any array is built.
 
 The pairwise `min_rank_distance`, the sum test `nonlinearity_witness` and
 `rank_fq` are the references: the first ranks blocks of code-matrix
@@ -37,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import EXHAUSTIVE_CAP
-from .cfsets import ExteriorSet
+from .cfsets import ExteriorSet, secant_hits
 from .fields import FieldTower
 from .linalg import mat_inv, mat_mul, mat_rank, mat_vec, normalize, vdot, vranks
 from .projective import CapExceeded, ProjectiveSpace, Subplane, projective_space
 
-_DIFF_BLOCK = 1 << 18  # orbit differences u - c w ranked per block
+CODE_BUDGET = 64 << 20  # bytes of the int64 matrices `build_code` holds
 _PAIR_CHUNK = 512  # code matrices per side of one block of differences
 _WITNESS_ROWS = 64  # code matrices whose sums one witness block tests
 
@@ -98,7 +101,6 @@ class RankCode:
     tower: FieldTower
     matrices: np.ndarray          # (size, 3, n) subfield encodings
     scalars: str
-    claimed_distance: int
     # (E, 3) aligned exterior points u: the code is {0} and Phi(c u), c in S
     points: np.ndarray | None = None
 
@@ -138,6 +140,15 @@ def subplane_alignment(space: ProjectiveSpace, subplane: Subplane) -> tuple:
     return g
 
 
+def check_code_budget(t: FieldTower, size: int, scalars: str) -> None:
+    """Raise CapExceeded if the code of `size` exterior points, 1 + size |S|
+    matrices of 3 x n int64, would not fit CODE_BUDGET."""
+    need = (1 + size * len(_scalar_set(t, scalars))) * 3 * t.n * 8
+    if need > CODE_BUDGET:
+        raise CapExceeded(f"the code matrices need {need / 2**20:.1f} MiB, "
+                          f"beyond the {CODE_BUDGET >> 20} MiB code budget")
+
+
 def build_code(exterior: ExteriorSet, subplane: Subplane,
                scalars: str = "all") -> RankCode:
     """Rank-distance code from an exterior set: align the subplane with the
@@ -151,19 +162,20 @@ def build_code(exterior: ExteriorSet, subplane: Subplane,
     if t.q <= 2 or t.n < 3:
         raise ValueError("code construction requires q > 2 and n >= 3")
     scalar_set = _scalar_set(t, scalars)
+    check_code_budget(t, len(exterior.point_ids), scalars)
     space = projective_space(t, 2)
     g = np.array(subplane_alignment(space, subplane), dtype=np.uint32)
     # the aligned points g v, point by point, each times every scalar
     pts = space.points[sorted(exterior.point_ids)]
     v = vdot(t, pts[:, None, :], g[None])
     w = t.vmul(scalar_set[None, :, None], v[:, None, :]).reshape(-1, 3)
-    arr = np.concatenate([np.zeros((1, 3, t.n), dtype=np.int64),
-                          field_reduce(t, w)])
-    code = RankCode(tower=t, matrices=arr, scalars=scalars, claimed_distance=2,
-                    points=v)
-    if len(code.keys()) != len(arr):
+    arr = np.zeros((1 + len(w), 3, t.n), dtype=np.int64)
+    arr[1:] = _coord_table(t)[w]
+    # sorted rather than np.unique, whose first call imports numpy.ma
+    keys = np.sort(_subfield_keys(t, arr.reshape(len(arr), -1))[2])
+    if (keys[1:] == keys[:-1]).any():
         raise RuntimeError("code contains duplicate matrices")
-    return code
+    return RankCode(tower=t, matrices=arr, scalars=scalars, points=v)
 
 
 def _scalar_set(t: FieldTower, scalars: str) -> np.ndarray:
@@ -175,44 +187,22 @@ def _scalar_set(t: FieldTower, scalars: str) -> np.ndarray:
                     else [a for a in t.subfield if a != 0], dtype=np.uint32)
 
 
-def orbit_differences(t: FieldTower, size: int, scalars: str) -> int:
-    """Number of differences u - c w that `orbit_distance` ranks for
-    `size` exterior points, |ext| (|ext| - 1) / 2 |S|; raises CapExceeded
-    past EXHAUSTIVE_CAP."""
-    count = size * (size - 1) // 2 * len(_scalar_set(t, scalars))
-    if count > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"the distance check needs {count:.2e} orbit "
-                          f"differences, beyond the {EXHAUSTIVE_CAP:.0e} budget")
-    return count
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_table(t: FieldTower) -> np.ndarray:
-    """rank Phi(P) for every point P of PG(2,q^n), by point index."""
-    table = vranks(t, field_reduce(t, projective_space(t, 2).points))
-    table.flags.writeable = False   # one table, shared by every caller
-    return table
-
-
 def orbit_distance(code: RankCode) -> int:
-    """Minimum rank distance of a code from `build_code`, exactly: the
-    least table rank over its aligned points u and over u - c w for the
-    pairs of points u != w and every c in S, in blocks of differences."""
+    """Minimum rank distance of a code from `build_code`, exactly: 1 if a
+    point of the canonical PG(2,q), the rank-1 locus, is one of its aligned
+    points u or a multiple of u - c w for c in S (`cfsets.secant_hits` at
+    s = |S|), and 2 otherwise.  It is never 3: the code has more than q^n
+    words, the Singleton bound for distance 3, which is checked."""
     if code.points is None:
         raise ValueError("the orbit distance needs the code's aligned points")
-    t, pts = code.tower, code.points
-    orbit_differences(t, len(pts), code.scalars)
+    t = code.tower
+    if len(code) <= singleton_bound(3, t.n, t.q, 3):
+        raise ValueError("a code within the distance-3 Singleton bound "
+                         "needs the pairwise distance")
     space = projective_space(t, 2)
-    table = _rank_table(t)
-    scalar_set = _scalar_set(t, code.scalars)
-    neg_cw = t.vneg(t.vmul(scalar_set[:, None], pts[:, None]))   # (E, |S|, 3)
-    best = int(table[space.index_rows(pts)].min())
-    first, second = np.triu_indices(len(pts), 1)
-    step = max(1, _DIFF_BLOCK // len(scalar_set))
-    for k in range(0, len(first), step):
-        diff = t.vadd(pts[first[k:k + step], None], neg_cw[second[k:k + step]])
-        best = min(best, int(table[space.index_rows(diff.reshape(-1, 3))].min()))
-    return best
+    rank_one = space.points[sorted(space.canonical_subplane().point_ids)]
+    s = len(_scalar_set(t, code.scalars))
+    return 1 if secant_hits(space, code.points, rank_one, s).any() else 2
 
 
 def orbit_linear(code: RankCode) -> bool:
@@ -260,34 +250,45 @@ def min_rank_distance(code: RankCode) -> int:
     return best
 
 
+def _subfield_keys(t: FieldTower, flat: np.ndarray) -> tuple:
+    """Key each row of (k, w) subfield encodings as one int64: the
+    positions of its entries in `t.subfield`, read as base-q digits.
+    Returns the position table, the (w,) digit weights and the (k,) keys."""
+    if t.q ** flat.shape[1] > 1 << 63:
+        raise ValueError("code matrices too large for int64 keys")
+    pos = np.zeros(t.order, dtype=np.int64)
+    pos[list(t.subfield)] = np.arange(t.q)
+    weights = t.q ** np.arange(flat.shape[1], dtype=np.int64)
+    keys = np.zeros(len(flat), dtype=np.int64)
+    for col, weight in enumerate(weights):
+        keys += pos[flat[:, col]] * weight
+    return pos, weights, keys
+
+
 def nonlinearity_witness(code: RankCode):
     """The first pair (i, j >= i) of code matrices whose sum escapes the
     code, or None if the code is closed under addition (checked
     exhaustively, a block of rows against every later matrix at a time).
 
-    A matrix is keyed by the positions of its entries in `t.subfield`,
-    read as base-q digits, and a sum's key is built entry by entry from
-    the addition table of those positions, so no sum matrix is formed."""
+    A matrix is keyed by `_subfield_keys`, and a sum's key is built entry
+    by entry from the addition table of the digit positions, so no sum
+    matrix is formed."""
     t = code.tower
     mats = code.matrices
     flat = mats.reshape(len(mats), -1)
-    k, width = flat.shape
-    if t.q ** width > 1 << 63:
-        raise ValueError("code matrices too large for int64 keys")
-    sub = np.array(t.subfield, dtype=np.int64)
-    pos = np.zeros(t.order, dtype=np.int64)
-    pos[sub] = np.arange(t.q)
+    pos, weights, keys = _subfield_keys(t, flat)
+    keys = np.sort(keys)
     digits = pos[flat]
-    weights = t.q ** np.arange(width, dtype=np.int64)
-    keys = np.sort(digits @ weights)
+    k = len(flat)
+    sub = np.array(t.subfield, dtype=np.int64)
     # add[a * q + b] is the position of subfield[a] + subfield[b]
     add = pos[t.vadd(sub[:, None], sub[None, :])].ravel()
     for i0 in range(0, k, _WITNESS_ROWS):
         rows = digits[i0:i0 + _WITNESS_ROWS] * t.q
         cols = digits[i0:]
         sums = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for w in range(width):
-            sums += add[rows[:, w, None] + cols[None, :, w]] * weights[w]
+        for w, weight in enumerate(weights):
+            sums += add[rows[:, w, None] + cols[None, :, w]] * weight
         found = keys[np.minimum(np.searchsorted(keys, sums), k - 1)] == sums
         miss = ~found & (np.arange(len(rows))[:, None] <= np.arange(len(cols)))
         hit = np.nonzero(miss.any(axis=1))[0]

@@ -11,7 +11,7 @@ from sigmaconics.cfsets import (cf_canonical, cf_degenerate_canonical,
 from sigmaconics.classify import line_spectrum
 from sigmaconics.fields import build_field
 from sigmaconics.forms import SesquiForm, absolute_mask, make_form
-from sigmaconics.linalg import vranks
+from sigmaconics.linalg import vcross, vdot, vranks
 from sigmaconics.projective import ProjectiveSpace, projective_space
 
 T8 = build_field(2, 1, 3, 1)
@@ -143,6 +143,22 @@ def test_exterior_set_sizes_and_validation():
         exterior_set(cf_degenerate_canonical(T27), {1})
 
 
+def _pairwise_exterior(point_ids, subplane, space):
+    """Reference for `verify_exterior`: every line through two of the
+    points, in blocks of pairs, is tested against every subplane point."""
+    t = space.tower
+    pts = space.points[sorted(int(i) for i in point_ids)]
+    sub = space.points[sorted(subplane.point_ids)]
+    first, second = np.triu_indices(len(pts), 1)
+    block = max(1, (1 << 22) // len(sub))
+    for k in range(0, len(first), block):
+        lines = vcross(t, pts[first[k:k + block]], pts[second[k:k + block]])
+        lines = lines[lines.any(axis=1)]        # repeated points span no line
+        if (vdot(t, lines[:, None], sub) == 0).any():
+            return False
+    return True
+
+
 @pytest.mark.parametrize("tower, parts", [(T27, ({1}, {1, 2})), (T125, ({1},))],
                          ids=["q3", "q5"])
 def test_verify_exterior_positive_and_negative(tower, parts):
@@ -150,9 +166,21 @@ def test_verify_exterior_positive_and_negative(tower, parts):
     cf = cf_canonical(tower)
     sub = embed_subplane_in_component(cf)
     for T in parts:
-        assert verify_exterior(exterior_set(cf, T).point_ids, sub, sp)
+        ids = exterior_set(cf, T).point_ids
+        assert verify_exterior(ids, sub, sp)
+        assert _pairwise_exterior(ids, sub, sp)
     two_inside = list(sorted(sub.point_ids))[:2]
     assert not verify_exterior(two_inside, sub, sp)
+    assert not _pairwise_exterior(two_inside, sub, sp)
+    # u + c z lies on the secant through the exterior point u and the
+    # subplane point z: planted in the set, that secant meets the subplane
+    ids = exterior_set(cf, {1}).point_ids
+    u, z = sp.points[min(ids)], sp.points[min(sub.point_ids)]
+    for c in (1, tower.encode([0, 1])):
+        w = sp.point_index(tuple(tower.vadd(u, tower.vmul(c, z)).tolist()))
+        assert w not in ids | sub.point_ids
+        assert not verify_exterior(ids | {w}, sub, sp)
+        assert not _pairwise_exterior(ids | {w}, sub, sp)
 
 
 def test_exterior_set_other_parameters():

@@ -382,7 +382,7 @@ def test_unwritable_path_fails_before_the_work(capsys, tmp_path, monkeypatch, ar
     def no_work(*args, **kwargs):
         raise AssertionError("the work started before the paths were checked")
     monkeypatch.setattr(census, "_sweep", no_work)
-    monkeypatch.setattr(cli, "orbit_differences", no_work)
+    monkeypatch.setattr(cli, "check_code_budget", no_work)
     argv = [a.format(missing=tmp_path / "absent" / "x", dir=tmp_path,
                      code=tmp_path / "code.jsonl") for a in argv]
     assert main(argv) == 2

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from sigmaconics import cli
 from sigmaconics.cfsets import (ExteriorSet, cf_canonical,
                                 embed_subplane_in_component, exterior_set)
 from sigmaconics.cli import main
 from sigmaconics.fields import build_field
+from sigmaconics.linalg import mat_vec, vranks
 from sigmaconics.mrd import (RankCode, build_code, field_reduce,
                              min_rank_distance, nonlinearity_witness,
                              orbit_distance, orbit_linear, rank_fq,
@@ -16,6 +18,9 @@ from sigmaconics.projective import projective_space
 
 T27 = build_field(3, 1, 3, 1)
 T64 = build_field(2, 2, 3, 1)
+T125 = build_field(5, 1, 3, 1)
+T81 = build_field(3, 1, 4, 1)
+T512 = build_field(2, 3, 3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +57,16 @@ def test_rank_invariant_under_field_scalars():
             assert rank_fq(T27, field_reduce(T27, w)) == r
 
 
-def test_rank_one_locus_is_canonical_subplane():
-    sp = projective_space(T27, 2)
-    canon = sp.canonical_subplane().point_ids
-    for i in range(sp.n_points):
-        r = rank_fq(T27, field_reduce(T27, sp.point_vec(i)))
-        assert (r == 1) == (i in canon)
-        assert 1 <= r <= 3
+@pytest.mark.parametrize("tower", [T27, T64, T125, T81, T512],
+                         ids=["q3", "q4", "q5", "q3n4", "q8"])
+def test_rank_one_locus_is_canonical_subplane(tower):
+    # orbit_distance takes the rank-1 points from canonical_subplane()
+    sp = projective_space(tower, 2)
+    ranks = vranks(tower, field_reduce(tower, sp.points))
+    canon = np.zeros(sp.n_points, dtype=bool)
+    canon[sorted(sp.canonical_subplane().point_ids)] = True
+    assert np.array_equal(ranks == 1, canon)
+    assert ranks.min() >= 1 and ranks.max() <= 3
 
 
 def test_subfield_coords_extension_tower():
@@ -77,7 +85,6 @@ def test_subfield_coords_extension_tower():
 def test_alignment_maps_component_subplane_to_rank_one(mrd_pipeline):
     sp, cf, sub, ext = mrd_pipeline
     g = subplane_alignment(sp, sub)
-    from sigmaconics.linalg import mat_vec
     for i in sorted(sub.point_ids):
         img = mat_vec(T27, g, sp.point_vec(i))
         assert rank_fq(T27, field_reduce(T27, img)) == 1
@@ -120,15 +127,14 @@ def test_full_component_replacement_gives_linear_code(mrd_pipeline):
 def test_min_rank_distance_small_cases():
     m3 = np.array([[[0, 0, 0], [0, 0, 0], [0, 0, 0]],
                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.int64)
-    code = RankCode(tower=T27, matrices=m3, scalars="all", claimed_distance=3)
+    code = RankCode(tower=T27, matrices=m3, scalars="all")
     assert min_rank_distance(code) == 3
     m = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=np.int64)
     trip = np.stack([np.zeros_like(m), m, (2 * m) % 3])
-    code = RankCode(tower=T27, matrices=trip, scalars="all", claimed_distance=2)
+    code = RankCode(tower=T27, matrices=trip, scalars="all")
     assert min_rank_distance(code) == 2
     with pytest.raises(ValueError):
-        min_rank_distance(RankCode(tower=T27, matrices=m3[:1], scalars="all",
-                                   claimed_distance=1))
+        min_rank_distance(RankCode(tower=T27, matrices=m3[:1], scalars="all"))
 
 
 def test_rank_fq_hand_cases():
@@ -199,7 +205,7 @@ def test_witness_past_the_first_block(mrd_pipeline):
     unit = np.zeros_like(lin[0])
     unit[0, 0] = 1
     mats = np.concatenate([lin, T27.vadd(lin, unit).astype(lin.dtype)])
-    code = RankCode(tower=T27, matrices=mats, scalars="all", claimed_distance=2)
+    code = RankCode(tower=T27, matrices=mats, scalars="all")
     got, expect = nonlinearity_witness(code), _first_escaping_pair(code)
     assert np.array_equal(expect[0], mats[729])
     assert all(np.array_equal(a, b) for a, b in zip(got, expect))
@@ -222,13 +228,8 @@ def test_orbit_linear_subfield_positive_control(tower):
     # first column, an F_q-subspace; dropping one point breaks it
     sp = projective_space(tower, 2)
     pts = sp.points[sorted(sp.canonical_subplane().point_ids)]
-    sub = np.array([a for a in tower.subfield if a != 0], dtype=np.uint32)
     for u in (pts, pts[1:]):
-        w = tower.vmul(sub[None, :, None], u[:, None, :]).reshape(-1, 3)
-        mats = np.concatenate([np.zeros((1, 3, tower.n), dtype=np.int64),
-                               field_reduce(tower, w)])
-        code = RankCode(tower=tower, matrices=mats, scalars="subfield",
-                        claimed_distance=1, points=u)
+        code = _orbit_code(tower, u, "subfield")
         assert orbit_linear(code) == (nonlinearity_witness(code) is None)
         assert orbit_linear(code) == (len(u) == len(pts))
 
@@ -244,17 +245,62 @@ def test_orbit_distance_negative_control(mrd_pipeline, scalars):
     assert orbit_distance(code) == min_rank_distance(code) == 1
 
 
+def _orbit_code(tower, points, scalars):
+    """The code {0} + S U of `build_code` on the given representatives of
+    its points U, which the alignment would otherwise fix."""
+    s = np.array(list(tower.units()) if scalars == "all"
+                 else [a for a in tower.subfield if a != 0], dtype=np.uint32)
+    w = tower.vmul(s[None, :, None], points[:, None, :]).reshape(-1, 3)
+    mats = np.concatenate([np.zeros((1, 3, tower.n), dtype=np.int64),
+                           field_reduce(tower, w)])
+    return RankCode(tower=tower, matrices=mats, scalars=scalars, points=points)
+
+
+@pytest.mark.parametrize("tower", [T27, T64], ids=["q3", "q4"])
+@pytest.mark.parametrize("c_in_subfield", [True, False],
+                         ids=["c-in-Fq", "c-not-in-Fq"])
+def test_orbit_distance_catches_planted_secants(tower, c_in_subfield):
+    # w = c^-1 (u + z), z of rank 1, gives u - c w = -z: a rank-1 difference
+    # of the full code, and of the subfield code only when c is in F_q, so
+    # the c outside F_q separates the key mu^s from the line alone
+    sp = projective_space(tower, 2)
+    cf = cf_canonical(tower)
+    pts = build_code(exterior_set(cf, {1}), embed_subplane_in_component(cf)).points
+    z = sp.points[max(sp.canonical_subplane().point_ids)]
+    c = tower.subfield[-1] if c_in_subfield else tower.encode([1, 1])
+    assert tower.in_subfield(c) == c_in_subfield
+    w = tower.vmul(tower.inv(c), tower.vadd(pts[0], z))
+    planted = np.vstack([pts, w[None]])
+    for scalars, expect in (("all", 1), ("subfield", 1 if c_in_subfield else 2)):
+        code = _orbit_code(tower, planted, scalars)
+        assert orbit_distance(code) == min_rank_distance(code) == expect
+
+
 def test_orbit_checks_need_the_aligned_points():
     code = RankCode(tower=T27, matrices=np.zeros((2, 3, 3), dtype=np.int64),
-                    scalars="all", claimed_distance=2)
+                    scalars="all")
     with pytest.raises(ValueError):
         orbit_distance(code)
     with pytest.raises(ValueError):
         orbit_linear(code)
 
 
+def test_orbit_distance_refuses_codes_within_the_distance_3_bound():
+    # the rank-1 projection tells 1 from 2 only: a code of at most q^n
+    # words could have distance 3, so orbit_distance refuses it
+    sp = projective_space(T27, 2)
+    pts = sp.points[sorted(sp.canonical_subplane().point_ids)]
+    code = _orbit_code(T27, pts, "subfield")
+    assert len(code) == singleton_bound(3, 3, 3, 3) == 27
+    with pytest.raises(ValueError, match="Singleton"):
+        orbit_distance(code)
+
+
 @pytest.mark.parametrize("field", [["--p", "5", "--n", "3"],
-                                   ["--p", "3", "--n", "4"]], ids=["q5", "q3n4"])
+                                   ["--p", "3", "--n", "4"],
+                                   ["--p", "3", "--e", "2", "--n", "3"],
+                                   ["--p", "5", "--n", "4"]],
+                         ids=["q5", "q3n4", "q9", "q5n4"])
 def test_mrd_cli_larger_codes(field, capsys):
     assert main(["mrd", *field, "--T", "1"]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -262,7 +308,11 @@ def test_mrd_cli_larger_codes(field, capsys):
     assert summary["min_rank_distance"] == 2 and not summary["linear"]
 
 
-def test_mrd_cli_orbit_budget(capsys):
-    # 1332 * 1331 / 2 * 1330 = 1.18e9 differences: refused before the plane
+def test_mrd_cli_orbit_budget(capsys, monkeypatch):
+    # (1 + 1332 * 1330) codewords of 9 int64 entries, 121.6 MiB: past the
+    # 64 MiB code budget, refused before the plane is built
+    def no_plane(*args, **kwargs):
+        raise AssertionError("the plane was built before the budget check")
+    monkeypatch.setattr(cli, "projective_space", no_plane)
     assert main(["mrd", "--p", "11", "--n", "3", "--T", "1"]) == 4
-    assert "budget" in capsys.readouterr().err
+    assert "64 MiB code budget" in capsys.readouterr().err

@@ -20,7 +20,8 @@ REFERENCE_ONLY = {
     "incidence": "ProjectiveSpace.lines_points lists the points of a line",
     "line_spectrum": "census._line_spectra histograms the line kernel's "
                      "per-line counts",
-    "min_rank_distance": "mrd.orbit_distance ranks the scalar orbit",
+    "min_rank_distance": "mrd.orbit_distance projects the exterior points "
+                         "from the rank-1 locus",
     "nonlinearity_witness": "mrd.orbit_linear compares the code with its span",
     "steiner_generate": "cfsets.cf_verdicts checks the Steiner locus in batch",
     "pencil_collineation_from_form": "cfsets.pencil_normal_form gives the "
