@@ -194,6 +194,11 @@ _KERNEL_CELLS = 1 << 22  # (matrix, point) cells per batch of a sampled census
 # bytes of count-kernel accumulator per row block, a cache-sized part of a
 # batch: 2^19 uint16 cells (690 rows of PG(2,27)) or 2^18 uint32 cells
 _KERNEL_BLOCK = 1 << 20
+# bytes of each of the line kernel's four row-block buffers; at
+# _KERNEL_BLOCK a 4096-row batch of PG(2,27) held 1.8 MiB of them, freed
+# and faulted back in by the next batch (18,000 more page faults in a
+# 2e5-sample census), while at 1 << 17 they stay in L2
+_LINE_BLOCK = 1 << 17
 _MENU_REASON = "cardinality outside the admissible menu"
 _LINE_REASON = "line-kernel count differs from the point-kernel count"
 
@@ -208,7 +213,7 @@ def _check_exhaustive_cap(indices: int, what: str):
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_SAMPLE_BATCH = 1 << 15
+_SAMPLE_BATCH = 1 << 13
 
 
 def splitmix64(seed: int, counter: int) -> int:
@@ -252,7 +257,12 @@ def _samples(tower: FieldTower, count: int, seed: int, keep):
     draw's ranks to its keep mask.  Sample i consumes counters 9i..9i+8
     whether or not it is kept, so the rows do not depend on the draw size.
     Samples are drawn and ranked `_SAMPLE_BATCH` at a time, and one draw is
-    held at a time: memory does not grow with `count`."""
+    held at a time: memory does not grow with `count`.  At 2^13 samples a
+    draw's uint64 counters (576 KiB) and its rank test stay in L2.  Among
+    2^11..2^15, 2^13 and 2^14 drained the 2e5 invertible samples of
+    PG(2,27) fastest (34 ms, against 38 ms at 2^12 and 48 ms at 2^11 and
+    2^15, minima of 21 warm runs); 2^13 holds half the memory and its
+    last draw overshoots `count` by less."""
     start = 0
     while count > 0:
         e = sample_matrix_entries(tower.order, seed, 9 * start, _SAMPLE_BATCH)
@@ -542,7 +552,7 @@ class LineKernel:
 
     def line_counts(self, entries: np.ndarray):
         """Yield (start, c) for K forms with (K, 9) entries, in row blocks
-        of about _KERNEL_BLOCK bytes of index each: c[i, l] is the number
+        of about _LINE_BLOCK bytes of index each: c[i, l] is the number
         of absolute points of form start + i on line l through R (the
         last column l_inf), R included.  `c` is one buffer, overwritten by
         the next block.  Scaling looks the entries up in the Q^2 product
@@ -557,7 +567,7 @@ class LineKernel:
         a = self._mul.take(a)
         keys = ((a[:, 8] * Q + a[:, 2]) * Q + a[:, 5], a[:, 6] * Q + a[:, 7],
                 a[:, 0] * Q + a[:, 1], a[:, 3] * Q + a[:, 4])
-        step = max(1, _KERNEL_BLOCK // ((Q + 1) * self.b01.itemsize))
+        step = max(1, _LINE_BLOCK // ((Q + 1) * self.b01.itemsize))
         size = (min(step, len(a)), Q + 1)
         m, n = np.empty((2, *size), dtype=self.m.dtype)
         acc, v = np.empty((2, *size), dtype=self.b01.dtype)

@@ -10,7 +10,7 @@ also the wire format used by the CLI.  Multiplication runs on exp/log
 tables for a fixed generator of the multiplicative group; addition is XOR
 of encodings in characteristic 2 and digit-wise mod p otherwise.  Small
 fields additionally carry dense mul/add tables so that numpy kernels can
-evaluate forms over millions of matrices by fancy indexing.
+evaluate forms over millions of matrices by flat-key gathers.
 
 The distinguished automorphism is sigma: x -> x**(q**m) with gcd(m, n) = 1;
 the norm onto F_q is x -> x**((q**n - 1)//(q - 1)).
@@ -26,6 +26,10 @@ import numpy as np
 MAX_ORDER = 1 << 20  # fields beyond this raise CapExceeded, not silently slow
 _MUL_TABLE_MAX = 2048  # dense Q x Q tables only below this order
 _SCALAR_LIST_MAX = 65536
+# intp keys per table gather of vmul/vadd: a broadcast past it is written
+# slice by slice, so no key array grows with the broadcast; at 1 << 16 the
+# 512 KiB key slices raised the peak RSS of `classify` at PG(2,151) by 0.7 MB
+_KEY_BLOCK = 1 << 15
 
 
 class CapExceeded(RuntimeError):
@@ -407,11 +411,51 @@ class FieldTower:
 
     # -- vectorised operations on numpy arrays of encodings ------------------
 
+    def _gather(self, table, a, b):
+        """table[a, b] of a dense (Q, Q) table, the broadcast of a and b, as
+        one take of flat intp keys a Q + b from the raveled table.  A
+        broadcast past _KEY_BLOCK keys is written into one uint32 output,
+        slice by slice along its leading axes, each slice's keys formed
+        alone."""
+        a, b = np.asarray(a), np.asarray(b)
+        # a.size * b.size bounds the broadcast's size
+        if a.size * b.size > _KEY_BLOCK and (a.shape != b.shape or a.size > _KEY_BLOCK):
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            if math.prod(shape) > _KEY_BLOCK:
+                out = np.empty(shape, dtype=np.uint32)
+                self._gather_into(table, np.broadcast_to(a, shape),
+                                  np.broadcast_to(b, shape), out)
+                return out
+        return table.take(np.multiply(a, self.order, dtype=np.intp) + b)
+
+    def _gather_into(self, table, a, b, out):
+        """Write table[a, b] into `out`, all three of one shape, in slices
+        of at most _KEY_BLOCK keys along the leading axis, or row by row
+        where one row is past it."""
+        row = out.size // len(out)
+        if row > _KEY_BLOCK:
+            for i in range(len(out)):
+                self._gather_into(table, a[i], b[i], out[i])
+            return
+        step = _KEY_BLOCK // row
+        for i in range(0, len(out), step):
+            s = slice(i, i + step)
+            out[s] = table.take(np.multiply(a[s], self.order, dtype=np.intp) + b[s])
+
     def vadd(self, a, b):
+        """Field sum of two arrays (or ints) of encodings, broadcast.
+
+        Operands are encodings 0..Q-1 and are not range-checked: below the
+        dense-table order a sum is one gather of the flat key a Q + b, so
+        an operand b >= Q or b < 0 silently reads a cell of another row,
+        and a >= Q raises IndexError.  Entries are checked where they come
+        in (`forms.SesquiForm`, the CLI's `--matrix`, the kernels' index
+        checks).  For odd p the result is uint32 of the broadcast shape;
+        for p = 2 it is the XOR of the operands, in their dtype."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self._add_t is not None:
-            return self._add_t[a, b]
+            return self._gather(self._add_t, a, b)
         s = (self._digits[a] + self._digits[b]) % self.p
         return (s @ self._pow_p).astype(np.uint32)
 
@@ -422,8 +466,12 @@ class FieldTower:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
+        """Field product of two arrays (or ints) of encodings, broadcast,
+        as uint32.  Operands are encodings 0..Q-1 and are not range-checked,
+        as for `vadd`: below the dense-table order a product is one gather
+        of the flat key a Q + b."""
         if self._mul_t is not None:
-            return self._mul_t[a, b]
+            return self._gather(self._mul_t, a, b)
         out = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, out).astype(np.uint32)
 

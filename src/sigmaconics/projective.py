@@ -118,7 +118,13 @@ class ProjectiveSpace:
             if N * N > _INCIDENCE_MAX_CELLS:
                 raise ValueError("plane too large for dense incidence")
             P = self.points
-            self._incidence = vdot(t, P[:, None, :], P[None, :, :]) == 0
+            # point-row blocks of about 2^15 cells, one key block of the
+            # field gathers, keep the dot products' temporaries off (N, N)
+            inc = np.empty((N, N), dtype=bool)
+            step = max(1, (1 << 15) // N)
+            for i in range(0, N, step):
+                inc[i:i + step] = vdot(t, P[i:i + step, None, :], P[None, :, :]) == 0
+            self._incidence = inc
         return self._incidence
 
     def lines_points(self, dual: np.ndarray) -> np.ndarray:

@@ -667,6 +667,32 @@ def test_line_kernel_spectra_match_the_mask_gather(p, e, n, m, count):
     assert (ref[:, Q + 1] > 0).any() and (ref.sum(axis=1) == space.n_lines).all()
 
 
+@pytest.mark.parametrize("column", range(9))
+def test_line_kernel_refuses_an_entry_outside_the_field(column):
+    """An entry equal to Q anywhere in a row is refused with IndexError by
+    the scaling gathers (`vinv` for a22, the product table for the rest),
+    not read as a cell of another row."""
+    kern = census.LineKernel(T8)
+    e = np.ones((2, 9), dtype=np.uint32)
+    e[1, column] = T8.order
+    with pytest.raises(IndexError):
+        kern.counts(e)
+
+
+def test_line_kernel_peak_memory():
+    """The line tables of PG(2,125) are built with bounded gather keys: the
+    traced peak stays within 53 MiB, the 52.63 MiB measured for 2-D table
+    reads (71.3 MiB with one flat key array per broadcast)."""
+    t = build_field(5, 1, 3, 1)
+    tracemalloc.start()
+    try:
+        census.LineKernel(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 53 * 2 ** 20, peak
+
+
 def _one_radical_line(space, mask):
     """x0 x1^sigma = 0 without its line x1 = 0: only x0 = 0 is left."""
     return mask & (space.points[:, 0] == 0)

@@ -7,8 +7,9 @@ import pytest
 pytest.importorskip("sympy")
 
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import (gf_irreducible_p, gf_mul,  # noqa: E402
-                                     gf_pow_mod, gf_rem, gf_strip)
+from sympy.polys.galoistools import (gf_add, gf_irreducible_p,  # noqa: E402
+                                     gf_mul, gf_neg, gf_pow_mod, gf_rem,
+                                     gf_strip, gf_sub)
 
 from sigmaconics.fields import build_field  # noqa: E402
 
@@ -49,6 +50,22 @@ def test_mul_matches_oracle(t):
     assert np.array_equal(t.vmul(els[:, None], els[None, :]), expect)
     assert all(t.mul(a, b) == expect[a, b]
                for a in t.elements() for b in t.elements())
+
+
+@pytest.mark.parametrize("t", TOWERS, ids=tower_id)
+def test_add_sub_neg_match_oracle(t):
+    """vadd, vsub and vneg over all pairs against sympy's coefficient-wise
+    arithmetic mod p."""
+    polys = [to_gf(t, x) for x in t.elements()]
+    add = np.array([[from_gf(t, gf_add(a, b, t.p, ZZ)) for b in polys]
+                    for a in polys], dtype=np.int64)
+    sub = np.array([[from_gf(t, gf_sub(a, b, t.p, ZZ)) for b in polys]
+                    for a in polys], dtype=np.int64)
+    neg = np.array([from_gf(t, gf_neg(a, t.p, ZZ)) for a in polys], dtype=np.int64)
+    els = np.arange(t.order, dtype=np.uint32)
+    assert np.array_equal(t.vadd(els[:, None], els[None, :]), add)
+    assert np.array_equal(t.vsub(els[:, None], els[None, :]), sub)
+    assert np.array_equal(t.vneg(els), neg)
 
 
 @pytest.mark.parametrize("t", TOWERS, ids=tower_id)

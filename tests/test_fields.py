@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sigmaconics
-from sigmaconics import projective
+from sigmaconics import fields, projective
 from sigmaconics.fields import CapExceeded, FieldTower, build_field
 
 
@@ -257,3 +257,90 @@ def test_dense_tables_peak_memory():
     proc = subprocess.run([sys.executable, "-c", _TABLE_PEAK], env=env,
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 80
+
+
+# -- the flat-key gathers of vmul and vadd ------------------------------------
+
+_GATHER_TOWERS = {"T8": (2, 1, 3, 1), "T27": (3, 1, 3, 1),
+                  "T222": (2, 2, 2, 1), "T322": (3, 2, 2, 1)}
+
+
+@pytest.mark.parametrize("params", list(_GATHER_TOWERS.values()),
+                         ids=list(_GATHER_TOWERS))
+def test_flat_gathers_match_tables_and_scalars(params):
+    """vmul, vadd and vsub over all pairs equal the 2-D table reads and the
+    scalar operations."""
+    t = build_field(*params)
+    els = np.arange(t.order, dtype=np.uint32)
+    a, b = els[:, None], els[None, :]
+    pairs = [(x, y) for x in t.elements() for y in t.elements()]
+    shape = (t.order, t.order)
+    prod, total, diff = t.vmul(a, b), t.vadd(a, b), t.vsub(a, b)
+    assert np.array_equal(prod, t._mul_t[a, b])
+    assert np.array_equal(total, t._add_t[a, b] if t.p > 2 else a ^ b)
+    assert np.array_equal(prod, np.reshape([t.mul(x, y) for x, y in pairs], shape))
+    assert np.array_equal(total, np.reshape([t.add(x, y) for x, y in pairs], shape))
+    assert np.array_equal(diff, np.reshape([t.sub(x, y) for x, y in pairs], shape))
+
+
+def _layouts(t):
+    """(a, b) operand pairs of the layouts the library passes."""
+    Q = t.order
+    rng = np.random.default_rng(3)
+    batch = rng.integers(0, Q, size=(50, 3, 3)).astype(np.uint32)
+    col = np.arange(Q, dtype=np.uint32)[:, None]
+    row = rng.integers(0, Q, size=(1, 40)).astype(np.uint32)
+    return {"outer": (col, row), "scalar-array": (np.uint32(Q - 1), row[0]),
+            "0d-0d": (np.asarray(Q - 1, dtype=np.uint32), np.asarray(2, dtype=np.uint32)),
+            "int": (Q - 2, row), "int-int": (Q - 2, 3),
+            "strided": (batch[:, :, 0], batch[:, :, 2])}
+
+
+@pytest.mark.parametrize("params", [(2, 1, 3, 1), (3, 1, 3, 1)], ids=["T8", "T27"])
+def test_flat_gather_shapes_and_dtype(params):
+    """Each layout gives the broadcast shape in uint32, and the cells of
+    the 2-D table read: an outer product, a scalar times an array, 0-d
+    times 0-d, Python ints and strided columns of a (K, 3, 3) batch."""
+    t = build_field(*params)
+    ops = [("vmul", t._mul_t)] + ([("vadd", t._add_t)] if t.p > 2 else [])
+    for name, (a, b) in _layouts(t).items():
+        for op, table in ops:
+            got = getattr(t, op)(a, b)
+            expect = table[a, b]
+            assert np.shape(got) == np.shape(expect), (name, op)
+            assert got.dtype == np.uint32, (name, op)
+            assert np.array_equal(got, expect), (name, op)
+
+
+class _KeySpy(np.ndarray):
+    """A table view that records the number of keys of each take."""
+    keys: list = []
+
+    def take(self, indices, *args, **kwargs):
+        _KeySpy.keys.append(np.size(indices))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+@pytest.mark.parametrize("shapes", [((5, 1), (1, 5)), ((20, 1), (1, 20)),
+                                    ((1, 20), (20, 1)), ((1, 3, 1), (4, 1, 9)),
+                                    ((2, 1, 30), (30,)), ((45,), (45,)), ((3, 5), ())],
+                         ids=["small-col-row", "col-row", "row-col", "rows-past-block",
+                              "leading-pair", "equal", "scalar"])
+def test_broadcast_past_the_key_block(monkeypatch, shapes):
+    """With the key block set to 7, a broadcast past it is gathered in
+    slices of at most 7 keys into the one uint32 output, equal to the 2-D
+    table read.  (5, 1) x (1, 5) has operands of equal size within the
+    block, but its broadcast is 25 keys."""
+    monkeypatch.setattr(fields, "_KEY_BLOCK", 7)
+    t = build_field(3, 1, 3, 1)
+    rng = np.random.default_rng(11)
+    a, b = (rng.integers(0, t.order, size=s).astype(np.uint32) for s in shapes)
+    for name in ("_mul_t", "_add_t"):
+        table = getattr(t, name)
+        monkeypatch.setattr(t, name, table.view(_KeySpy))
+        _KeySpy.keys = []
+        got = t.vmul(a, b) if name == "_mul_t" else t.vadd(a, b)
+        assert type(got) is np.ndarray and got.dtype == np.uint32
+        assert np.array_equal(got, table[a, b])
+        assert _KeySpy.keys and max(_KeySpy.keys) <= 7, _KeySpy.keys
+        assert sum(_KeySpy.keys) == got.size
