@@ -1313,8 +1313,8 @@ def _degenerate_verdicts(space, e, mask, ranks):
 def line_census(tower: FieldTower) -> CensusSummary:
     """Exhaustive sweep over all nonzero 2x2 matrices up to scalars: the
     absolute set on PG(1,q^n) must be empty, a point, two points, or an
-    F_q-subline (`line_verdicts`, each subline verified by
-    reparameterisation)."""
+    F_q-subline (`line_verdicts`, each subline verified by its
+    cross-ratios)."""
     line = projective_space(tower, 1)
     summary = _summary(tower, "line-2x2")
     for blk in _enumerate_scalar_classes(tower.order, 4, _ENUM_CHUNK):

@@ -20,7 +20,7 @@ subplane, an exterior set) work on the cached plane
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -264,17 +264,14 @@ def cf_canonical(tower: FieldTower) -> CfSet:
     """
     space = projective_space(tower, 2)
     t = tower
-    exp_tbl = t.pow_table(t.q ** t.m + 1)
-    ids = {space.point_index((1, 0, 0))}
-    comps: dict[int, set] = {a: set() for a in t.subfield if a != 0}
-    for x in t.elements():
-        idx = space.point_index((int(exp_tbl[x]), x, 1))
-        ids.add(idx)
-        if x != 0:
-            comps[t.norm(x)].add(idx)
+    x = np.arange(t.order, dtype=np.uint32)
+    affine = np.stack([t.pow_table(t.q ** t.m + 1), x, np.ones_like(x)], axis=1)
+    ids = space.index_rows(np.vstack([[1, 0, 0], affine]))
+    norms = t.vnorm(x)
     cf = CfSet(tower=t, m=t.m, degenerate=False,
-               vertices=((1, 0, 0), (0, 0, 1)), point_ids=frozenset(ids),
-               components={a: frozenset(v) for a, v in comps.items()})
+               vertices=((1, 0, 0), (0, 0, 1)), point_ids=frozenset(ids.tolist()),
+               components={a: frozenset(ids[1:][norms == a].tolist())
+                           for a in t.subfield if a != 0})
     if absolute_mask(_canonical_form(t, False)).sum() != len(cf.point_ids):
         raise RuntimeError("the canonical parametrisation misses absolute points")
     return cf
@@ -315,16 +312,12 @@ def embed_subplane_in_component(cf: CfSet) -> Subplane:
         raise ValueError("the component subplane needs n >= 3")
     space = projective_space(t, 2)
     alpha = t.encode([0, 1])
-    basis = (1, alpha, t.mul(alpha, alpha))
-    ids = set()
-    for a in t.subfield:
-        for b in t.subfield:
-            for c in t.subfield:
-                if a == b == c == 0:
-                    continue
-                x = t.add(t.add(t.mul(a, basis[0]), t.mul(b, basis[1])),
-                          t.mul(c, basis[2]))
-                ids.add(space.point_index((t.sigma(x, 2), t.sigma(x, 1), x)))
+    basis = np.array([1, alpha, t.mul(alpha, alpha)], dtype=np.uint32)
+    # t.subfield starts with 0, so the first triple is the zero one
+    abc = np.array(list(product(t.subfield, repeat=3)), dtype=np.uint32)[1:]
+    x = vdot(t, abc, basis)
+    ids = set(space.index_rows(np.stack([t.vsigma(x, 2), t.vsigma(x, 1), x],
+                                        axis=1)).tolist())
     if len(ids) != t.q * t.q + t.q + 1:
         raise RuntimeError("subspace parameterisation collapsed")
     if not ids <= cf.components[1]:

@@ -17,6 +17,9 @@ record: `line_verdicts`, `rank1_verdicts`, `cone_verdicts` and
 `cfsets.cf_verdicts`.  The invertible forms have one profile,
 `kestenband_profiles`, with `kestenband_profile` its K = 1 caller.  The
 K = 1 routines take the form alone, on its cached plane `form.space()`.
+The checks test sublines, collinearity and arcs with the plane's batch
+tests, one call per batch (`ProjectiveSpace.sublines` and
+`collinear_triples`); `is_arc` is a reference.
 """
 
 from __future__ import annotations
@@ -82,14 +85,14 @@ def classify_line_form(form: SesquiForm) -> LineClassification:
 
 def line_verdicts(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray) -> Verdicts:
     """The line-shape check of K forms of PG(1,q^n) with (K, 4) entries and
-    absolute masks (K, q^n + 1): counts the verified F_q-sublines and flags
-    a size outside {0, 1, 2, q+1}, then q+1 points off a subline."""
+    absolute masks (K, q^n + 1): counts the F_q-sublines, verified in one
+    `ProjectiveSpace.sublines` call, and flags a size outside
+    {0, 1, 2, q+1}, then q+1 points off a subline."""
     q = space.tower.q
     counts = np.count_nonzero(mask, axis=1)
     full = counts == q + 1
     subline = np.zeros(len(e), dtype=bool)
-    for k in np.nonzero(full)[0]:
-        subline[k] = space.is_fq_subline(np.nonzero(mask[k])[0])
+    subline[full] = space.sublines(np.nonzero(mask[full])[1].reshape(-1, q + 1))
     return Verdicts(
         kinds={"subline_verified": subline},
         flags={"line absolute count outside {0, 1, 2, q+1}":
@@ -281,8 +284,8 @@ def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
     the caller takes from the point kernel (`census.fixed_masks`) or, for
     one form, from `forms.collineation_images`.  They are validated
     against the admissible menu (even degree) or the odd-degree case
-    tables, whose checks run as masks over the rows; only rows with q+1
-    fixed points on the set take the scalar collinear/arc test."""
+    tables, whose checks run as masks over the rows, the shape of q+1
+    fixed points on the set included (`_odd_degree_case_checks`)."""
     t = space.tower
     counts = np.count_nonzero(mask, axis=1)
     fixed_in = np.count_nonzero(fixed & mask, axis=1)
@@ -290,7 +293,7 @@ def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
     violations = [[] for _ in range(len(e))]
     diagonal = ~e[:, [1, 2, 3, 5, 6, 7]].any(axis=1)
     menus = {d: allowed_cardinalities(t, d) for d in (False, True)}
-    family = [menus[bool(d)][1] for d in diagonal]
+    family = [menus[d][1] for d in diagonal.tolist()]
     epsilon = [None] * len(e)
     if t.n % 2 == 0:
         for d, (allowed, _) in menus.items():
@@ -306,8 +309,8 @@ def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
         rows = np.nonzero(known)[0]
         cases = _odd_degree_case_checks(space, mask[rows], fixed[rows], eps[rows],
                                         fixed_in[rows], fixed_out[rows])
-        for k, reasons in zip(rows, cases):
-            epsilon[k] = int(eps[k])
+        for k, eps_k, reasons in zip(rows.tolist(), eps[rows].tolist(), cases):
+            epsilon[k] = eps_k
             violations[k].extend(reasons)
     return KestenbandProfiles(family, epsilon, fixed_in, fixed_out, violations)
 
@@ -348,9 +351,10 @@ def _odd_degree_case_checks(space: ProjectiveSpace, mask: np.ndarray,
     """The reasons, row by row, that K profiles with absolute masks and
     fixed-point masks (K, N) contradict the odd-degree fixed-point case
     tables.  Each row falls in one case, by its fixed points off the set
-    and the parity of q, whose checks run as masks over the rows; the rows
-    with q+1 fixed points on the set then take the scalar collinear/arc
-    test."""
+    and the parity of q, whose checks run as masks over the rows.  The
+    rows with q+1 fixed points on the set then take one batch collinearity
+    test and, in the conic profile of odd q, one batch arc test, both
+    `ProjectiveSpace.collinear_triples`."""
     q = space.tower.q
     none, one, many = fixed_out == 0, fixed_out == 1, fixed_out > 1
     if q % 2 == 1:
@@ -376,25 +380,28 @@ def _odd_degree_case_checks(space: ProjectiveSpace, mask: np.ndarray,
     out = [[] for _ in range(len(mask))]
     for bad, reason in cases:
         _add_reasons(out, bad, reason)
-    for k in np.nonzero(fixed_in == q + 1)[0]:
-        ids = np.nonzero(fixed[k] & mask[k])[0].tolist()
-        # for odd q in the pointwise-subplane profile these points are the
-        # zero set of the form restricted to the fixed PG(2,q): a conic,
-        # which is a line or an arc
-        conic = q % 2 == 1 and fixed_out[k] == q * q
-        if conic and not (_all_collinear(space, ids) or is_arc(ids, space)):
-            out[k].append("the q+1 fixed points on the set are neither "
-                          "collinear nor an arc")
-        elif not conic and not _all_collinear(space, ids):
-            out[k].append("the q+1 fixed points on the set are not collinear")
+    full = fixed_in == q + 1
+    ids = np.nonzero(fixed[full] & mask[full])[1].reshape(-1, q + 1)
+    off_line = full.copy()
+    off_line[full] = ~space.collinear_triples(
+        ids, [(0, 1, k) for k in range(2, q + 1)]).all(axis=1)
+    # for odd q in the pointwise-subplane profile these points are the
+    # zero set of the form restricted to the fixed PG(2,q): a conic,
+    # which is a line or an arc
+    conic = off_line & (q % 2 == 1) & (fixed_out == q * q)
+    neither = conic.copy()
+    neither[conic] = space.collinear_triples(
+        ids[conic[full]], list(combinations(range(q + 1), 3))).any(axis=1)
+    _add_reasons(out, neither, "the q+1 fixed points on the set are neither "
+                               "collinear nor an arc")
+    _add_reasons(out, off_line & ~conic,
+                 "the q+1 fixed points on the set are not collinear")
     return out
 
 
-def _all_collinear(space: ProjectiveSpace, ids) -> bool:
-    return all(space.collinear(ids[0], ids[1], i) for i in ids[2:])
-
-
 def is_arc(point_ids, space: ProjectiveSpace) -> bool:
-    """True when no three of the points are collinear."""
+    """True when no three of the points are collinear: the arc test of
+    `_odd_degree_case_checks` at K = 1, over all triples of the points."""
     ids = sorted(int(i) for i in point_ids)
-    return not any(space.collinear(*abc) for abc in combinations(ids, 3))
+    return len(ids) < 3 or not space.collinear_triples(
+        np.array(ids)[None], list(combinations(range(len(ids)), 3))).any()

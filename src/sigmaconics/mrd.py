@@ -132,8 +132,8 @@ def subplane_alignment(space: ProjectiveSpace, subplane: Subplane) -> tuple:
     t = space.tower
     canonical = space.canonical_subplane()
     g = frame_projectivity(t, subplane.frame, canonical.frame)
-    image = {space.point_index(mat_vec(t, g, space.point_vec(i)))
-             for i in subplane.point_ids}
+    pts = space.points[sorted(subplane.point_ids)][:, None]
+    image = set(space.index_rows(vdot(t, pts, np.array(g, dtype=np.uint32))).tolist())
     if image != set(canonical.point_ids):
         raise RuntimeError("alignment projectivity failed to map the "
                            "subplane onto the canonical one")

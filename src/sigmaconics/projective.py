@@ -6,6 +6,9 @@ so indices are reproducible and can be computed arithmetically.  Lines of
 PG(2,q^n) are represented by dual coordinates with the same normalization
 and ordering.  `lines_points` lists the points of lines as R and xR + L
 for x in F_{q^n}; the dense `incidence()` matrix is a test reference.
+Rows of point indices take two batch tests, `sublines` and
+`collinear_triples`; `is_fq_subline` and the scalar `collinear` are their
+references.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import CapExceeded, FieldTower, build_field
-from .linalg import cross3, dot, mat_det, normalize, vdot
+from .linalg import cross3, mat_det, normalize, vcross, vdot
 
 _INCIDENCE_MAX_CELLS = 64_000_000
 LINES_BUDGET = 32 << 20  # bytes of int64 point indices per call of lines_points
@@ -110,13 +113,17 @@ class ProjectiveSpace:
     # -- incidence -------------------------------------------------------------
 
     def incidence(self) -> np.ndarray:
-        """Boolean matrix I with I[line, point] true when the point is on the line."""
+        """Boolean matrix I with I[line, point] true when the point is on the
+        line.  Raises CapExceeded, before anything is allocated, past
+        _INCIDENCE_MAX_CELLS cells."""
         self._require_plane()
         if self._incidence is None:
             t = self.tower
             N = self.n_points
             if N * N > _INCIDENCE_MAX_CELLS:
-                raise ValueError("plane too large for dense incidence")
+                raise CapExceeded(f"the dense incidence of PG(2,{t.order}) needs "
+                                  f"{N * N:,} cells, beyond the "
+                                  f"{_INCIDENCE_MAX_CELLS:,}-cell cap")
             P = self.points
             # point-row blocks of about 2^15 cells, one key block of the
             # field gathers, keep the dot products' temporaries off (N, N)
@@ -207,55 +214,55 @@ class ProjectiveSpace:
         return np.where(w[:, 0] != 0, 1 + Q + w1 * Q + w2,
                         np.where(w[:, 1] != 0, 1 + w2, 0))
 
-    # -- sublines ---------------------------------------------------------------
+    # -- batch geometric tests ---------------------------------------------------
 
-    def _params_on_span(self, base_y, base_z, vecs):
-        """Coordinates (lam, mu) of each vector in the basis (base_y, base_z)."""
+    def collinear_triples(self, ids: np.ndarray, triples) -> np.ndarray:
+        """(K, T) mask over K rows of point indices (K, r) and T column
+        triples (T, 3): true where the determinant [u, v, w] = (u x v) . w
+        of the three points vanishes, that is, where they are collinear.
+        The triples (0, 1, k) test a row for collinearity, all triples for
+        an arc."""
+        self._require_plane()
         t = self.tower
-        cols = list(zip(base_y, base_z))
-        pick = None
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                det = t.sub(t.mul(cols[i][0], cols[j][1]), t.mul(cols[i][1], cols[j][0]))
-                if det != 0:
-                    pick = (i, j, det)
-                    break
-            if pick:
-                break
-        i, j, det = pick
-        di = t.inv(det)
-        out = []
-        for v in vecs:
-            lam = t.mul(di, t.sub(t.mul(v[i], cols[j][1]), t.mul(v[j], cols[i][1])))
-            mu = t.mul(di, t.sub(t.mul(cols[i][0], v[j]), t.mul(cols[j][0], v[i])))
-            out.append((lam, mu))
-        return out
+        pts = self.points[ids]
+        u, v, w = (pts[:, col] for col in np.asarray(triples).T)
+        return vdot(t, vcross(t, u, v), w) == 0
+
+    def sublines(self, ids: np.ndarray) -> np.ndarray:
+        """(K,) mask over K rows (K, r) of distinct collinear points: true
+        where the row lies in one F_q-subline of its line, that is, where
+        every cross-ratio x = [p0, p2][p1, pk] / ([p1, p2][p0, pk]) has
+        x^q = x.  With p0, p1 scaled to a, b so that p2 = a + b, the point
+        pk = lam a + mu b has x = lam / mu.  The bracket [u, v] is
+        u0 v1 - u1 v0 on PG(1); on PG(2) it is the coordinate j of u x v,
+        for a nonzero coordinate j of the line p0 x p1, which is the PG(1)
+        bracket of the two coordinates after j."""
+        t = self.tower
+        pts = self.points[ids]
+        if self.d == 2:
+            j = (vcross(t, pts[:, 0], pts[:, 1]) != 0).argmax(axis=1)
+            pts = np.take_along_axis(pts, (j[:, None, None] + [[[1, 2]]]) % 3, axis=2)
+
+        def bracket(a, b):
+            u, v = pts[:, a], pts[:, b]
+            return t.vsub(t.vmul(u[..., 0], v[..., 1]), t.vmul(u[..., 1], v[..., 0]))
+        k = np.arange(3, pts.shape[1])
+        x = t.vmul(t.vmul(bracket([0], [2]), bracket([1], k)),
+                   t.vinv(t.vmul(bracket([1], [2]), bracket([0], k))))
+        return (t.vfrobq(x) == x).all(axis=1)
 
     def is_fq_subline(self, point_ids) -> bool:
-        """Whether q+1 collinear points form a PG(1,q) inside their line.
-
-        Three of the points are sent to the parameters 0, 1 and infinity of
-        the line; the set is a subline exactly when every remaining point
-        gets a parameter in F_q.
-        """
-        t = self.tower
+        """Whether q+1 collinear points form a PG(1,q) inside their line:
+        `sublines` at K = 1, after `collinear_triples` on PG(2)."""
         ids = sorted(int(i) for i in point_ids)
-        if len(ids) != t.q + 1 or len(set(ids)) != len(ids):
-            raise ValueError(f"a subline test needs q+1 = {t.q + 1} distinct points")
-        vecs = [self.point_vec(i) for i in ids]
-        if self.d == 2:
-            line = self.line_through(vecs[0], vecs[1])
-            if any(dot(t, line, v) != 0 for v in vecs[2:]):
-                raise ValueError("points are not collinear")
-        params = self._params_on_span(vecs[0], vecs[1], vecs[2:])
-        lam1, mu1 = params[0]
-        # rescale so the third point has parameter (1, 1)
-        li, mi = t.inv(lam1), t.inv(mu1)
-        for lam, mu in params[1:]:
-            lam, mu = t.mul(li, lam), t.mul(mi, mu)
-            if mu != 0 and not t.in_subfield(t.div(lam, mu)):
-                return False
-        return True
+        q = self.tower.q
+        if len(ids) != q + 1 or len(set(ids)) != len(ids):
+            raise ValueError(f"a subline test needs q+1 = {q + 1} distinct points")
+        row = np.array(ids)[None]
+        if self.d == 2 and not self.collinear_triples(
+                row, [(0, 1, k) for k in range(2, q + 1)]).all():
+            raise ValueError("points are not collinear")
+        return bool(self.sublines(row)[0])
 
     # -- subplanes -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from sigmaconics import census, cli
@@ -345,8 +346,9 @@ def test_classify_zero_form_exits_2(capsys, matrix):
 
 def test_classify_line_taxonomy_escape_exits_3(capsys, monkeypatch):
     # x0 x1^2 + x1 x0^2 vanishes on the F_2-subline {(1,0), (0,1), (1,1)};
-    # with the subline test failing, three points fit no line shape
-    monkeypatch.setattr(ProjectiveSpace, "is_fq_subline", lambda self, ids: False)
+    # with the batch subline test failing, three points fit no line shape
+    monkeypatch.setattr(ProjectiveSpace, "sublines",
+                        lambda self, ids: np.zeros(len(ids), dtype=bool))
     code, recs = run_cli(["classify", "--p", "2", "--n", "3",
                           "--matrix", "0", "1", "1", "0"], capsys)
     assert code == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigmaconics import projective
-from sigmaconics.classify import lines_points_array
+from sigmaconics.classify import is_arc, lines_points_array
 from sigmaconics.fields import build_field
 from sigmaconics.linalg import normalize
 from sigmaconics.projective import CapExceeded, ProjectiveSpace, projective_space
@@ -184,6 +184,104 @@ def test_subline_translates_of_f3():
     assert sp.is_fq_subline(good)
     bad = good[:-1] + [sp.point_index((1, 3))]
     assert not sp.is_fq_subline(bad)
+
+
+# (p, e, n): T8, T9, T27, the tower (2, 2, 2) and the degree-1 tower F_4 / F_4
+ORACLE_TOWERS = [(2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 1)]
+ORACLE_IDS = ["T8", "T9", "T27", "T16-q4", "T4-n1"]
+
+
+def _oracle_subline(sp, p0, p1, p2):
+    """The F_q-subline through three distinct collinear points, by
+    enumeration: p2 = alpha p0 + beta p1 for some alpha, beta, found among
+    all pairs; with a = alpha p0 and b = beta p1 the subline is the point
+    set {lam a + mu b : (lam:mu) in PG(1,q)}."""
+    t = sp.tower
+    u, v, w = (sp.points[i].astype(np.int64) for i in (p0, p1, p2))
+    x = np.arange(t.order)
+    combos = t.vadd(t.vmul(x[:, None, None], u), t.vmul(x[None, :, None], v))
+    alpha, beta = np.argwhere((combos == w).all(axis=2))[0]
+    a, b = t.vmul(int(alpha), u), t.vmul(int(beta), v)
+    params = [(1, mu) for mu in t.subfield] + [(0, 1)]
+    return {sp.point_index(tuple(int(c) for c in t.vadd(t.vmul(lam, a), t.vmul(mu, b))))
+            for lam, mu in params}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("params", ORACLE_TOWERS, ids=ORACLE_IDS)
+def test_sublines_match_enumeration(params, d):
+    """The batch subline test against the subline through the first three
+    points of each row, enumerated: random (q+1)-subsets of random lines
+    and true sublines, each row shuffled."""
+    sp = projective_space(build_field(*params, 1), d)
+    q = sp.tower.q
+    rng = np.random.default_rng(sum(params) + d)
+    rows, expect = [], []
+    for k in range(60):
+        line = (np.arange(sp.n_points) if d == 1
+                else sp.line_points(int(rng.integers(sp.n_points))))
+        row = rng.choice(line, size=q + 1, replace=False)
+        if k % 2:
+            row = np.array(sorted(_oracle_subline(sp, *row[:3].tolist())))
+            rng.shuffle(row)
+        rows.append(row)
+        expect.append(set(row.tolist()) == _oracle_subline(sp, *row[:3].tolist()))
+    got = sp.sublines(np.array(rows))
+    assert got.tolist() == expect
+    assert all(expect[1::2])
+    # the K = 1 caller agrees
+    assert [sp.is_fq_subline(r) for r in rows[:10]] == expect[:10]
+
+
+@pytest.mark.parametrize("params", ORACLE_TOWERS, ids=ORACLE_IDS)
+def test_collinear_triples_match_scalar_collinear(params):
+    """The zero pattern of the batch determinant test against the scalar
+    `collinear` on random triples of rows of random points, some rows
+    drawn from one line."""
+    sp = projective_space(build_field(*params, 1), 2)
+    rng = np.random.default_rng(sum(params))
+    rows = rng.integers(sp.n_points, size=(40, 5))
+    for k in range(0, 40, 3):
+        rows[k, :3] = rng.choice(sp.line_points(int(rng.integers(sp.n_points))), 3)
+    triples = rng.integers(5, size=(12, 3))
+    triples[0] = (0, 1, 2)
+    got = sp.collinear_triples(rows, triples)
+    expect = [[sp.collinear(*row[list(tri)].tolist()) for tri in triples] for row in rows]
+    assert got.tolist() == expect
+    assert got.any() and not got.all()
+
+
+def test_subline_and_arc_errors():
+    """The K = 1 callers keep their errors: a subline test needs q+1
+    distinct points, on the line and in the plane, and the arc test of
+    three or more points needs the plane."""
+    t = build_field(3, 1, 2, 1)
+    line, plane = projective_space(t, 1), projective_space(t, 2)
+    for sp in (line, plane):
+        with pytest.raises(ValueError, match="distinct points"):
+            sp.is_fq_subline([0, 1, 2])
+        with pytest.raises(ValueError, match="distinct points"):
+            sp.is_fq_subline([0, 1, 2, 2])
+    assert is_arc([0, 1], line)
+    with pytest.raises(ValueError, match="requires PG"):
+        is_arc([0, 1, 2], line)
+    assert not is_arc([0, 1, 1], plane)
+
+
+def test_incidence_cap_raises_before_allocating():
+    """Past its cell cap the dense incidence raises CapExceeded, like every
+    other cap, before it allocates anything: PG(2,343) would need 1.4e10
+    cells."""
+    sp = projective_space(build_field(7, 1, 3, 1), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="cell cap"):
+            sp.incidence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp._incidence is None
+    assert peak < 2 ** 16, peak
 
 
 def test_canonical_subplane():

@@ -18,6 +18,8 @@ PACKAGE = pathlib.Path(sigmaconics.__file__).parent
 # name -> the routine that library code uses instead
 REFERENCE_ONLY = {
     "incidence": "ProjectiveSpace.lines_points lists the points of a line",
+    "is_arc": "ProjectiveSpace.collinear_triples tests rows of points in batch",
+    "is_fq_subline": "ProjectiveSpace.sublines tests rows of points in batch",
     "line_spectrum": "census._line_spectra histograms the line kernel's "
                      "per-line counts",
     "min_rank_distance": "mrd.orbit_distance projects the exterior points "
