@@ -32,11 +32,10 @@ record, and the record reuses the sweep's masks, ranks and per-kind
 verdicts.  It adds the line spectrum, from the line kernel (below) through
 the lines of each point of the line z = 0 (`_line_spectra`), and on
 rank-3 rows the Kestenband profile (`classify.kestenband_profiles`), from
-the fixed points of the induced collineations that the driver takes from
-the point-kernel tables (`fixed_masks`, below); it is stricter than the
-menu check and takes its place on those rows.  So a summary does not
-depend on `records`, and each violation counts once.  Only the record
-dictionaries are assembled row by row.
+the fixed points of the induced collineations (`forms.fixed_masks`,
+below); it is stricter than the menu check and takes its place on those
+rows.  So a summary does not depend on `records`, and each violation
+counts once.  Only the record dictionaries are assembled row by row.
 
 Both exhaustive 3x3 sweeps, the GL sweep and the rank <= 2 sweep, verify
 one representative per orbit of G = S3 x Gal x torus: the permutation
@@ -106,19 +105,17 @@ so the nine values add as plain integers with no carry between digits,
 and one lookup in a B^d zero table (d the degree over F_p) tests the
 sum.  A batch is masked in row blocks of about _KERNEL_BLOCK (1 MiB) of
 accumulator, gathered and added in place, so that the gathered rows of a
-block stay in cache.
+block stay in cache, and the zero table reads a block in slices of
+_ZERO_SLICE cells.
 
-Tables of the same kind test fixed points.  The collineation x -> M
-x^(sigma^2) of an invertible form, M = cof(A) A^sigma, fixes P exactly
-when (M P^(sigma^2)) x P = 0.  With tau = sigma^-2 applied, each
-component of that cross product is linear in the entries of M^tau, with
-coefficients +-P_i P_j^tau: six gathers from the tables of Frobenius
-power -2, h[3i+j][a, P] = a P_i P_j^(sigma^-2), and a zero test
-(`fixed_masks`).  A `PlaneKernel` of power s is cached on the plane by m s
-mod n.  At n = 3, sigma^-2 = sigma and the fixed points read the count
-tables themselves; at any other degree n > 1 a census with rank-3 records
-builds a second table set of the same size, and KERNEL_BUDGET bounds each
-set.
+The fixed points need no point tables.  The collineation x -> M
+x^(sigma^2) of an invertible form, M = cof(A) A^sigma, is taken line by
+line through the pencil of R = (0,0,1), as the line kernel below takes
+the counts: on each line l_y one condition of a fixed point is linear in
+t^(sigma^2) and leaves one candidate point, and only a line on which it
+vanishes identically has all its Q points tested (`forms.fixed_masks`),
+O(Q) work a form against N = Q^2+Q+1 points.  The plane holds one point
+kernel, the count kernel, at every degree.
 
 Most rows need their count only, and a count needs no point mask.  The
 lines through R = (0,0,1), l_y = span((1,y,0), R) for y in F_Q and l_inf =
@@ -171,9 +168,9 @@ from .classify import (KIND_KESTENBAND, allowed_cardinalities,
                        rank1_verdicts)
 from .cfsets import cf_verdicts
 from .fields import FieldTower
-from .forms import (SesquiForm, absolute_mask, absolute_masks, collineation_images,
-                    induced_collineation, radical_points)
-from .linalg import vcross, vdot, vranks
+from .forms import (SesquiForm, absolute_mask, absolute_masks, fixed_masks,
+                    radical_points)
+from .linalg import vranks
 from .projective import CapExceeded, ProjectiveSpace, projective_space
 
 EXHAUSTIVE_CAP = 100_000_000  # 3x3 sweep torus indices
@@ -194,6 +191,9 @@ _KERNEL_CELLS = 1 << 22  # (matrix, point) cells per batch of a sampled census
 # bytes of count-kernel accumulator per row block, a cache-sized part of a
 # batch: 2^19 uint16 cells (690 rows of PG(2,27)) or 2^18 uint32 cells
 _KERNEL_BLOCK = 1 << 20
+# accumulator cells per zero-table lookup of odd p: numpy copies the keys of
+# a lookup to intp, 4 MiB for a whole 2^19-cell block, 256 KiB for a slice
+_ZERO_SLICE = 1 << 15
 # bytes of each of the line kernel's four row-block buffers; at
 # _KERNEL_BLOCK a 4096-row batch of PG(2,27) held 1.8 MiB of them, freed
 # and faulted back in by the next batch (18,000 more page faults in a
@@ -240,7 +240,12 @@ def rand_stream(seed: int, start: int, count: int) -> np.ndarray:
 def sample_matrix_entries(order: int, seed: int, start: int, count: int) -> np.ndarray:
     """(count, 9) matrix entries; sample i consumes counters 9i..9i+8."""
     vals = rand_stream(seed, start, 9 * count)
-    vals %= np.uint64(order)
+    # vals % order, in place as vals - (vals // order) order: numpy's uint64
+    # division by a scalar is 2.6x faster than its remainder
+    order = np.uint64(order)
+    quot = vals // order
+    quot *= order
+    vals -= quot
     return vals.astype(np.uint32).reshape(count, 9)
 
 
@@ -275,8 +280,8 @@ def _samples(tower: FieldTower, count: int, seed: int, keep):
 
 # -- the batched absolute-count kernel ----------------------------------------
 
-# bytes of each set of kernel tables, checked before any is built; a census
-# with rank-3 records at n not in {1, 3} holds two point-table sets
+# bytes of the tables of each kernel, the point kernel and the line kernel,
+# checked before any is built
 KERNEL_BUDGET = 64 << 20
 
 
@@ -286,9 +291,8 @@ def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
     F_p digits in base 9(p-1)+1, so that nine values add with no carry
     between digits, and the base^d zero table counts too.  Raises
     CapExceeded, before anything is allocated, when they do not fit
-    KERNEL_BUDGET.  The budget bounds each table set: every point kernel
-    of the plane has this plan, and a census with rank-3 records at n not
-    in {1, 3} holds two of them (`fixed_masks`)."""
+    KERNEL_BUDGET.  The plane holds one point kernel, whatever its
+    records: the fixed points of their profiles read no point tables."""
     t, Q = tower, tower.order
     if t.p == 2:
         base, dtype, zero_bytes = None, np.min_scalar_type(Q - 1), 0
@@ -304,19 +308,16 @@ def _kernel_plan(tower: FieldTower, n_points: int) -> tuple:
 
 
 class PlaneKernel:
-    """One coefficient table per entry, for zero tests of sums linear in
-    the entries of 3x3 matrices at every point of the plane.
+    """The count kernel: one coefficient table per entry, for the zero test
+    of x^T A x^sigma, linear in the entries of A, at every point of the
+    plane.
 
-    The table of entry k = 3i + j is h[k][a, P] = a P_i P_j^(sigma^s), for
-    every a in F_Q and every point P, s the Frobenius power of the
-    coefficient; the tables depend on s only through m s mod n, as
-    P_j^(sigma^s) = P_j^(q^(m s mod n)).  At s = 1, the count kernel, P is
-    absolute for A exactly when the nine values h[k][a_k, P] sum to zero,
-    so the kernel indices of a matrix are its nine entries (`row_encode`).
-    At s = -2 the sums of six values test the fixed points of the induced
-    collineations (`fixed_masks`)."""
+    The table of entry k = 3i + j is h[k][a, P] = a P_i P_j^sigma, for
+    every a in F_Q and every point P.  P is absolute for A exactly when
+    the nine values h[k][a_k, P] sum to zero, so the kernel indices of a
+    matrix are its nine entries (`row_encode`)."""
 
-    def __init__(self, space: ProjectiveSpace, s: int = 1):
+    def __init__(self, space: ProjectiveSpace):
         t = space.tower
         Q = t.order
         self.space = space
@@ -337,7 +338,7 @@ class PlaneKernel:
             for k in range(t.degree):
                 self._zero &= sums // base ** k % base % t.p == 0
         units = np.arange(Q, dtype=np.uint32)[:, None]
-        ps = t.vsigma(pts, s)
+        ps = t.vsigma(pts)
         self.h = [lazy[t.vmul(units, t.vmul(pts[:, i], ps[:, j])[None])]
                   for i in range(3) for j in range(3)]
 
@@ -375,93 +376,53 @@ class PlaneKernel:
 
     def masks(self, *idx) -> np.ndarray:
         """Absolute-point masks, (K, N), from the nine entry indices of K
-        matrices (they broadcast)."""
-        return self.zero_sums(list(zip(self.h, np.broadcast_arrays(*idx))))
-
-    def zero_sums(self, *groups) -> np.ndarray:
-        """(K, N) masks of the points P at which every group of (table,
-        index) terms sums to zero, the sum of table[index[k], P] over the
-        group's terms: two to nine terms (the digit base of odd p carries no
-        more) of this kernel's tables and (K,) index arrays.  The sums are
-        formed in row blocks of about _KERNEL_BLOCK bytes of accumulator
-        each, every group of a block in turn, so that the gathered rows stay
-        in cache."""
-        for terms in groups:
-            if not 2 <= len(terms) <= 9:
-                raise ValueError(f"{len(terms)} terms; a kernel sum takes 2 to 9")
-            for tbl, i in terms:
-                if len(i) and not 0 <= i.min() <= i.max() < len(tbl):
-                    raise IndexError(f"entry index outside 0..{len(tbl) - 1}")
+        matrices (they broadcast): P is absolute where the nine values
+        h[k][idx[k], P] sum to zero.  The sums are formed in row blocks of
+        about _KERNEL_BLOCK bytes of accumulator each, gathered and added
+        in place, so that the gathered rows stay in cache.  For odd p the
+        zero table reads each block in slices of _ZERO_SLICE cells, so
+        that numpy's intp copy of the keys of a slice stays in cache too."""
+        terms = list(zip(self.h, np.broadcast_arrays(*idx)))
+        for tbl, i in terms:
+            if len(i) and not 0 <= i.min() <= i.max() < len(tbl):
+                raise IndexError(f"entry index outside 0..{len(tbl) - 1}")
         n_points = self.space.n_points
-        out = np.empty((len(groups[0][0][1]), n_points), dtype=bool)
+        out = np.empty((len(terms[0][1]), n_points), dtype=bool)
         step = max(1, _KERNEL_BLOCK // (n_points * self.h[0].itemsize))
-        size = (min(step, len(out)), n_points)
-        buf = np.empty((2, *size), dtype=self.h[0].dtype)
-        zero = np.empty(size, dtype=bool)
+        buf = np.empty((2, min(step, len(out)), n_points), dtype=self.h[0].dtype)
+        (first, i0), *rest = terms
         # the indices are in range (checked above; the digit sums by
         # construction), so the gathers skip numpy's buffered bounds check
         for start in range(0, len(out), step):
             rows = slice(start, start + step)
             a, v = buf[:, :len(out[rows])]
-            for g, ((tbl, i), *rest) in enumerate(groups):
-                dest = zero[:len(a)] if g else out[rows]
-                np.take(tbl, i[rows], axis=0, out=a, mode="clip")
-                if self._zero is None:
-                    # characteristic 2: the adds are XOR, and the sum is
-                    # zero when the last value equals the sum of the others
-                    for tbl, i in rest[:-1]:
-                        a ^= np.take(tbl, i[rows], axis=0, out=v, mode="clip")
-                    tbl, i = rest[-1]
-                    np.equal(a, np.take(tbl, i[rows], axis=0, out=v, mode="clip"),
-                             out=dest)
-                else:
-                    for tbl, i in rest:
-                        a += np.take(tbl, i[rows], axis=0, out=v, mode="clip")
-                    np.take(self._zero, a, out=dest, mode="clip")
-                if g:
-                    out[rows] &= dest
+            np.take(first, i0[rows], axis=0, out=a, mode="clip")
+            if self._zero is None:
+                # characteristic 2: the adds are XOR, and the sum is zero
+                # when the last value equals the sum of the others
+                for tbl, i in rest[:-1]:
+                    a ^= np.take(tbl, i[rows], axis=0, out=v, mode="clip")
+                tbl, i = rest[-1]
+                np.equal(a, np.take(tbl, i[rows], axis=0, out=v, mode="clip"),
+                         out=out[rows])
+            else:
+                for tbl, i in rest:
+                    a += np.take(tbl, i[rows], axis=0, out=v, mode="clip")
+                keys, dest = a.reshape(-1), out[rows].reshape(-1)
+                for k in range(0, len(keys), _ZERO_SLICE):
+                    np.take(self._zero, keys[k:k + _ZERO_SLICE],
+                            out=dest[k:k + _ZERO_SLICE], mode="clip")
         return out
 
     def counts(self, *idx) -> np.ndarray:
         return np.count_nonzero(self.masks(*idx), axis=1)
 
 
-def plane_kernel(space: ProjectiveSpace, s: int = 1) -> PlaneKernel:
-    """The plane's point kernel of Frobenius power s, built on first use
-    and cached by m s mod n: at n = 3, sigma^-2 = sigma, and the count
-    kernel (s = 1) and the fixed-point kernel (s = -2) are one object."""
-    t = space.tower
-    qexp = t.m * s % t.n
-    if qexp not in space._kernels:
-        space._kernels[qexp] = PlaneKernel(space, s)
-    return space._kernels[qexp]
-
-
-def fixed_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
-    """Fixed-point masks (K, N) of the collineations x -> M x^(sigma^2)
-    induced by K invertible forms of the plane with (K, 9) entries.  M is
-    cof(A) A^sigma, the rows of cof(A) being the cross products of the rows
-    of A: this is det(A) (A^T)^-1 A^sigma, the same collineation.  P is
-    fixed exactly when (M P^(sigma^2)) x P = 0.  With tau = sigma^-2
-    applied, component (i, j) of that cross product is
-
-        sum_c h[3c+j][M_ic^tau, P] + h[3c+i][-M_jc^tau, P],
-
-    h the tables of the point kernel of Frobenius power -2: three sums of
-    six row gathers, all three tested for zero in one pass."""
-    t = space.tower
-    a = e.reshape(-1, 3, 3)
-    cof = np.stack([vcross(t, a[:, 1], a[:, 2]), vcross(t, a[:, 2], a[:, 0]),
-                    vcross(t, a[:, 0], a[:, 1])], axis=1)
-    m = vdot(t, cof[:, :, None, :], t.vsigma(a).transpose(0, 2, 1)[:, None])
-    # [i, c] -> the (K,) kernel indices of M_ic^tau, and of -M_ic^tau
-    m_tau = t.vsigma(m, -2).transpose(1, 2, 0)
-    pos, neg = m_tau.astype(np.intp), t.vneg(m_tau).astype(np.intp)
-    kern = plane_kernel(space, -2)
-    h = kern.h
-    return kern.zero_sums(*([(h[3 * c + j], pos[i, c]) for c in range(3)]
-                            + [(h[3 * c + i], neg[j, c]) for c in range(3)]
-                            for i, j in ((1, 2), (2, 0), (0, 1))))
+def plane_kernel(space: ProjectiveSpace) -> PlaneKernel:
+    """The plane's count kernel, built on first use and cached."""
+    if space._kernel is None:
+        space._kernel = PlaneKernel(space)
+    return space._kernel
 
 
 def _line_plan(tower: FieldTower) -> tuple:
@@ -691,7 +652,7 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
     the sweep also get a `form_records` record, from the sweep's ranks and
     checks, which adds the checks no other row takes: the line spectrum,
     from the line kernel, and, on rank-3 rows, the Kestenband profile, from
-    the fixed points of `fixed_masks`, which replaces the menu check
+    the fixed points of `forms.fixed_masks`, which replaces the menu check
     there.  Only the reasons of these added checks are flagged from the
     records, so each violation counts once.  Only the record rows and the
     rank-1 and rank-2 rows, whose checks read the absolute set, are masked
@@ -721,12 +682,8 @@ def _sweep(summary: CensusSummary, space: ProjectiveSpace, batches,
         summary.add_counts(counts, w)
         checks = list(_degenerate_verdicts(space, em, mask, _rows(ranks, masked)))
         booked = {r for _, verdicts in checks for r in verdicts.flags}
-        # the Kestenband profiles of the rank-3 record rows (n > 1) read the
-        # fixed points of their collineations
-        full = e[:k][ranks[:k] == 3] if space.tower.n > 1 else e[:0]
-        fixed = fixed_masks(space, full) if len(full) else None
-        for rec, own in zip(form_records(space, e[:k], mask[:k], ranks[:k], checks,
-                                         fixed), line[:k].tolist()):
+        for rec, own in zip(form_records(space, e[:k], mask[:k], ranks[:k], checks),
+                            line[:k].tolist()):
             if rec["absolute"] != own:
                 rec["violations"].append(_LINE_REASON)
             summary.records.append(rec)
@@ -1465,26 +1422,20 @@ def form_record(form: SesquiForm, mask: np.ndarray | None = None) -> dict:
     if not ranks.all():
         raise ValueError("the zero form is absolute everywhere and is not classified")
     checks = list(_degenerate_verdicts(space, e, mask, ranks))
-    fixed = None
-    if ranks[0] == 3 and space.tower.n > 1:
-        img = collineation_images(induced_collineation(form), space)
-        fixed = (img == np.arange(space.n_points))[None]
-    return form_records(space, e, mask, ranks, checks, fixed)[0]
+    return form_records(space, e, mask, ranks, checks)[0]
 
 
 def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
-                 ranks: np.ndarray, checks: list, fixed: np.ndarray | None) -> list:
+                 ranks: np.ndarray, checks: list) -> list:
     """The census records of K nonzero forms of the plane with (K, 9)
     entries, absolute masks (K, N) and `ranks`: rank, kind, cardinality,
     line spectrum and either the Kestenband profile (rank 3,
     `kestenband_profiles`) or the reasons of the per-kind check.  `checks`
     are the (rows, verdicts) of `_degenerate_verdicts` over rows whose
     first K are these, rows ascending, so that the records' rows come
-    first; the first kind counter set on a row names its kind.  `fixed`
-    holds the fixed-point masks (R, N) of the collineations of the R
-    rank-3 rows, in order, which their profiles read at n > 1 (None where
-    no row takes a profile): `fixed_masks` in a sweep,
-    `forms.collineation_images` at K = 1.
+    first; the first kind counter set on a row names its kind.  At n > 1
+    the profiles of the rank-3 rows read the fixed points of their
+    collineations, from `forms.fixed_masks` at O(Q) work a row.
     The records add the spectrum and the profile; they run no check of
     their own on rank-1 and rank-2 rows.  The spectra come from the line
     kernel, not the masks (`_line_spectra`)."""
@@ -1530,7 +1481,8 @@ def form_records(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
             recs[k]["violations"].append("an invertible form may not contain a line")
     full = np.nonzero(ranks == 3)[0]
     if t.n > 1 and len(full):
-        prof = kestenband_profiles(space, e[full], mask[full], fixed)
+        prof = kestenband_profiles(space, e[full], mask[full],
+                                   fixed_masks(space, e[full]))
         for j, k in enumerate(full):
             recs[k].update(family=prof.family[j], epsilon=prof.epsilon[j],
                            fixed_in=int(prof.fixed_in[j]),

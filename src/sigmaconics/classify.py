@@ -34,8 +34,7 @@ import numpy as np
 from .cfsets import KIND_CF, KIND_DEGENERATE_CF, pencil_normal_form
 from .fields import FieldTower
 from .forms import (SesquiForm, Verdicts, absolute_mask, absolute_masks,
-                    collineation_images, induced_collineation, radical_lines,
-                    radical_points)
+                    fixed_masks, radical_lines, radical_points)
 from .linalg import vranks
 from .projective import ProjectiveSpace, projective_space
 
@@ -281,8 +280,8 @@ def kestenband_profiles(space: ProjectiveSpace, e: np.ndarray, mask: np.ndarray,
     """Cardinality and fixed-point profiles of K invertible forms with (K, 9)
     entries, absolute masks (K, N) and the fixed-point masks (K, N) of
     their induced collineations x -> (A^T)^-1 A^sigma x^(sigma^2), which
-    the caller takes from the point kernel (`census.fixed_masks`) or, for
-    one form, from `forms.collineation_images`.  They are validated
+    the caller takes from `forms.fixed_masks`, at O(Q) work a form, in a
+    census and for one form alike.  They are validated
     against the admissible menu (even degree) or the odd-degree case
     tables, whose checks run as masks over the rows, the shape of q+1
     fixed points on the set included (`_odd_degree_case_checks`)."""
@@ -334,8 +333,7 @@ def kestenband_profile(form: SesquiForm) -> KestenbandProfile:
     if t.n == 1:
         raise ValueError("degree over F_q must be at least 2")
     mask = absolute_mask(form)
-    fixed = collineation_images(induced_collineation(form), space) == np.arange(
-        space.n_points)
+    fixed = fixed_masks(space, form.entries[None])[0]
     prof = kestenband_profiles(space, form.entries[None], mask[None], fixed[None])
     return KestenbandProfile(
         absolute_count=int(mask.sum()), family=prof.family[0],
@@ -401,7 +399,11 @@ def _odd_degree_case_checks(space: ProjectiveSpace, mask: np.ndarray,
 
 def is_arc(point_ids, space: ProjectiveSpace) -> bool:
     """True when no three of the points are collinear: the arc test of
-    `_odd_degree_case_checks` at K = 1, over all triples of the points."""
+    `_odd_degree_case_checks` at K = 1, over all triples of the points.
+    No arc of PG(2,Q) has more than Q + 2 points, so a larger set is
+    refused before its triples are formed."""
     ids = sorted(int(i) for i in point_ids)
+    if space.d == 2 and len(ids) > space.tower.order + 2:
+        return False
     return len(ids) < 3 or not space.collinear_triples(
         np.array(ids)[None], list(combinations(range(len(ids)), 3))).any()

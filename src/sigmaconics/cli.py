@@ -41,8 +41,12 @@ EXIT_VIOLATION = 3
 EXIT_CAP = 4
 
 
+# one encoder for every line: json.dumps with options builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _header(tower, command: str, params: dict) -> dict:

@@ -14,6 +14,10 @@ A y^sigma of its basis.  `SesquiForm.evaluate` is its scalar reference.
 The radicals have one batch routine per rank on (K, 9) entries,
 `radical_points` (rank 2) and `radical_lines` (rank 1), called at K = 1 by
 classify and cfsets and at K rows by census; `radicals` is their reference.
+The fixed points of the induced collineations have one batch routine,
+`fixed_masks`, which works line by line through the pencil of R = (0,0,1)
+at O(Q) work a form; census calls it at K rows and classify at K = 1, and
+`fixed_points` and `collineation_images` are its references.
 
 The routines of one form or collineation (`absolute_mask`,
 `absolute_points`, `is_reflexive`, `fixed_points`) take it alone and work
@@ -34,6 +38,9 @@ from .linalg import (dot, first_nonzero_rows, mat_inv, mat_mul, mat_rank,
                      mat_sigma, mat_transpose, mat_vec, null_space, vcross,
                      vdot, vec_frobq, vec_sigma)
 from .projective import ProjectiveSpace, projective_space
+
+# (row, line) cells per block of `fixed_masks`
+_FIXED_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,84 @@ def induced_collineation(form: SesquiForm) -> Collineation:
     a = form.matrix
     m = mat_mul(t, mat_inv(t, mat_transpose(a)), mat_sigma(t, a))
     return Collineation(tower=t, matrix=m, qexp=(2 * t.m) % t.n)
+
+
+def _collineation_entries(t: FieldTower, e: np.ndarray) -> np.ndarray:
+    """(3, 3, K): the entries m_ij of M = cof(A) A^sigma for K forms with
+    (K, 9) entries, row i of cof(A) being the cross product of rows i+1
+    and i+2 of A.  Each step is one field operation on (3, 3, K) arrays."""
+    a = np.ascontiguousarray(e.T).reshape(3, 3, -1)
+    nxt, last = [1, 2, 0], [2, 0, 1]
+    u, v = a[nxt], a[last]
+    cof = t.vsub(t.vmul(u[:, nxt], v[:, last]), t.vmul(u[:, last], v[:, nxt]))
+    s = t.vsigma(a)
+    return t.vadd(t.vadd(t.vmul(cof[:, 0, None], s[0]), t.vmul(cof[:, 1, None], s[1])),
+                  t.vmul(cof[:, 2, None], s[2]))
+
+
+def fixed_masks(space: ProjectiveSpace, e: np.ndarray) -> np.ndarray:
+    """Fixed-point masks (K, N) of the collineations x -> M x^w, w = sigma^2,
+    induced by K invertible forms of the plane with (K, 9) entries.
+
+    M = cof(A) A^sigma, the rows of cof(A) being the cross products of the
+    rows of A: this is det(A) (A^T)^-1 A^sigma, the collineation of
+    `induced_collineation`.  The points are taken line by line through the
+    pencil of R = (0,0,1), as the line kernel takes them.  M is invertible,
+    so u = M x^w is nonzero, and x is fixed exactly when u is proportional
+    to x.
+
+    - R: u = (m02, m12, m22), so R is fixed iff m02 = m12 = 0.
+    - (0,1,t) on l_inf: u_i = m_i1 + m_i2 t^w.  It is fixed iff u0 = 0 and
+      u2 = t u1 (u1 != 0 then, as u != 0); all Q values of t are tested.
+    - (1,y,t) on l_y: u_i = c_i + m_i2 t^w with c_i = m_i0 + m_i1 y^w.  It
+      is fixed iff u1 = y u0 and u2 = t u0 (u0 != 0 then).  The first
+      condition reads kappa t^w = rho, with kappa = m12 - y m02 and rho =
+      y c0 - c1.  Where kappa != 0 it has one solution, t = (rho /
+      kappa)^(w^-1), w being a field automorphism, and that point is kept
+      iff it meets the second condition.  Where kappa = rho = 0 every t
+      meets the first, and the Q points of the line are tested with the
+      second.  Where kappa = 0 != rho the line has no fixed point but R.
+
+    A row takes O(Q) field operations, and Q more for each line with kappa
+    = rho = 0: one line at most where m02 != 0, none where m02 = 0 != m12.
+    The products of the entries with y^w and -y are read by rows from two
+    (Q, Q) tables, built once a call.  The rows are taken in blocks of
+    about _FIXED_BLOCK (row, line) cells.  `collineation_images` is the
+    reference, over every point."""
+    t, Q = space.tower, space.tower.order
+    m = _collineation_entries(t, e).reshape(9, -1)
+    out = np.zeros((len(e), space.n_points), dtype=bool)
+    out[:, 0] = (m[2] == 0) & (m[5] == 0)
+    # a y^w and -a y for every a and y
+    y = np.arange(Q, dtype=np.uint32)
+    yw = t.vsigma(y, 2)
+    a_yw = t.vmul(y[:, None], yw)
+    a_ny = t.vmul(y[:, None], t.vneg(y))
+    step = max(1, _FIXED_BLOCK // Q)
+    for start in range(0, len(e), step):
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (
+            c[start:start + step, None] for c in m)
+        # m_i2 t^w for every t, on l_inf and on every l_y
+        w02, w12, w22 = (a_yw[c[:, 0]] for c in (m02, m12, m22))
+        out[start:start + step, 1:Q + 1] = (w02 == t.vneg(m01)) & (
+            t.vadd(m21, w22) == t.vmul(y, t.vadd(m11, w12)))
+        c0, c1, c2 = (t.vadd(c, a_yw[d[:, 0]])
+                      for c, d in ((m00, m01), (m10, m11), (m20, m21)))
+        kappa = t.vadd(m12, a_ny[m02[:, 0]])
+        rho = t.vsub(t.vmul(y, c0), c1)
+        s = t.vmul(rho, t.vinv(kappa))    # t^w of the candidate, kappa != 0
+        cand = t.vsigma(s, -2)
+        hit = (kappa != 0) & (t.vadd(c2, t.vmul(m22, s))
+                              == t.vmul(cand, t.vadd(c0, t.vmul(m02, s))))
+        k, ys = np.nonzero(hit)
+        out[start + k, Q + 1 + ys * Q + cand[k, ys]] = True
+        whole = np.nonzero((kappa == 0) & (rho == 0))
+        for i in range(0, len(whole[0]), step):
+            k, ys = (x[i:i + step] for x in whole)
+            u2 = t.vadd(c2[k, ys][:, None], w22[k])
+            u0 = t.vadd(c0[k, ys][:, None], w02[k])
+            out[start + k[:, None], Q + 1 + ys[:, None] * Q + y] = u2 == t.vmul(y, u0)
+    return out
 
 
 def collineation_images(coll: Collineation, space: ProjectiveSpace) -> np.ndarray:

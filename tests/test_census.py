@@ -46,6 +46,17 @@ def test_splitmix_scalar_vector_agree():
     assert not np.array_equal(rand_stream(1, 0, 8), rand_stream(2, 0, 8))
 
 
+@pytest.mark.parametrize("order", [2, 27, 151, 243, 256])
+def test_sample_entries_are_the_stream_mod_order(order):
+    """Sample i holds counters start + 9i .. start + 9i + 8 of the stream,
+    each reduced mod the field order, at a seed near 2^64 - 1."""
+    seed, start = 2 ** 64 - 3, 18
+    e = sample_matrix_entries(order, seed, start, 40)
+    assert e.dtype == np.uint32 and e.shape == (40, 9)
+    assert e.ravel().tolist() == [splitmix64(seed, start + c) % order
+                                  for c in range(9 * 40)]
+
+
 def test_kernel_matches_library_mask():
     for t, seed in ((T4, 3), (T9, 4)):
         sp = projective_space(t, 2)
@@ -438,31 +449,28 @@ def test_kernel_budget_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(t, "vsigma", no_tables)
     with pytest.raises(CapExceeded, match="beyond the 64 MiB kernel budget"):
         plane_kernel(space)
-    assert not space._kernels
+    assert space._kernel is None
 
 
-def test_fixed_point_tables_only_for_rank3_records(monkeypatch):
-    """The tables of Frobenius power -2 are built for rank-3 record rows
-    only.  At n = 2 (cached by -2m mod n = 0, beside the count kernel's 1)
-    a census without records, or whose record rows all have rank <= 2,
-    builds none; one with rank-3 records holds two table sets.  At n = 3,
-    sigma^-2 = sigma, and a records census holds one."""
-    space = projective_space(T9, 2)
-    monkeypatch.setattr(space, "_kernels", {})
-    random_census(T9, 300, seed=6, invertible_only=False)
-    assert list(space._kernels) == [1]
-    low = census._samples(T9, 50, 6, lambda r: (r > 0) & (r < 3))
-    s = census._sweep(census._summary(T9, "rank<=2 records"), space, low, records=50)
-    assert len(s.records) == 50 and {r["rank"] for r in s.records} <= {1, 2}
-    assert list(space._kernels) == [1]
-    random_census(T9, 50, seed=6, records=5)
-    assert sorted(space._kernels) == [0, 1]
-    space = projective_space(T27, 2)
-    monkeypatch.setattr(space, "_kernels", {})
-    s = random_census(T27, 200, seed=6, records=20)
-    assert all(r["fixed_in"] is not None for r in s.records)
-    assert list(space._kernels) == [1]
-    assert plane_kernel(space, -2) is plane_kernel(space)
+@pytest.mark.parametrize("params", [(3, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1)],
+                         ids=["n2", "n3", "n4"])
+def test_records_census_holds_one_point_table_set(params, monkeypatch):
+    """The profiles of rank-3 records take their fixed points line by line
+    (`forms.fixed_masks`), from no point tables: a records census builds
+    one point-table set, the count kernel's, at every degree."""
+    tower = build_field(*params)
+    space = projective_space(tower, 2)
+    monkeypatch.setattr(space, "_kernel", None)
+    built = []
+
+    class Counted(census.PlaneKernel):
+        def __init__(self, space):
+            built.append(space)
+            super().__init__(space)
+    monkeypatch.setattr(census, "PlaneKernel", Counted)
+    s = random_census(tower, 200, seed=6, invertible_only=False, records=20)
+    assert any(r["fixed_in"] is not None for r in s.records)
+    assert built == [space] and plane_kernel(space) is space._kernel
 
 
 def test_kernel_budget_boundary():
@@ -528,13 +536,11 @@ def test_sampled_census_memory_does_not_grow_with_count():
 
 
 def _batch_records(space, e, mask) -> list:
-    """`form_records` of K rows with their ranks, per-kind checks and the
-    kernel's fixed points of the rank-3 rows, as the sweep driver passes
-    them."""
+    """`form_records` of K rows with their ranks and per-kind checks, as
+    the sweep driver passes them."""
     ranks = vranks(space.tower, e.reshape(-1, 3, 3))
     checks = list(census._degenerate_verdicts(space, e, mask, ranks))
-    return form_records(space, e, mask, ranks, checks,
-                        census.fixed_masks(space, e[ranks == 3]))
+    return form_records(space, e, mask, ranks, checks)
 
 
 def _plant_count(monkeypatch, space, value: int):

@@ -222,6 +222,26 @@ def test_is_arc():
     assert not is_arc(line_pts, sp)
 
 
+def test_is_arc_refuses_more_than_q_plus_2_points(monkeypatch):
+    """No arc of PG(2,Q) has more than Q + 2 points: 120 points of PG(2,27)
+    are refused without a collinearity test of their C(120, 3) triples,
+    and 29 points are still tested.  On a line the test still raises."""
+    sp = projective_space(T27, 2)
+    calls = []
+    triples = sp.collinear_triples
+
+    def watched(ids, cols):
+        calls.append(len(cols))
+        return triples(ids, cols)
+    monkeypatch.setattr(sp, "collinear_triples", watched)
+    assert not is_arc(range(0, 1200, 10), sp)
+    assert calls == []
+    assert not is_arc(range(29), sp)
+    assert calls == [29 * 28 * 27 // 6]
+    with pytest.raises(ValueError, match="requires PG"):
+        is_arc(range(3), projective_space(T27, 1))
+
+
 def test_odd_q_subplane_profile_accepts_conic_arc():
     # 13 fixed points, 4 of them absolute and forming an arc of PG(2,3)
     form = make_form(T27, [13, 11, 24, 17, 3, 1, 1, 12, 23])

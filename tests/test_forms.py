@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaconics import census
+from sigmaconics import census, forms
 from sigmaconics.census import LineKernel, PlaneKernel, sample_matrix_entries
 from sigmaconics.fields import build_field
 from sigmaconics.forms import (SesquiForm, absolute_mask, absolute_points,
                                collineation_images, congruence_transform,
-                               fixed_points, form_values,
+                               fixed_masks, fixed_points, form_values,
                                induced_collineation,
                                is_polarity, is_reflexive, make_form, radicals)
 from sigmaconics.linalg import (cross3, dot, mat_rank, mat_sigma, vcross, vdot,
@@ -434,8 +436,8 @@ def test_line_count_table_matches_pg1_forms(params):
 
 
 # (p, e, n, m) and the number of sampled forms: sigma of order 2 (F9, and
-# F16 over F4), 3 (F8 with m = 1 and 2, F27; one table set with the count
-# kernel), 4 (F16 with m = 1 and 3), 5 (F32), 6 (F64) and 7 (F128)
+# F16 over F4), 3 (F8 with m = 1 and 2, F27), 4 (F16 with m = 1 and 3),
+# 5 (F32), 6 (F64) and 7 (F128)
 FIXED_TOWERS = {"F9": ((3, 1, 2, 1), 30), "F16-q4": ((2, 2, 2, 1), 30),
                 "F8": ((2, 1, 3, 1), 30), "F8-m2": ((2, 1, 3, 2), 30),
                 "F27": ((3, 1, 3, 1), 30), "F16": ((2, 1, 4, 1), 30),
@@ -443,16 +445,45 @@ FIXED_TOWERS = {"F9": ((3, 1, 2, 1), 30), "F16-q4": ((2, 2, 2, 1), 30),
                 "F64": ((2, 1, 6, 1), 30), "F128": ((2, 1, 7, 1), 3)}
 
 
-def _fixed_case(monkeypatch, params, count) -> tuple:
-    """The plane, the entries of the identity and `count` sampled
-    invertible forms, and the fixed points of their scalar collineations
-    (A^T)^-1 A^sigma.  The plane's point kernels start empty and are
-    dropped with the test."""
+def _branch_forms(tower) -> list:
+    """Invertible forms for the branches of `fixed_masks`: the identity
+    (R fixed; fixed points on l_inf; kappa = rho = 0 on the lines l_y with
+    y^w = y, every line where w = sigma^2 is the identity, n = 2), a
+    scalar multiple of it, a diagonal form (R fixed), a form whose M has
+    m02 != 0 and kappa = rho = 0 on l_1, and two more with m02 != 0 and
+    with m02 = 0 != m12."""
+    c = tower.generator
+    rows = [IDENT, ((c, 0, 0), (0, c, 0), (0, 0, c)),
+            ((1, 0, 0), (0, c, 0), (0, 0, tower.mul(c, c))),
+            ((1, 0, 1), (0, 1, 1), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (c, 1, 1)),
+            ((1, 0, 0), (0, 1, 0), (0, 1, 1))]
+    return [SesquiForm(tower, r) for r in rows]
+
+
+def _branches(form) -> set:
+    """The branches of `fixed_masks` that a form takes, read from its
+    scalar collineation M, a multiple of the routine's: the multiple scales
+    kappa and rho alike."""
+    t = form.tower
+    (m00, m01, m02), (m10, m11, m12), _ = induced_collineation(form).matrix
+    out = {"R fixed"} if m02 == m12 == 0 else set()
+    for y in t.elements():
+        yw = t.sigma(y, 2)
+        kappa = t.sub(m12, t.mul(y, m02))
+        rho = t.sub(t.mul(y, t.add(m00, t.mul(m01, yw))),
+                    t.add(m10, t.mul(m11, yw)))
+        out.add("candidate" if kappa else "no point" if rho else "whole line")
+    return out
+
+
+def _fixed_case(params, count) -> tuple:
+    """The plane, the branch forms and `count` sampled invertible forms,
+    their entries, and the fixed points of their scalar collineations
+    (A^T)^-1 A^sigma."""
     tower = build_field(*params)
     space = projective_space(tower, 2)
-    monkeypatch.setattr(space, "_kernels", {})
-    forms = [SesquiForm(tower, IDENT)] + list(rand_forms(tower, count, 8, True))
-    return space, np.stack([f.entries for f in forms]), [
+    forms = _branch_forms(tower) + list(rand_forms(tower, count, 8, True))
+    return space, forms, np.stack([f.entries for f in forms]), [
         fixed_points(induced_collineation(f)) for f in forms]
 
 
@@ -461,20 +492,65 @@ def _ids(masks) -> list:
 
 
 @pytest.mark.parametrize("name", FIXED_TOWERS)
-def test_fixed_point_masks_match_collineation_images(name, monkeypatch):
-    """The kernel's fixed points, three six-term sums over the tables of
-    Frobenius power -2, are those of the scalar collineation of each form."""
-    space, e, expect = _fixed_case(monkeypatch, *FIXED_TOWERS[name])
-    assert _ids(census.fixed_masks(space, e)) == expect
+def test_fixed_point_masks_match_collineation_images(name):
+    """The fixed points found line by line through R are those of the
+    scalar collineation of each form.  The forms take every branch: R
+    fixed, one candidate on a line, a whole line tested, a line with no
+    fixed point, and points of l_inf fixed."""
+    space, forms, e, expect = _fixed_case(*FIXED_TOWERS[name])
+    got = _ids(fixed_masks(space, e))
+    assert got == expect
+    assert set().union(*map(_branches, forms)) == {
+        "R fixed", "candidate", "whole line", "no point"}
+    t = space.tower
+    # the identity fixes the points (0, 1, t) with t^w = t, all of l_inf
+    # at n = 2, where it and its scalar multiple fix every point
+    on_inf = [i for i in got[0] if 1 <= i <= t.order]
+    assert len(on_inf) == t.q ** math.gcd(2, t.n)
+    if t.n == 2:
+        assert got[0] == got[1] == tuple(range(space.n_points))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_fixed_point_blocks(rows, monkeypatch):
+    """With blocks cut to `rows` rows and whole lines, the branch forms and
+    sampled rows of F9 and F27 keep their fixed points, so the row and
+    whole-line blocks join correctly; no rows give an empty mask."""
+    for name in ("F9", "F27"):
+        space, _, e, expect = _fixed_case(*FIXED_TOWERS[name])
+        monkeypatch.setattr(forms, "_FIXED_BLOCK", rows * space.tower.order)
+        assert _ids(fixed_masks(space, e)) == expect
+        assert fixed_masks(space, e[:0]).shape == (0, space.n_points)
 
 
 @pytest.mark.parametrize("name", ["F9", "F27"])
-def test_planted_fixed_table_fault_is_caught(name, monkeypatch):
-    """One wrong cell of the fixed-point tables is caught by the scalar
-    collineation: h[5][1, R] = 1 P_1 R_2^tau is 0 at R = (0, 0, 1), and
-    set to 1 it unfixes R, which the identity fixes."""
-    space, e, expect = _fixed_case(monkeypatch, *FIXED_TOWERS[name])
-    assert _ids(census.fixed_masks(space, e)) == expect
-    census.plane_kernel(space, -2).h[5][1, 0] = 1
-    got = _ids(census.fixed_masks(space, e))
-    assert got != expect and got[0] == expect[0][1:]
+def test_planted_fixed_point_fault_is_caught(name, monkeypatch):
+    """One wrong cell of the Frobenius table of w = sigma^2, 1^w read as
+    the generator, is caught by the scalar collineation, computed before
+    the cell is planted.  The identity, whose lines l_0 and l_1 have kappa
+    = rho = 0, then reads rho = 1 - 1^w != 0 on l_1 and loses its fixed
+    points (1, 1, t) there; (0, 1, 1) and the points (1, y, 1) are lost as
+    well."""
+    space, _, e, expect = _fixed_case(*FIXED_TOWERS[name])
+    t = space.tower
+    assert _ids(fixed_masks(space, e)) == expect
+    planted = t._frobq.copy()
+    planted[2 * t.m % t.n, 1] = t.generator
+    monkeypatch.setattr(t, "_frobq", planted)
+    got = _ids(fixed_masks(space, e))
+    Q = t.order
+    line_1 = set(range(1 + Q + Q, 1 + 2 * Q + Q))
+    assert got != expect and set(got[0]) < set(expect[0])
+    assert line_1 & set(expect[0]) and not line_1 & set(got[0])
+    assert 2 not in got[0] and 2 in expect[0]
+
+
+def test_fixed_point_masks_on_every_gl8_representative():
+    """The fixed points of all 18,807 rank-3 representatives of the GL(3,8)
+    sweep, against the scalar collineation of each."""
+    reps = np.concatenate([e for e, _, _ in census._orbit_batches(
+        T8, "gl", census._ENUM_CHUNK, lambda r: r == 3)])
+    assert len(reps) == 18807
+    got = _ids(fixed_masks(projective_space(T8, 2), reps))
+    assert got == [fixed_points(induced_collineation(make_form(T8, r)))
+                   for r in reps.tolist()]

@@ -17,6 +17,8 @@ PACKAGE = pathlib.Path(sigmaconics.__file__).parent
 
 # name -> the routine that library code uses instead
 REFERENCE_ONLY = {
+    "fixed_points": "forms.fixed_masks finds the fixed points of K "
+                    "collineations line by line through R",
     "incidence": "ProjectiveSpace.lines_points lists the points of a line",
     "is_arc": "ProjectiveSpace.collinear_triples tests rows of points in batch",
     "is_fq_subline": "ProjectiveSpace.sublines tests rows of points in batch",
